@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-gate profile serve fmt vet lint cover ci
+.PHONY: all build test race bench bench-gate profile serve fmt vet lint cover e2e-check ci
 
 all: build
 
@@ -55,5 +55,12 @@ lint:
 # cover enforces the pinned total-coverage floor (scripts/coverage.sh).
 cover:
 	./scripts/coverage.sh
+
+# e2e-check vets and tests benchmarks/e2e, a nested module the root
+# build, vet and test skip; its tests include a -quick run of every
+# workload.
+e2e-check:
+	GOWORK=off GOFLAGS= $(GO) -C benchmarks/e2e vet ./...
+	GOWORK=off GOFLAGS= $(GO) -C benchmarks/e2e test -count 1 ./...
 
 ci: lint build test race

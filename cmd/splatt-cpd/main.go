@@ -104,8 +104,6 @@ func main() {
 	}
 	fmt.Printf("Kernels: cpu=%s dense=%s alto=%s\n\n", cpu.Summary(), dense.KernelISA(), altoWalker)
 
-	timers := perf.NewRegistry()
-	opts.Timers = timers
 	var spans *obs.Profiler
 	if *phaseProf != "" {
 		spans = obs.NewProfiler(1, 8192)
@@ -123,7 +121,7 @@ func main() {
 	fmt.Printf("  storage format: %s, %.2f MiB\n", report.Format, float64(report.CSFBytes)/(1<<20))
 	fmt.Printf("  solver: %s (%d sampled + %d exact iterations)\n\n",
 		report.Solver, report.SampledIters, report.Iterations-report.SampledIters)
-	fmt.Print(timers.Report())
+	fmt.Print(perf.Report(report.Times))
 
 	if spans != nil {
 		fmt.Println()

@@ -7,7 +7,7 @@
 //
 //	splatt-gen -dataset yelp -scale 0.015625 -out yelp-64th.tns
 //	splatt-gen -dims 1000x800x1200 -nnz 100000 -seed 7 -out random.bin
-//	splatt-gen -dims 100x80x60 -nnz 5000 -out - | curl --data-binary @- localhost:8080/tensors
+//	splatt-gen -dims 100x80x60 -nnz 5000 -out - | curl --data-binary @- localhost:8080/v1/tensors
 package main
 
 import (

@@ -76,14 +76,10 @@ const tileN = 512
 func NewOperator(t *Tensor, team *parallel.Team, rank int, opts mttkrp.Options) *Operator {
 	o := &Operator{t: t, team: team, opts: opts, rank: rank}
 	o.pool = locks.NewPool(opts.LockKind, opts.PoolSize)
-	maxDim := 0
-	for _, d := range t.Enc.Dims {
-		if d > maxDim {
-			maxDim = d
-		}
-	}
 	tasks := o.tasks()
-	o.priv = parallel.NewScratch(tasks, maxDim*rank)
+	// Grown to the output mode on the first privatized Apply: a
+	// dims×rank buffer up front can dwarf the nonzeros.
+	o.priv = parallel.NewScratch(tasks, 0)
 	o.bounds = make([]int, tasks+1)
 	for tid := 0; tid < tasks; tid++ {
 		begin, _ := parallel.Partition(t.NNZ(), tasks, tid)
@@ -173,6 +169,7 @@ func (o *Operator) Apply(mode int, factors []*dense.Matrix, out *dense.Matrix) {
 	o.lastStrategy = strategy
 
 	if strategy == mttkrp.StrategyPrivatize {
+		o.priv.Grow(dims[mode] * o.rank)
 		o.priv.Zero(dims[mode] * o.rank)
 	}
 	o.curMode, o.curFactors, o.curOut, o.curStrategy = mode, factors, out, strategy

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"runtime"
+	"time"
 
 	"repro/internal/csf"
 	"repro/internal/dense"
@@ -206,20 +207,18 @@ func (r *Runner) AblationCOOBaseline() {
 		factors := benchFactors(t, r.cfg.Rank)
 		team := parallel.NewTeam(tasks)
 		pool := locks.NewPool(locks.Spin, 0)
-		timer := perf.NewTimer("coo")
 		outs := make([]*dense.Matrix, t.NModes())
 		for m := range outs {
 			outs[m] = dense.NewMatrix(t.Dims[m], r.cfg.Rank)
 		}
-		timer.Start()
+		start := time.Now()
 		for it := 0; it < r.cfg.Iters; it++ {
 			for m := 0; m < t.NModes(); m++ {
 				mttkrp.COOParallel(t, factors, m, outs[m], team, pool)
 			}
 		}
-		timer.Stop()
+		cooS := time.Since(start).Seconds()
 		team.Close()
-		cooS := timer.Seconds()
 
 		tbl.addRow(datasetName(ds), secs(csfS), secs(cooS), ratio(perf.Speedup(cooS, csfS)))
 	}

@@ -3,6 +3,7 @@ package bench
 import (
 	"math/rand"
 	"runtime"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dense"
@@ -12,7 +13,7 @@ import (
 
 // measure.go holds the two measurement primitives every experiment builds
 // on: an isolated MTTKRP timing loop (Figures 2-4, 9-10) and a full CP-ALS
-// run with per-routine timers (Table III, Figures 5-8).
+// run with per-routine times (Table III, Figures 5-8).
 
 // mustRunner builds an MTTKRP runner, panicking on backend-build failure
 // (the harness's tensors are always encodable).
@@ -70,18 +71,15 @@ func (r *Runner) timeMTTKRPOn(runner *core.MTTKRPRunner, t *sptensor.Tensor) flo
 	runtime.GC()
 
 	trials := make([]float64, 0, r.cfg.Trials)
-	timer := perf.NewTimer(perf.RoutineMTTKRP)
 	for trial := 0; trial < r.cfg.Trials; trial++ {
-		timer.Reset()
-		timer.Start()
+		start := time.Now()
 		for it := 0; it < r.cfg.Iters; it++ {
 			for mode := 0; mode < t.NModes(); mode++ {
 				sub := dense.NewMatrixFrom(t.Dims[mode], r.cfg.Rank, out.Data[:t.Dims[mode]*r.cfg.Rank])
 				runner.Apply(mode, factors, sub)
 			}
 		}
-		timer.Stop()
-		trials = append(trials, timer.Seconds())
+		trials = append(trials, time.Since(start).Seconds())
 	}
 	return perf.Summarize(trials).Mean
 }
@@ -98,8 +96,6 @@ func (r *Runner) runCPD(t *sptensor.Tensor, tasks int, opts core.Options) (map[s
 	var last *core.Report
 	for trial := 0; trial < r.cfg.Trials; trial++ {
 		runtime.GC() // isolate trials from prior configurations' heap growth
-		timers := perf.NewRegistry()
-		opts.Timers = timers
 		opts.Spans = r.spans
 		_, report, err := core.CPD(t, opts)
 		if err != nil {

@@ -86,8 +86,6 @@ func (r *Runner) AblationSolvers() {
 func (r *Runner) runTolCPD(t *sptensor.Tensor, tasks int, opts core.Options) (map[string]float64, *core.Report) {
 	opts.Rank = r.cfg.Rank
 	opts.Tasks = tasks
-	timers := perf.NewRegistry()
-	opts.Timers = timers
 	opts.Spans = r.spans
 	_, report, err := core.CPD(t, opts)
 	if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"repro/internal/csf"
 	"repro/internal/dense"
@@ -32,14 +33,10 @@ func CPD(t *sptensor.Tensor, opts Options) (*KruskalTensor, *Report, error) {
 	if tasks < 1 {
 		tasks = 1
 	}
-	timers := opts.Timers
-	if timers == nil {
-		timers = perf.NewRegistry()
-	}
 	team := parallel.NewTeam(tasks)
 	defer team.Close()
 
-	d, err := buildDecomposer(t, team, tasks, opts, timers)
+	d, err := buildDecomposer(t, team, tasks, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -53,13 +50,23 @@ func CPD(t *sptensor.Tensor, opts Options) (*KruskalTensor, *Report, error) {
 // buildDecomposer assembles the per-run arena, storage backend, and
 // decomposer state shared by CPD and Session.
 func buildDecomposer(t *sptensor.Tensor, team *parallel.Team, tasks int,
-	opts Options, timers *perf.Registry) (*decomposer, error) {
+	opts Options) (*decomposer, error) {
+
+	// Spans are the run's only clock. Without a caller profiler the run
+	// records into a private aggregates-only one; either way the run's
+	// routine times are recorder 0's delta from this reading on.
+	spans := opts.Spans
+	if spans == nil {
+		spans = obs.NewProfiler(1, 0)
+	}
+	rec := spans.Recorder(0)
+	base := rec.Nanos()
 
 	// One arena serves the whole run: the backend's kernel workspaces, the
 	// dense Workspace, and the decomposer's own scratch all draw from it,
 	// so steady-state iterations allocate nothing.
 	arena := parallel.NewArena(tasks)
-	cfg := opts.backendConfig(timers)
+	cfg := opts.backendConfig(rec)
 	cfg.Team = team
 	cfg.Kernel.Arena = arena
 	var backend format.Backend
@@ -90,7 +97,7 @@ func buildDecomposer(t *sptensor.Tensor, team *parallel.Team, tasks int,
 	if err != nil {
 		return nil, err
 	}
-	return newDecomposer(t, backend, team, arena, opts, timers), nil
+	return newDecomposer(t, backend, team, arena, opts, rec, base), nil
 }
 
 // decomposer holds the state of one CP-ALS run.
@@ -101,7 +108,6 @@ type decomposer struct {
 	arena   *parallel.Arena
 	ws      *dense.Workspace
 	opts    Options
-	timers  *perf.Registry
 
 	k     *KruskalTensor
 	grams []*dense.Matrix // A(m)ᵀA(m), maintained per mode
@@ -112,16 +118,11 @@ type decomposer struct {
 	blas  *dense.BLASPool
 	normX float64
 
-	// Cached timer handles: Start/Stop directly instead of Registry.Time,
-	// whose closure argument would allocate once per call site per
-	// iteration.
-	tCPD, tATA, tMTTKRP, tInverse, tNorm, tFit *perf.Timer
-	tSketch, tSketchBuild, tLeverage           *perf.Timer
-
-	// rec is the span recorder (nil without a profiler): the phase-level
-	// counterpart of the timers above, feeding /profile, /timeline, and
-	// the per-phase Prometheus families.
-	rec *obs.SpanRecorder
+	// rec is the run's span recorder and base its per-phase reading
+	// before the backend build: Report.Times and the trace's routine
+	// seconds are the delta since base.
+	rec  *obs.SpanRecorder
+	base [obs.NumPhases]int64
 
 	// Fit-reduction scratch: staged operands plus a body built once.
 	fitPartials []float64
@@ -141,7 +142,7 @@ type decomposer struct {
 }
 
 func newDecomposer(t *sptensor.Tensor, backend format.Backend, team *parallel.Team,
-	arena *parallel.Arena, opts Options, timers *perf.Registry) *decomposer {
+	arena *parallel.Arena, opts Options, rec *obs.SpanRecorder, base [obs.NumPhases]int64) *decomposer {
 
 	r := opts.Rank
 	if arena == nil {
@@ -156,7 +157,7 @@ func newDecomposer(t *sptensor.Tensor, backend format.Backend, team *parallel.Te
 		k = NewRandomKruskal(t.Dims, r, opts.Seed)
 	}
 	d := &decomposer{
-		t: t, backend: backend, team: team, arena: arena, opts: opts, timers: timers,
+		t: t, backend: backend, team: team, arena: arena, opts: opts, rec: rec, base: base,
 		k:     k,
 		grams: make([]*dense.Matrix, t.NModes()),
 		v:     dense.NewMatrix(r, r),
@@ -180,19 +181,6 @@ func newDecomposer(t *sptensor.Tensor, backend format.Backend, team *parallel.Te
 	}
 	if opts.BLASThreads > 1 || opts.BLASSpin > 0 {
 		d.blas = &dense.BLASPool{Threads: opts.BLASThreads, SpinCount: opts.BLASSpin}
-	}
-
-	d.tCPD = timers.Get(perf.RoutineCPD)
-	d.tATA = timers.Get(perf.RoutineATA)
-	d.tMTTKRP = timers.Get(perf.RoutineMTTKRP)
-	d.tInverse = timers.Get(perf.RoutineInverse)
-	d.tNorm = timers.Get(perf.RoutineNorm)
-	d.tFit = timers.Get(perf.RoutineFit)
-	d.tSketch = timers.Get(perf.RoutineSketch)
-	d.tSketchBuild = timers.Get(perf.RoutineSketchBuild)
-	d.tLeverage = timers.Get(perf.RoutineLeverage)
-	if opts.Spans != nil {
-		d.rec = opts.Spans.Recorder(0)
 	}
 
 	d.fitPartials = arena.Task(0).F64(team.N())
@@ -235,14 +223,14 @@ func (d *decomposer) resolveSolver() {
 		d.solver = sketch.ALS
 		return
 	}
-	d.tSketchBuild.Start()
+	span := d.rec.Start()
 	sampler, err := sketch.NewSampler(d.backend, d.t.Dims, sketch.Config{
 		Rank:    d.opts.Rank,
 		Samples: d.opts.Samples,
 		Seed:    d.opts.Seed,
 		Team:    d.team,
 	})
-	d.tSketchBuild.Stop()
+	d.rec.End(obs.PhaseSketchBuild, span)
 	if err != nil {
 		d.solver = sketch.ALS
 		return
@@ -251,21 +239,6 @@ func (d *decomposer) resolveSolver() {
 	d.sampler = sampler
 	d.sampler.SetSpans(d.rec)
 	d.vs = dense.NewMatrix(d.opts.Rank, d.opts.Rank)
-}
-
-// spanStart opens a phase span (no-op handle without a recorder).
-func (d *decomposer) spanStart() int64 {
-	if d.rec == nil {
-		return 0
-	}
-	return d.rec.Start()
-}
-
-// spanEnd closes a phase span (no-op without a recorder).
-func (d *decomposer) spanEnd(p obs.Phase, start int64, mode int) {
-	if d.rec != nil {
-		d.rec.EndMode(p, start, mode)
-	}
 }
 
 // newReport assembles the report skeleton for this run.
@@ -284,11 +257,11 @@ func (d *decomposer) newReport() *Report {
 // sampled-phase budget.
 func (d *decomposer) prepare() {
 	order := d.t.NModes()
-	d.tATA.Start()
+	span := d.rec.Start()
 	for m := 0; m < order; m++ {
 		d.ws.Syrk(d.k.Factors[m], d.grams[m])
 	}
-	d.tATA.Stop()
+	d.rec.End(obs.PhaseGram, span)
 
 	// Sampled phase budget: the last RefineIters iterations always run
 	// exact, restoring exact-MTTKRP fit semantics before reporting.
@@ -310,7 +283,7 @@ func (d *decomposer) prepare() {
 func (d *decomposer) iterate(it int, report *Report) (stop bool) {
 	order := d.t.NModes()
 	sampled := d.sampledLeft > 0
-	iterSpan := d.spanStart()
+	iterSpan := d.rec.Start()
 	for m := 0; m < order; m++ {
 		if d.cancelled() {
 			report.Cancelled = true
@@ -334,7 +307,7 @@ func (d *decomposer) iterate(it int, report *Report) (stop bool) {
 	if d.solver == sketch.ARLS && !sampled {
 		iterPhase = obs.PhaseRefine
 	}
-	d.spanEnd(iterPhase, iterSpan, it+1)
+	d.rec.EndMode(iterPhase, iterSpan, it+1)
 	report.FitHistory = append(report.FitHistory, fit)
 	report.Iterations = it + 1
 	d.emitTrace(it, fit, sampled)
@@ -364,35 +337,26 @@ func (d *decomposer) emitTrace(it int, fit float64, sampled bool) {
 	if d.opts.Trace == nil {
 		return
 	}
+	nanos := d.rec.NanosSince(d.base)
 	d.opts.Trace.RecordIteration(obs.IterEvent{
 		Iteration: it + 1,
 		Fit:       fit,
 		Delta:     fit - d.oldFit,
 		Sampled:   sampled,
-		Seconds:   d.tCPD.Seconds(), // running timer: includes the in-flight lap
-		Routines: obs.RoutineSnapshot{
-			MTTKRP:   d.tMTTKRP.Seconds(),
-			ATA:      d.tATA.Seconds(),
-			Inverse:  d.tInverse.Seconds(),
-			Norm:     d.tNorm.Seconds(),
-			Fit:      d.tFit.Seconds(),
-			Sketch:   d.tSketch.Seconds(),
-			Leverage: d.tLeverage.Seconds(),
-		},
+		Seconds:   obs.RoutineSeconds(nanos, perf.RoutineCPD),
+		Routines:  obs.Routines(nanos),
 	})
 }
 
 // run executes the ALS loop and assembles the report.
 func (d *decomposer) run() (*KruskalTensor, *Report) {
 	report := d.newReport()
-	d.tCPD.Start()
 	d.prepare()
 	for it := 0; it < d.opts.MaxIters; it++ {
 		if d.iterate(it, report) {
 			break
 		}
 	}
-	d.tCPD.Stop()
 	d.finish(report)
 	return d.k, report
 }
@@ -401,18 +365,16 @@ func (d *decomposer) run() (*KruskalTensor, *Report) {
 func (d *decomposer) finish(report *Report) {
 	report.Fit = d.oldFit
 	report.SampledIters = d.sampledIters
-	report.Times = d.timers.Snapshot()
+	report.Times = obs.RoutineTimes(d.rec.NanosSince(d.base))
 }
 
 // refreshLeverage recomputes mode m's sampling distribution from the
 // current factor and Gram (CP-ARLS-LEV maintains scores per factor,
 // refreshed whenever that factor changes).
 func (d *decomposer) refreshLeverage(m int) {
-	d.tLeverage.Start()
-	span := d.spanStart()
+	span := d.rec.Start()
 	d.sampler.RefreshLeverage(m, d.k.Factors[m], d.grams[m])
-	d.spanEnd(obs.PhaseLeverage, span, m)
-	d.tLeverage.Stop()
+	d.rec.EndMode(obs.PhaseLeverage, span, m)
 }
 
 // cancelled reports whether the run's context has been cancelled.
@@ -433,9 +395,7 @@ func (d *decomposer) updateMode(m, iter int, sampled bool, report *Report) {
 	v := d.v
 	if sampled {
 		// M ← X(m)·W·H and V ← HᵀWH over the sampled Khatri-Rao rows.
-		d.tSketch.Start()
 		d.sampler.SampledMTTKRP(m, iter, d.k.Factors, mrows, d.vs)
-		d.tSketch.Stop()
 		v = d.vs
 		if d.opts.Ridge > 0 {
 			for i := 0; i < r; i++ {
@@ -444,37 +404,31 @@ func (d *decomposer) updateMode(m, iter int, sampled bool, report *Report) {
 		}
 	} else {
 		// V ← ∘_{n≠m} A(n)ᵀA(n) (+ optional ridge), fused into one pass.
-		d.tATA.Start()
-		gramSpan := d.spanStart()
+		gramSpan := d.rec.Start()
 		dense.HadamardOfGrams(d.v, d.grams, m)
 		if d.opts.Ridge > 0 {
 			for i := 0; i < r; i++ {
 				d.v.Set(i, i, d.v.At(i, i)+d.opts.Ridge)
 			}
 		}
-		d.spanEnd(obs.PhaseGram, gramSpan, m)
-		d.tATA.Stop()
+		d.rec.EndMode(obs.PhaseGram, gramSpan, m)
 
 		// M ← X(m) · (⊙_{n≠m} A(n)), the MTTKRP.
-		d.tMTTKRP.Start()
-		mttkrpSpan := d.spanStart()
+		mttkrpSpan := d.rec.Start()
 		d.backend.MTTKRP(m, d.k.Factors, mrows)
-		d.spanEnd(obs.PhaseMTTKRP, mttkrpSpan, m)
-		d.tMTTKRP.Stop()
+		d.rec.EndMode(obs.PhaseMTTKRP, mttkrpSpan, m)
 		report.Strategies[m] = d.backend.LastStrategy()
 	}
 
 	// A(m) ← M · V†.
-	d.tInverse.Start()
-	solveSpan := d.spanStart()
+	solveSpan := d.rec.Start()
 	factor.CopyFrom(mrows)
 	if d.blas != nil {
 		dense.SolveNormalsBLAS(d.blas, v, factor)
 	} else {
 		d.ws.SolveNormals(v, factor)
 	}
-	d.spanEnd(obs.PhaseSolve, solveSpan, m)
-	d.tInverse.Stop()
+	d.rec.EndMode(obs.PhaseSolve, solveSpan, m)
 
 	if d.opts.NonNegative {
 		dense.ClampNonNegative(d.team, factor)
@@ -482,22 +436,18 @@ func (d *decomposer) updateMode(m, iter int, sampled bool, report *Report) {
 
 	// Normalize columns, storing norms as λ: 2-norm on the first
 	// iteration, max-norm afterwards (SPLATT's schedule).
-	d.tNorm.Start()
-	normSpan := d.spanStart()
+	normSpan := d.rec.Start()
 	kind := dense.NormMax
 	if iter == 0 {
 		kind = dense.Norm2
 	}
 	d.ws.NormalizeColumns(factor, d.k.Lambda, kind)
-	d.spanEnd(obs.PhaseNormalize, normSpan, m)
-	d.tNorm.Stop()
+	d.rec.EndMode(obs.PhaseNormalize, normSpan, m)
 
 	// Refresh this mode's Gram for subsequent V products.
-	d.tATA.Start()
-	gramSpan := d.spanStart()
+	gramSpan := d.rec.Start()
 	d.ws.Syrk(factor, d.grams[m])
-	d.spanEnd(obs.PhaseGram, gramSpan, m)
-	d.tATA.Stop()
+	d.rec.EndMode(obs.PhaseGram, gramSpan, m)
 
 	// The sampled solver keeps mode m's leverage scores in sync with the
 	// factor it just rewrote.
@@ -511,8 +461,7 @@ func (d *decomposer) updateMode(m, iter int, sampled bool, report *Report) {
 // uniform subset of the nonzeros — the exact inner-product identity needs
 // the exact last-mode MTTKRP, which sampled iterations never compute.
 func (d *decomposer) estimateFit(iter int) float64 {
-	d.tFit.Start()
-	span := d.spanStart()
+	span := d.rec.Start()
 	inner := d.sampler.EstimateInner(iter, 0, d.k.Lambda, d.k.Factors)
 	modelNorm2 := d.modelNormSquared()
 	residual2 := d.normX + modelNorm2 - 2*inner
@@ -523,8 +472,7 @@ func (d *decomposer) estimateFit(iter int) float64 {
 	if d.normX > 0 {
 		fit = 1 - math.Sqrt(residual2)/math.Sqrt(d.normX)
 	}
-	d.spanEnd(obs.PhaseFit, span, -1)
-	d.tFit.Stop()
+	d.rec.End(obs.PhaseFit, span)
 	return fit
 }
 
@@ -533,8 +481,7 @@ func (d *decomposer) estimateFit(iter int) float64 {
 // the final mode's MTTKRP output (still resident in mbuf) and A_last its
 // updated, normalized factor. No pass over the nonzeros is needed.
 func (d *decomposer) computeFit() float64 {
-	d.tFit.Start()
-	span := d.spanStart()
+	span := d.rec.Start()
 	last := d.t.NModes() - 1
 	d.fitFactor = d.k.Factors[last]
 	if d.team == nil || d.team.N() == 1 {
@@ -553,8 +500,7 @@ func (d *decomposer) computeFit() float64 {
 	if d.normX > 0 {
 		fit = 1 - math.Sqrt(residual2)/math.Sqrt(d.normX)
 	}
-	d.spanEnd(obs.PhaseFit, span, -1)
-	d.tFit.Stop()
+	d.rec.End(obs.PhaseFit, span)
 	return fit
 }
 
@@ -574,10 +520,8 @@ func SortOnly(t *sptensor.Tensor, opts Options) float64 {
 	team := parallel.NewTeam(tasks)
 	defer team.Close()
 	clone := t.Clone()
-	timer := perf.NewTimer(perf.RoutineSort)
 	roots := csf.RootsFor(t.Dims, opts.Alloc)
-	timer.Start()
+	start := time.Now()
 	tsort.SortForRoot(clone, roots[0], team, opts.SortVariant)
-	timer.Stop()
-	return timer.Seconds()
+	return time.Since(start).Seconds()
 }

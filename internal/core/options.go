@@ -9,7 +9,6 @@ import (
 	"repro/internal/locks"
 	"repro/internal/mttkrp"
 	"repro/internal/obs"
-	"repro/internal/perf"
 	"repro/internal/sketch"
 	"repro/internal/tsort"
 )
@@ -131,25 +130,23 @@ type Options struct {
 	// Keeps V well-conditioned when factors become collinear. 0 disables.
 	Ridge float64
 
-	// Timers receives per-routine timings; nil allocates a private
-	// registry (available on the Report).
-	Timers *perf.Registry
-
 	// Trace, when non-nil, receives one obs.IterEvent after every
 	// completed ALS iteration: iteration number, fit, fit delta, and the
-	// cumulative per-routine timer snapshot. The event is pushed by value
+	// run's cumulative per-routine seconds. The event is pushed by value
 	// from the iteration loop, so a non-allocating sink (obs.TraceRing)
 	// keeps steady-state iterations at 0 allocs/op. A nil Trace costs one
 	// predictable branch per iteration.
 	Trace obs.TraceSink
 
-	// Spans, when non-nil, receives phase-level spans (per-mode MTTKRP,
-	// Gram assembly, normal-equations solve, normalize, fit, and the
-	// sampled solver's sample/accumulate/leverage phases) on recorder 0.
-	// Recording is allocation-free — a bounded preallocated ring plus
-	// atomic aggregates — so steady-state iterations stay at 0 allocs/op
-	// with spans enabled. A nil Spans costs one predictable branch per
-	// phase boundary.
+	// Spans receives the run's phase-level spans on recorder 0: the
+	// backend's sort and build, per-mode MTTKRP, Gram assembly,
+	// normal-equations solve, normalize, fit, and the sampled solver's
+	// set-up/sample/accumulate/leverage phases. These spans are the only
+	// clock of a run: Report.Times and the trace's routine seconds derive
+	// from their aggregates (the run's delta, so one profiler may serve
+	// many runs). Nil records into a private aggregates-only profiler.
+	// Recording is allocation-free, so steady-state iterations stay at
+	// 0 allocs/op.
 	Spans *obs.Profiler
 
 	// Ctx, when non-nil, is polled between factor updates: once it is
@@ -194,7 +191,7 @@ func (o *Options) ApplyProfile(p Profile) {
 
 // backendConfig maps the options onto a storage-backend build config; the
 // caller fills Config.Team.
-func (o Options) backendConfig(timers *perf.Registry) format.Config {
+func (o Options) backendConfig(spans *obs.SpanRecorder) format.Config {
 	return format.Config{
 		Rank: o.Rank,
 		Kernel: mttkrp.Options{
@@ -205,7 +202,7 @@ func (o Options) backendConfig(timers *perf.Registry) format.Config {
 		},
 		Alloc:       o.Alloc,
 		SortVariant: o.SortVariant,
-		Timers:      timers,
+		Spans:       spans,
 	}
 }
 
@@ -252,7 +249,8 @@ type Report struct {
 	Fit float64
 	// FitHistory holds the fit after every iteration.
 	FitHistory []float64
-	// Times is the per-routine seconds snapshot (perf.Routine* keys).
+	// Times is the run's per-routine seconds (perf.Routine* keys),
+	// derived from its phase spans through the phase→routine map.
 	Times map[string]float64
 	// Strategies records the conflict strategy used per mode — the
 	// observable lock-vs-privatize decision.

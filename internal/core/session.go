@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/parallel"
-	"repro/internal/perf"
 	"repro/internal/sptensor"
 )
 
@@ -35,18 +34,13 @@ func NewSession(t *sptensor.Tensor, opts Options) (*Session, error) {
 	if tasks < 1 {
 		tasks = 1
 	}
-	timers := opts.Timers
-	if timers == nil {
-		timers = perf.NewRegistry()
-	}
 	team := parallel.NewTeam(tasks)
-	d, err := buildDecomposer(t, team, tasks, opts, timers)
+	d, err := buildDecomposer(t, team, tasks, opts)
 	if err != nil {
 		team.Close()
 		return nil, err
 	}
 	s := &Session{team: team, d: d, report: d.newReport()}
-	d.tCPD.Start()
 	d.prepare()
 	return s, nil
 }
@@ -87,6 +81,5 @@ func (s *Session) Close() {
 		return
 	}
 	s.closed = true
-	s.d.tCPD.Stop()
 	s.team.Close()
 }

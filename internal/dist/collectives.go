@@ -2,7 +2,6 @@ package dist
 
 import (
 	"math"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -66,17 +65,20 @@ type comm struct {
 
 	// ops[l][op] is locale l's ledger for one collective operation.
 	ops [][numCommOps]opAccount
-	// recs[l] is locale l's span recorder (nil without a profiler). When
-	// present it is also the collective clock: the span duration and the
-	// ledger nanos come from the same reading, so the profiler's comm
-	// phases and the Report's per-op seconds agree bitwise.
+	// recs[l] is locale l's span recorder, which is also the collective
+	// clock: the span duration and the ledger nanos come from the same
+	// reading, so the profiler's comm phases and the Report's per-op
+	// seconds agree bitwise.
 	recs []*obs.SpanRecorder
 }
 
 // newComm creates the fabric for a world of `locales`, with an allgather
-// assembly buffer of gatherFloats elements (the mode-0 factor size).
-func newComm(locales, gatherFloats int) *comm {
-	return &comm{
+// assembly buffer of gatherFloats elements (the mode-0 factor size),
+// charging each locale's collectives to its recorder in spans. A profiler
+// with fewer recorders than locales shares its last recorder (Recorder
+// clamps) — attribution degrades, nothing breaks.
+func newComm(locales, gatherFloats int, spans *obs.Profiler) *comm {
+	c := &comm{
 		locales: locales,
 		barrier: parallel.NewBarrier(locales),
 		stage:   make([][]float64, locales),
@@ -84,38 +86,16 @@ func newComm(locales, gatherFloats int) *comm {
 		ops:     make([][numCommOps]opAccount, locales),
 		recs:    make([]*obs.SpanRecorder, locales),
 	}
-}
-
-// attach points each locale's collective accounting at its span
-// recorder. A profiler with fewer recorders than locales shares its last
-// recorder (Recorder clamps) — attribution degrades, nothing breaks.
-func (c *comm) attach(p *obs.Profiler) {
-	if p == nil {
-		return
-	}
 	for l := range c.recs {
-		c.recs[l] = p.Recorder(l)
+		c.recs[l] = spans.Recorder(l)
 	}
+	return c
 }
 
-// begin opens a collective's clock for locale lid: the span handle when
-// a recorder is attached, a wall-clock reading otherwise.
-func (c *comm) begin(lid int) (int64, time.Time) {
-	if rec := c.recs[lid]; rec != nil {
-		return rec.Start(), time.Time{}
-	}
-	return 0, time.Now()
-}
-
-// charge closes the collective's clock and posts one ledger entry for
-// locale lid: a span (when recording) plus calls/bytes/nanos.
-func (c *comm) charge(lid int, op commOp, span int64, wall time.Time, bytes int64) {
-	var nanos int64
-	if rec := c.recs[lid]; rec != nil {
-		nanos = rec.EndOp(commOpPhases[op], span, bytes)
-	} else {
-		nanos = int64(time.Since(wall))
-	}
+// charge closes the collective's span and posts one ledger entry for
+// locale lid: calls/bytes plus the span's nanos.
+func (c *comm) charge(lid int, op commOp, span int64, bytes int64) {
+	nanos := c.recs[lid].EndOp(commOpPhases[op], span, bytes)
 	a := &c.ops[lid][op]
 	a.calls++
 	a.bytes += bytes
@@ -138,9 +118,9 @@ func (c *comm) outbox(lid, n int) []float64 {
 // collective), but SPMD extensions — e.g. a distributed tiling schedule —
 // synchronize through this.
 func (c *comm) Barrier(lid int) {
-	span, wall := c.begin(lid)
+	span := c.recs[lid].Start()
 	c.barrier.Wait()
-	c.charge(lid, opBarrier, span, wall, 0)
+	c.charge(lid, opBarrier, span, 0)
 }
 
 // reduce runs one bulk-synchronous reduction round: stage the local
@@ -149,7 +129,7 @@ func (c *comm) Barrier(lid int) {
 // may be reused. combine folds src into dst element-wise. Each locale is
 // charged its outbound payload: len(buf) floats read by L−1 peers.
 func (c *comm) reduce(lid int, buf []float64, init float64, combine func(dst, src []float64)) {
-	span, wall := c.begin(lid)
+	span := c.recs[lid].Start()
 	out := c.outbox(lid, len(buf))
 	copy(out, buf)
 	c.barrier.Wait()
@@ -160,7 +140,7 @@ func (c *comm) reduce(lid int, buf []float64, init float64, combine func(dst, sr
 		combine(buf, c.stage[l][:len(buf)])
 	}
 	c.barrier.Wait()
-	c.charge(lid, opAllreduce, span, wall, int64((c.locales-1)*len(buf))*8)
+	c.charge(lid, opAllreduce, span, int64((c.locales-1)*len(buf))*8)
 }
 
 // AllreduceSum replaces buf on every locale with the element-wise sum of
@@ -199,12 +179,12 @@ func (c *comm) AllreduceScalar(lid int, v float64) float64 {
 // locale is charged its contribution: (hi−lo)·rowLen floats read by L−1
 // peers.
 func (c *comm) AllgatherRows(lid, lo, hi, rowLen int, full []float64) {
-	span, wall := c.begin(lid)
+	span := c.recs[lid].Start()
 	copy(c.gather[lo*rowLen:hi*rowLen], full[lo*rowLen:hi*rowLen])
 	c.barrier.Wait()
 	copy(full, c.gather[:len(full)])
 	c.barrier.Wait()
-	c.charge(lid, opAllgather, span, wall, int64((c.locales-1)*(hi-lo)*rowLen)*8)
+	c.charge(lid, opAllgather, span, int64((c.locales-1)*(hi-lo)*rowLen)*8)
 }
 
 // fill derives the Report's communication ledger from the per-locale

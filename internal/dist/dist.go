@@ -92,18 +92,19 @@ type Options struct {
 
 	// Trace, when non-nil, receives one obs.IterEvent per completed ALS
 	// iteration. Replicated state is bitwise identical across locales, so
-	// locale 0 emits on behalf of the world; its MTTKRP clock (the
-	// per-locale timing the Report already surfaces as MTTKRPSeconds)
-	// fills the routine snapshot. The locales=1 fast path delegates to the
-	// shared-memory engine, which traces every routine.
+	// locale 0 emits on behalf of the world, with its own spans filling
+	// the elapsed and per-routine seconds. The locales=1 fast path
+	// delegates to the shared-memory engine.
 	Trace obs.TraceSink
 
-	// Spans, when non-nil, receives phase-level spans: each locale
-	// records into Spans.Recorder(lid), and the comm fabric charges every
-	// collective to the calling locale's recorder, so comm-phase
-	// aggregates agree bitwise with the Report's per-op seconds. The
-	// profiler should be built with at least Locales recorders (a smaller
-	// one shares its last recorder). Recording is allocation-free; see
+	// Spans receives phase-level spans: each locale records into
+	// Spans.Recorder(lid), and the comm fabric charges every collective
+	// to the calling locale's recorder, so comm-phase aggregates agree
+	// bitwise with the Report's per-op seconds. Report.MTTKRPSeconds and
+	// the trace's routine seconds derive from these spans too; nil
+	// records into a private aggregates-only profiler. The profiler
+	// should be built with at least Locales recorders (a smaller one
+	// shares its last recorder). Recording is allocation-free; see
 	// obs.NewProfiler for the retention knob.
 	Spans *obs.Profiler
 }
@@ -224,10 +225,12 @@ func CPD(t *sptensor.Tensor, opts Options) (*core.KruskalTensor, *Report, error)
 
 	start := time.Now()
 	world := opts.Locales
+	if opts.Spans == nil {
+		opts.Spans = obs.NewProfiler(world, 0)
+	}
 	solver := resolveSolver(t, opts)
 	slabs := PartitionSlabs(t, world)
-	fabric := newComm(world, t.Dims[0]*opts.Rank)
-	fabric.attach(opts.Spans)
+	fabric := newComm(world, t.Dims[0]*opts.Rank, opts.Spans)
 	seed := core.NewRandomKruskal(t.Dims, opts.Rank, opts.Seed)
 	locales := make([]*locale, world)
 	var setup sync.WaitGroup
@@ -253,7 +256,7 @@ func CPD(t *sptensor.Tensor, opts Options) (*core.KruskalTensor, *Report, error)
 		wg.Add(1)
 		go func(lc *locale) {
 			defer wg.Done()
-			lc.run(fabric, opts, start)
+			lc.run(fabric, opts)
 		}(lc)
 	}
 	wg.Wait()
@@ -282,9 +285,8 @@ func CPD(t *sptensor.Tensor, opts Options) (*core.KruskalTensor, *Report, error)
 		report.ShardNNZ[lid] = s.NNZ
 	}
 	for _, lc := range locales {
-		if lc.mttkrpSeconds > report.MTTKRPSeconds {
-			report.MTTKRPSeconds = lc.mttkrpSeconds
-		}
+		report.MTTKRPSeconds = math.Max(report.MTTKRPSeconds,
+			obs.RoutineSeconds(lc.rec.NanosSince(lc.base), perf.RoutineMTTKRP))
 	}
 	fabric.fill(report)
 	report.TotalSeconds = time.Since(start).Seconds()
@@ -345,18 +347,20 @@ type locale struct {
 	invbuf  []float64
 	normX   float64
 
-	fit           float64
-	fitHistory    []float64
-	iterations    int
-	cancelled     bool
-	mttkrpSeconds float64
+	fit        float64
+	fitHistory []float64
+	iterations int
+	cancelled  bool
 
-	// rec is this locale's span recorder (nil without a profiler). Comm
-	// spans are charged by the fabric; the locale charges its compute
-	// phases. Collectives embedded in a compute segment (e.g. the
-	// normalization allreduce) nest inside that segment's span, so
-	// subtract comm phases from compute phases for pure-compute time.
-	rec *obs.SpanRecorder
+	// rec is this locale's span recorder and base its per-phase reading
+	// before the shard's backend build; the locale's routine times are
+	// the delta since base. Comm spans are charged by the fabric; the
+	// locale charges its compute phases. Collectives embedded in a
+	// compute segment (e.g. the normalization allreduce) nest inside that
+	// segment's span, so subtract comm phases from compute phases for
+	// pure-compute time.
+	rec  *obs.SpanRecorder
+	base [obs.NumPhases]int64
 
 	// Sampled-solver state (nil / zero for the exact solver). Every locale
 	// holds identical leverage tables and draws identical samples (same
@@ -377,6 +381,7 @@ func newLocale(lid int, slab Slab, t *sptensor.Tensor, seed *core.KruskalTensor,
 	if tasks < 1 {
 		tasks = 1
 	}
+	rec := opts.Spans.Recorder(lid)
 	lc := &locale{
 		lid:   lid,
 		slab:  slab,
@@ -387,9 +392,8 @@ func newLocale(lid int, slab Slab, t *sptensor.Tensor, seed *core.KruskalTensor,
 		grams: make([]*dense.Matrix, order),
 		v:     dense.NewMatrix(r, r),
 		gbuf:  dense.NewMatrix(r, r),
-	}
-	if opts.Spans != nil {
-		lc.rec = opts.Spans.Recorder(lid)
+		rec:   rec,
+		base:  rec.Nanos(),
 	}
 	lc.ws = dense.NewWorkspace(lc.team, lc.arena, r)
 	lc.a0 = dense.NewMatrixFrom(slab.Rows(), r, lc.k.Factors[0].Data[slab.Lo*r:slab.Hi*r])
@@ -430,6 +434,7 @@ func newLocale(lid int, slab Slab, t *sptensor.Tensor, seed *core.KruskalTensor,
 			},
 			Alloc:       opts.Alloc,
 			SortVariant: opts.SortVariant,
+			Spans:       lc.rec,
 		})
 	}
 	lc.solver = solver
@@ -445,6 +450,7 @@ func newLocale(lid int, slab Slab, t *sptensor.Tensor, seed *core.KruskalTensor,
 		if lc.op != nil {
 			src = lc.op
 		}
+		span := lc.rec.Start()
 		lc.sampler, lc.err = sketch.NewSampler(src, t.Dims, sketch.Config{
 			Rank:    r,
 			Samples: opts.Samples,
@@ -452,6 +458,7 @@ func newLocale(lid int, slab Slab, t *sptensor.Tensor, seed *core.KruskalTensor,
 			Offsets: offsets,
 			Team:    lc.team,
 		})
+		lc.rec.End(obs.PhaseSketchBuild, span)
 		if lc.sampler != nil {
 			lc.sampler.SetSpans(lc.rec)
 		}
@@ -464,7 +471,7 @@ func newLocale(lid int, slab Slab, t *sptensor.Tensor, seed *core.KruskalTensor,
 // collectives in the same order; replicated state (V, non-slab factors,
 // Grams, λ, fit) is combined in locale order, so it stays bitwise identical
 // across locales and the early-stopping decision is uniform.
-func (lc *locale) run(c *comm, opts Options, started time.Time) {
+func (lc *locale) run(c *comm, opts Options) {
 	defer lc.team.Close()
 	order := lc.k.Order()
 
@@ -472,13 +479,13 @@ func (lc *locale) run(c *comm, opts Options, started time.Time) {
 
 	// Initial Grams: the mode-0 Gram is reduced from per-slab partials; the
 	// replicated modes compute identical full Grams locally.
-	gramSpan := lc.spanStart()
+	gramSpan := lc.rec.Start()
 	lc.ws.Syrk(lc.a0, lc.grams[0])
 	c.AllreduceSum(lc.lid, lc.grams[0].Data)
 	for m := 1; m < order; m++ {
 		lc.ws.Syrk(lc.k.Factors[m], lc.grams[m])
 	}
-	lc.spanEnd(obs.PhaseGram, gramSpan, -1)
+	lc.rec.End(obs.PhaseGram, gramSpan)
 
 	// Sampled phase budget — a deterministic function of the uniform
 	// options, so every locale runs the same schedule without coordination.
@@ -486,7 +493,7 @@ func (lc *locale) run(c *comm, opts Options, started time.Time) {
 	if lc.solver == sketch.ARLS {
 		sampledLeft = sketch.SampledIters(opts.MaxIters, opts.RefineIters)
 		for m := 0; m < order; m++ {
-			lc.sampler.RefreshLeverage(m, lc.k.Factors[m], lc.grams[m])
+			lc.refreshLeverage(m, true)
 		}
 	}
 
@@ -507,11 +514,11 @@ func (lc *locale) run(c *comm, opts Options, started time.Time) {
 			}
 		}
 		sampled := sampledLeft > 0
-		iterSpan := lc.spanStart()
+		iterSpan := lc.rec.Start()
 		for m := 0; m < order; m++ {
 			lc.updateMode(c, m, it, sampled, opts)
 		}
-		fitSpan := lc.spanStart()
+		fitSpan := lc.rec.Start()
 		var fit float64
 		if sampled {
 			fit = lc.estimateFit(c, it)
@@ -520,24 +527,25 @@ func (lc *locale) run(c *comm, opts Options, started time.Time) {
 		} else {
 			fit = lc.computeFit()
 		}
-		lc.spanEnd(obs.PhaseFit, fitSpan, -1)
+		lc.rec.End(obs.PhaseFit, fitSpan)
 		iterPhase := obs.PhaseIteration
 		if lc.solver == sketch.ARLS && !sampled {
 			iterPhase = obs.PhaseRefine
 		}
-		lc.spanEnd(iterPhase, iterSpan, it+1)
+		lc.rec.EndMode(iterPhase, iterSpan, it+1)
 		lc.fitHistory = append(lc.fitHistory, fit)
 		lc.iterations = it + 1
 		// Locale 0 reports the world's progress: fit and λ are replicated,
 		// so its view is every locale's view.
 		if lc.lid == 0 && opts.Trace != nil {
+			nanos := lc.rec.NanosSince(lc.base)
 			opts.Trace.RecordIteration(obs.IterEvent{
 				Iteration: it + 1,
 				Fit:       fit,
 				Delta:     fit - oldFit,
 				Sampled:   sampled,
-				Seconds:   time.Since(started).Seconds(),
-				Routines:  obs.RoutineSnapshot{MTTKRP: lc.mttkrpSeconds},
+				Seconds:   obs.RoutineSeconds(nanos, perf.RoutineCPD),
+				Routines:  obs.Routines(nanos),
 			})
 		}
 		// Mirrors core: a converged sampled phase hands over to exact
@@ -606,9 +614,9 @@ func (lc *locale) updateMode(c *comm, m, iter int, sampled bool, opts Options) {
 	if sampled {
 		v = lc.vs
 	} else {
-		gramSpan := lc.spanStart()
+		gramSpan := lc.rec.Start()
 		dense.HadamardOfGrams(lc.v, lc.grams, m)
-		lc.spanEnd(obs.PhaseGram, gramSpan, m)
+		lc.rec.EndMode(obs.PhaseGram, gramSpan, m)
 	}
 
 	kind := dense.NormMax
@@ -621,23 +629,23 @@ func (lc *locale) updateMode(c *comm, m, iter int, sampled bool, opts Options) {
 		// reduction of M is needed.
 		mrows := lc.mrows[0]
 		if sampled {
-			lc.applySampledMTTKRP(0, iter, mrows)
+			lc.sampler.SampledMTTKRP(0, iter, lc.k.Factors, mrows, lc.vs)
 		} else {
 			lc.applyMTTKRP(0, mrows)
 		}
-		solveSpan := lc.spanStart()
+		solveSpan := lc.rec.Start()
 		lc.addRidge(v, opts)
 		lc.a0.CopyFrom(mrows)
 		lc.ws.SolveNormals(v, lc.a0)
 		lc.clampNonNegative(lc.a0, opts)
-		lc.spanEnd(obs.PhaseSolve, solveSpan, 0)
-		normSpan := lc.spanStart()
+		lc.rec.EndMode(obs.PhaseSolve, solveSpan, 0)
+		normSpan := lc.rec.Start()
 		lc.normalizeOwnedRows(c, kind)
-		lc.spanEnd(obs.PhaseNormalize, normSpan, 0)
-		gramSpan := lc.spanStart()
+		lc.rec.EndMode(obs.PhaseNormalize, normSpan, 0)
+		gramSpan := lc.rec.Start()
 		lc.ws.Syrk(lc.a0, lc.grams[0])
 		c.AllreduceSum(lc.lid, lc.grams[0].Data)
-		lc.spanEnd(obs.PhaseGram, gramSpan, 0)
+		lc.rec.EndMode(obs.PhaseGram, gramSpan, 0)
 		c.AllgatherRows(lc.lid, lc.slab.Lo, lc.slab.Hi, r, factor.Data)
 		lc.refreshLeverage(m, sampled)
 		return
@@ -645,41 +653,26 @@ func (lc *locale) updateMode(c *comm, m, iter int, sampled bool, opts Options) {
 
 	mrows := lc.mrows[m]
 	if sampled {
-		lc.applySampledMTTKRP(m, iter, mrows)
+		lc.sampler.SampledMTTKRP(m, iter, lc.k.Factors, mrows, lc.vs)
 	} else {
 		lc.applyMTTKRP(m, mrows)
 	}
 	// Replicated modes reduce the per-shard partial M — the same collective
 	// for both solvers, so sampled and exact runs stay aligned.
 	c.AllreduceSum(lc.lid, mrows.Data)
-	solveSpan := lc.spanStart()
+	solveSpan := lc.rec.Start()
 	lc.addRidge(v, opts)
 	factor.CopyFrom(mrows)
 	lc.ws.SolveNormals(v, factor)
 	lc.clampNonNegative(factor, opts)
-	lc.spanEnd(obs.PhaseSolve, solveSpan, m)
-	normSpan := lc.spanStart()
+	lc.rec.EndMode(obs.PhaseSolve, solveSpan, m)
+	normSpan := lc.rec.Start()
 	lc.ws.NormalizeColumns(factor, lc.k.Lambda, kind)
-	lc.spanEnd(obs.PhaseNormalize, normSpan, m)
-	gramSpan := lc.spanStart()
+	lc.rec.EndMode(obs.PhaseNormalize, normSpan, m)
+	gramSpan := lc.rec.Start()
 	lc.ws.Syrk(factor, lc.grams[m])
-	lc.spanEnd(obs.PhaseGram, gramSpan, m)
+	lc.rec.EndMode(obs.PhaseGram, gramSpan, m)
 	lc.refreshLeverage(m, sampled)
-}
-
-// spanStart opens a phase span (no-op handle without a recorder).
-func (lc *locale) spanStart() int64 {
-	if lc.rec == nil {
-		return 0
-	}
-	return lc.rec.Start()
-}
-
-// spanEnd closes a phase span (no-op without a recorder).
-func (lc *locale) spanEnd(p obs.Phase, start int64, mode int) {
-	if lc.rec != nil {
-		lc.rec.EndMode(p, start, mode)
-	}
 }
 
 // addRidge adds the Tikhonov diagonal to the normal matrix (the exact path
@@ -698,43 +691,22 @@ func (lc *locale) addRidge(v *dense.Matrix, opts Options) {
 // factor a sampled iteration just rewrote. Identical on every locale.
 func (lc *locale) refreshLeverage(m int, sampled bool) {
 	if sampled {
-		span := lc.spanStart()
+		span := lc.rec.Start()
 		lc.sampler.RefreshLeverage(m, lc.k.Factors[m], lc.grams[m])
-		lc.spanEnd(obs.PhaseLeverage, span, m)
+		lc.rec.EndMode(obs.PhaseLeverage, span, m)
 	}
-}
-
-// applySampledMTTKRP runs the sampled kernel into out (the shard's partial
-// sampled M) and the locale's sampled normal matrix, charging the time to
-// the locale's MTTKRP clock.
-func (lc *locale) applySampledMTTKRP(m, iter int, out *dense.Matrix) {
-	start := time.Now()
-	lc.sampler.SampledMTTKRP(m, iter, lc.k.Factors, out, lc.vs)
-	lc.mttkrpSeconds += time.Since(start).Seconds()
 }
 
 // applyMTTKRP runs the local kernel into out (zeroing it when the shard is
-// empty) and charges the time to the locale's MTTKRP clock. With a span
-// recorder, the span's clock is the MTTKRP clock, so the profiler's
-// mttkrp phase matches Report.MTTKRPSeconds reading for reading.
+// empty) under an mttkrp span.
 func (lc *locale) applyMTTKRP(m int, out *dense.Matrix) {
-	if lc.rec != nil {
-		span := lc.rec.Start()
-		if lc.op == nil {
-			out.Zero()
-		} else {
-			lc.op.MTTKRP(m, lc.factors, out)
-		}
-		lc.mttkrpSeconds += float64(lc.rec.EndMode(obs.PhaseMTTKRP, span, m)) / 1e9
-		return
-	}
-	start := time.Now()
+	span := lc.rec.Start()
 	if lc.op == nil {
 		out.Zero()
 	} else {
 		lc.op.MTTKRP(m, lc.factors, out)
 	}
-	lc.mttkrpSeconds += time.Since(start).Seconds()
+	lc.rec.EndMode(obs.PhaseMTTKRP, span, m)
 }
 
 // clampNonNegative projects the given rows onto the nonnegative orthant.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/sptensor"
 )
 
@@ -265,7 +266,7 @@ func TestExtractSlabRoundTrip(t *testing.T) {
 // TestCollectives exercises the fabric directly with concurrent locales.
 func TestCollectives(t *testing.T) {
 	const world = 4
-	c := newComm(world, 8*2)
+	c := newComm(world, 8*2, obs.NewProfiler(world, 0))
 	sums := make([][]float64, world)
 	maxes := make([][]float64, world)
 	full := make([][]float64, world)

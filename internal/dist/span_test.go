@@ -126,6 +126,20 @@ func TestCommOpParity(t *testing.T) {
 			}
 		}
 
+		// The MTTKRP critical path is the slowest locale's mttkrp phase.
+		var slowest float64
+		for _, lp := range prof.Locales {
+			for _, st := range lp.Phases {
+				if st.Phase == "mttkrp" && st.Seconds > slowest {
+					slowest = st.Seconds
+				}
+			}
+		}
+		if rd.MTTKRPSeconds != slowest {
+			t.Errorf("locales=%d: MTTKRPSeconds %v, slowest locale's mttkrp phase %v",
+				locales, rd.MTTKRPSeconds, slowest)
+		}
+
 		// Solver phases were attributed too: every locale ran MTTKRP,
 		// solve, normalize, and iteration spans.
 		for _, phase := range []string{"iteration", "mttkrp", "gram", "solve", "normalize", "fit"} {

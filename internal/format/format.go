@@ -15,8 +15,8 @@ import (
 	"repro/internal/csf"
 	"repro/internal/dense"
 	"repro/internal/mttkrp"
+	"repro/internal/obs"
 	"repro/internal/parallel"
-	"repro/internal/perf"
 	"repro/internal/sptensor"
 	"repro/internal/tsort"
 )
@@ -97,9 +97,9 @@ type Config struct {
 	// Alloc and SortVariant configure the CSF build (ignored by ALTO).
 	Alloc       csf.AllocPolicy
 	SortVariant tsort.Variant
-	// Timers receives the build-time charges (Sort / CSF build / ALTO
-	// build); nil skips timing.
-	Timers *perf.Registry
+	// Spans receives the build-time phases (one sort and one build span
+	// per CSF root, or one build span for ALTO); nil records nothing.
+	Spans *obs.SpanRecorder
 }
 
 // Build constructs the backend for t under the given spec. Auto resolves
@@ -224,26 +224,20 @@ type csfBackend struct {
 	op  *mttkrp.Operator
 }
 
-// buildCSF sorts clones of t (charged to the Sort timer, the paper's
-// pre-processing step) and assembles the CSF representations (charged to
-// the CSF build timer) — the construction core.CPD historically inlined.
+// buildCSF sorts clones of t (a sort span, the paper's pre-processing
+// step) and assembles the CSF representations (a build span per root).
 func buildCSF(t *sptensor.Tensor, cfg Config) *csfBackend {
-	timers := cfg.Timers
-	if timers == nil {
-		timers = perf.NewRegistry()
-	}
+	rec := cfg.Spans
 	roots := csf.RootsFor(t.Dims, cfg.Alloc)
-	sortT := timers.Get(perf.RoutineSort)
-	buildT := timers.Get(perf.RoutineCSF)
 	csfs := make([]*csf.CSF, len(roots))
 	for i, root := range roots {
 		clone := t.Clone()
-		sortT.Start()
+		span := rec.Start()
 		perm := tsort.SortForRoot(clone, root, cfg.Team, cfg.SortVariant)
-		sortT.Stop()
-		buildT.Start()
+		rec.EndMode(obs.PhaseSort, span, root)
+		span = rec.Start()
 		csfs[i] = csf.BuildPresorted(clone, perm)
-		buildT.Stop()
+		rec.EndMode(obs.PhaseBuild, span, root)
 	}
 	set := csf.NewSetFrom(cfg.Alloc, csfs)
 	return &csfBackend{set: set, op: mttkrp.NewOperator(set, cfg.Team, cfg.Rank, cfg.Kernel)}
@@ -267,17 +261,12 @@ type altoBackend struct {
 	op *alto.Operator
 }
 
-// buildALTO linearizes and sorts the tensor, charging the construction to
-// the ALTO build timer (the format's analogue of sort + CSF assembly).
+// buildALTO linearizes and sorts the tensor under one build span (the
+// format's analogue of sort + CSF assembly).
 func buildALTO(t *sptensor.Tensor, cfg Config) (*altoBackend, error) {
-	timers := cfg.Timers
-	if timers == nil {
-		timers = perf.NewRegistry()
-	}
-	buildT := timers.Get(perf.RoutineALTO)
-	buildT.Start()
+	span := cfg.Spans.Start()
 	at, err := alto.FromCOO(t)
-	buildT.Stop()
+	cfg.Spans.End(obs.PhaseBuild, span)
 	if err != nil {
 		return nil, err
 	}

@@ -2,13 +2,14 @@ package format
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/dense"
 	"repro/internal/locks"
 	"repro/internal/mttkrp"
+	"repro/internal/obs"
 	"repro/internal/parallel"
-	"repro/internal/perf"
 	"repro/internal/sptensor"
 )
 
@@ -172,17 +173,18 @@ func TestBuildBackendsAgree(t *testing.T) {
 }
 
 func TestBuildAutoResolvesAndTimes(t *testing.T) {
-	timers := perf.NewRegistry()
+	spans := obs.NewProfiler(1, 0)
 	t4 := sptensor.Random([]int{10, 9, 8, 7}, 300, 17)
-	b, err := Build(t4, Auto, Config{Rank: 4, Timers: timers})
+	b, err := Build(t4, Auto, Config{Rank: 4, Spans: spans.Recorder(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b.Format() != ALTO {
 		t.Fatalf("auto on order-4 resolved to %v", b.Format())
 	}
-	if timers.Seconds(perf.RoutineALTO) <= 0 {
-		t.Error("ALTO build not charged to its timer")
+	if nanos := spans.Recorder(0).Nanos(); nanos[obs.PhaseBuild] <= 0 || nanos[obs.PhaseSort] != 0 {
+		t.Errorf("ALTO build spans: build %d ns, sort %d ns; want build only",
+			nanos[obs.PhaseBuild], nanos[obs.PhaseSort])
 	}
 	// Explicit ALTO on unencodable dims must error; Auto must not.
 	huge := sptensor.New([]int{1 << 31, 1 << 31, 1 << 31, 1 << 31, 1 << 31}, 1)
@@ -191,5 +193,26 @@ func TestBuildAutoResolvesAndTimes(t *testing.T) {
 	}
 	if b, err := Build(huge, Auto, Config{Rank: 2}); err != nil || b.Format() != CSF {
 		t.Errorf("auto fallback failed: %v %v", b, err)
+	}
+}
+
+// TestBuildSizedByWorkNotDims pins that a backend's memory follows the
+// nonzeros, not the declared dims: privatization scratch is grown on the
+// first privatized MTTKRP, so building a 1-nnz tensor with five 2³¹-wide
+// modes stays far below what a dims×rank buffer would take (32 GiB).
+func TestBuildSizedByWorkNotDims(t *testing.T) {
+	huge := sptensor.New([]int{1 << 31, 1 << 31, 1 << 31, 1 << 31, 1 << 31}, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b, err := Build(huge, Auto, Config{Rank: 2})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("building a 1-nnz tensor allocated %d bytes, want < 1 MiB", got)
+	}
+	if b.Format() != CSF {
+		t.Errorf("auto on unencodable dims resolved to %v", b.Format())
 	}
 }

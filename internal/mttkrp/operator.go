@@ -65,16 +65,10 @@ type Operator struct {
 func NewOperator(set *csf.Set, team *parallel.Team, rank int, opts Options) *Operator {
 	o := &Operator{set: set, team: team, opts: opts, rank: rank}
 	o.pool = locks.NewPool(opts.LockKind, opts.PoolSize)
-	maxDim := 0
-	for _, c := range set.CSFs {
-		for _, d := range c.Dims {
-			if d > maxDim {
-				maxDim = d
-			}
-		}
-	}
 	tasks := o.tasks()
-	o.priv = parallel.NewScratch(tasks, maxDim*rank)
+	// Grown to the output mode on the first privatized Apply: a
+	// dims×rank buffer up front can dwarf the nonzeros.
+	o.priv = parallel.NewScratch(tasks, 0)
 	o.bounds = make([][]int, len(set.CSFs))
 	for i, c := range set.CSFs {
 		o.bounds[i] = parallel.PartitionByWeight(c.SliceWeights(), tasks)
@@ -176,6 +170,7 @@ func (o *Operator) Apply(mode int, factors []*dense.Matrix, out *dense.Matrix) {
 	}
 
 	if strategy == StrategyPrivatize {
+		o.priv.Grow(c.Dims[mode] * o.rank)
 		o.priv.Zero(c.Dims[mode] * o.rank)
 	}
 

@@ -1,8 +1,9 @@
 // Package obs is the observability layer: allocation-free metric
 // primitives (counters, gauges, fixed-bucket histograms), a registry that
 // renders them in the Prometheus text exposition format, process/runtime
-// gauges, and a bounded per-iteration trace ring that turns the solver's
-// internal perf timers into a live, scrapeable progress surface.
+// gauges, a bounded per-iteration trace ring that turns the solver's
+// routine times into a live, scrapeable progress surface, and the
+// phase-span profiler those routine times are derived from.
 //
 // The hot-path discipline matches the compute kernels: instruments are
 // pre-registered once (label rendering, bucket layout, and family lookup

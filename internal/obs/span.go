@@ -44,9 +44,18 @@ const (
 	// and expanding its factors to the appended revision's mode lengths
 	// before the absorb run starts. Recorded by the serving layer, not the
 	// engine, so it appears in job profiles only for warm-started jobs.
+	PhaseWarmStart
+	// PhaseSort spans one pre-processing sort of the tensor for a CSF
+	// root (Mode carries the root mode).
+	PhaseSort
+	// PhaseBuild spans storage-backend construction from sorted
+	// nonzeros: one CSF assembly per root, or the ALTO linearization.
+	PhaseBuild
+	// PhaseSketchBuild spans the sampled solver's set-up (copying the
+	// nonzeros into the sampler's fiber-index source).
 	// New non-comm phases must be inserted before PhaseCommBarrier (IsComm
 	// treats the comm phases as a trailing block).
-	PhaseWarmStart
+	PhaseSketchBuild
 	// PhaseCommBarrier spans standalone barrier collectives.
 	PhaseCommBarrier
 	// PhaseCommAllreduce spans allreduce collectives (sum/max/scalar).
@@ -71,6 +80,9 @@ var phaseNames = [NumPhases]string{
 	"sampled_mttkrp",
 	"leverage",
 	"warm_start",
+	"sort",
+	"build",
+	"sketch_build",
 	"comm_barrier",
 	"comm_allreduce",
 	"comm_allgather",
@@ -136,7 +148,9 @@ type phaseAgg struct {
 // locale of a run owns exactly one recorder and is the only writer, so
 // the hot path is one atomic add per aggregate plus an uncontended mutex
 // around the span append. Recording is allocation-free: the ring is
-// preallocated and spans are stored by value.
+// preallocated and spans are stored by value. A nil *SpanRecorder
+// records nothing, so a component built without a profiler (a
+// standalone backend or sampler) needs no branch of its own.
 //
 // The ring keeps the FIRST capacity spans and drops (but counts) later
 // ones. Keeping the head rather than the tail preserves a well-nested,
@@ -159,6 +173,9 @@ func (r *SpanRecorder) Locale() int { return int(r.locale) }
 // epoch. Pair it with End/EndMode/EndOp; the int64 handle keeps open
 // spans off the heap.
 func (r *SpanRecorder) Start() int64 {
+	if r == nil {
+		return 0
+	}
 	return int64(time.Since(r.epoch))
 }
 
@@ -183,6 +200,9 @@ func (r *SpanRecorder) EndOp(p Phase, start int64, bytes int64) int64 {
 }
 
 func (r *SpanRecorder) record(p Phase, start int64, mode int32, bytes int64) int64 {
+	if r == nil {
+		return 0
+	}
 	dur := int64(time.Since(r.epoch)) - start
 	if p >= NumPhases {
 		return dur
@@ -201,6 +221,27 @@ func (r *SpanRecorder) record(p Phase, start int64, mode int32, bytes int64) int
 	}
 	r.mu.Unlock()
 	return dur
+}
+
+// Nanos returns the recorder's cumulative nanoseconds per phase. Arrays
+// are passed by value, so differencing two readings with NanosSince
+// (per-run times on a profiler shared across runs) allocates nothing.
+func (r *SpanRecorder) Nanos() [NumPhases]int64 {
+	var out [NumPhases]int64
+	for p := range out {
+		out[p] = r.agg[p].nanos.Load()
+	}
+	return out
+}
+
+// NanosSince returns the per-phase nanoseconds recorded since an earlier
+// Nanos reading.
+func (r *SpanRecorder) NanosSince(base [NumPhases]int64) [NumPhases]int64 {
+	out := r.Nanos()
+	for p := range out {
+		out[p] -= base[p]
+	}
+	return out
 }
 
 // snapshotSpans copies the retained spans and the drop count.

@@ -4,8 +4,9 @@ import "sync"
 
 // RoutineSnapshot is the cumulative per-routine seconds of one solver run
 // at the end of an iteration — the live counterpart of the paper's
-// Table III per-routine split. Fields are cumulative, so subtracting
-// consecutive events yields per-iteration routine costs.
+// Table III per-routine split, derived from the run's phase spans like
+// the final report. Fields are cumulative, so subtracting consecutive
+// events yields per-iteration routine costs.
 type RoutineSnapshot struct {
 	MTTKRP   float64 `json:"mttkrp_seconds"`
 	ATA      float64 `json:"ata_seconds"`
@@ -30,7 +31,8 @@ type IterEvent struct {
 	Delta float64 `json:"delta"`
 	// Sampled marks iterations run on the leverage-score sampled system.
 	Sampled bool `json:"sampled,omitempty"`
-	// Seconds is cumulative wall-clock since the run started.
+	// Seconds is the run's cumulative iteration wall-clock (its
+	// iteration and refine spans so far).
 	Seconds  float64         `json:"seconds"`
 	Routines RoutineSnapshot `json:"routines"`
 }

@@ -252,7 +252,8 @@ type JobProgress struct {
 	Delta float64 `json:"delta"`
 	// Sampled marks iterations run on the sketched (ARLS) system.
 	Sampled bool `json:"sampled,omitempty"`
-	// ElapsedSeconds is engine wall-clock up to the newest iteration.
+	// ElapsedSeconds is the run's cumulative iteration time up to the
+	// newest iteration (backend build and set-up excluded).
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
 	// MTTKRPSeconds is cumulative time in the dominant kernel.
 	MTTKRPSeconds float64 `json:"mttkrp_seconds"`

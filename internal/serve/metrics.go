@@ -29,22 +29,24 @@ type serverMetrics struct {
 	rejected      *obs.Counter
 	panics        *obs.Counter
 
-	// Dynamically-labelled families (routine / format / solver names and
-	// HTTP routes arrive at runtime). The maps exist so the JSON document
-	// can enumerate them; the instruments themselves live in reg.
-	mu       sync.Mutex
-	routines map[string]*obs.FloatCounter
-	formats  map[string]*obs.Counter
-	solvers  map[string]*obs.Counter
-	queries  map[string]*queryInstruments
-	routes   map[string]*routeMetrics
+	// Dynamically-labelled families (format / solver names and HTTP
+	// routes arrive at runtime). The maps exist so the JSON document can
+	// enumerate them; the instruments themselves live in reg.
+	mu      sync.Mutex
+	formats map[string]*obs.Counter
+	solvers map[string]*obs.Counter
+	queries map[string]*queryInstruments
+	routes  map[string]*routeMetrics
 
-	// Span-profiler families, keyed by phase name. The full phase set is
-	// known statically, so every series is registered (at zero) up front;
+	// Span-profiler families, keyed by phase name (routines by routine
+	// name). The full phase set and the phase→routine map are known
+	// statically, so every series is registered (at zero) up front;
 	// recordProfile folds each finished job's profile in with plain map
 	// reads — no lock needed after construction.
 	phaseSeconds map[string]*obs.FloatCounter
 	phaseCalls   map[string]*obs.Counter
+	phaseRoutine map[string]*obs.FloatCounter // the phase's routine counter (mapped phases only)
+	routines     map[string]*obs.FloatCounter
 	commBytes    map[string]*obs.Counter      // comm phases only, labelled by op
 	commSeconds  map[string]*obs.FloatCounter // comm phases only, labelled by op
 	commLatency  map[string]*obs.Histogram    // comm phases only, labelled by op
@@ -101,14 +103,15 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Job submissions rejected by a full or closed queue."),
 		panics: reg.Counter("splatt_http_panics_total",
 			"Handler panics recovered into 500 responses."),
-		routines: make(map[string]*obs.FloatCounter),
-		formats:  make(map[string]*obs.Counter),
-		solvers:  make(map[string]*obs.Counter),
-		queries:  make(map[string]*queryInstruments),
-		routes:   make(map[string]*routeMetrics),
+		formats: make(map[string]*obs.Counter),
+		solvers: make(map[string]*obs.Counter),
+		queries: make(map[string]*queryInstruments),
+		routes:  make(map[string]*routeMetrics),
 
 		phaseSeconds: make(map[string]*obs.FloatCounter),
 		phaseCalls:   make(map[string]*obs.Counter),
+		phaseRoutine: make(map[string]*obs.FloatCounter),
+		routines:     make(map[string]*obs.FloatCounter),
 		commBytes:    make(map[string]*obs.Counter),
 		commSeconds:  make(map[string]*obs.FloatCounter),
 		commLatency:  make(map[string]*obs.Histogram),
@@ -168,7 +171,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 	})
 
 	// Solver phases and comm ops are fixed enums, so the span-profiler
-	// families are visible (at zero) from the first scrape too. Comm
+	// families are visible (at zero) from the first scrape too. Phases
+	// charged to a paper routine also feed that routine's counter; comm
 	// phases additionally get per-op byte/second totals and a collective
 	// latency histogram fed from retained span events.
 	for p := obs.Phase(0); p < obs.NumPhases; p++ {
@@ -179,6 +183,12 @@ func newServerMetrics(s *Server) *serverMetrics {
 		m.phaseCalls[name] = reg.Counter("splatt_phase_calls_total",
 			"Profiler span count by phase, across all finished jobs.",
 			obs.Label{Name: "phase", Value: name})
+		if r := p.Routine(); r != "" {
+			m.routines[r] = reg.FloatCounter("splatt_solver_routine_seconds_total",
+				"Cumulative engine seconds by paper routine (summed from its profiler phases), across all finished jobs.",
+				obs.Label{Name: "routine", Value: r})
+			m.phaseRoutine[name] = m.routines[r]
+		}
 		if !p.IsComm() {
 			continue
 		}
@@ -234,9 +244,7 @@ func registerCacheMetrics(reg *obs.Registry, name string,
 }
 
 // route returns (creating on first use) the instrument set for one
-// canonical route. Both the /v1 mount and its deprecated unversioned
-// alias share the canonical instruments, so traffic is counted once per
-// logical endpoint.
+// route.
 func (m *serverMetrics) route(method, path string) *routeMetrics {
 	key := method + " " + path
 	m.mu.Lock()
@@ -264,21 +272,6 @@ func (m *serverMetrics) route(method, path string) *routeMetrics {
 	rm.codes[0] = rm.codes[5]
 	m.routes[key] = rm
 	return rm
-}
-
-// routine returns the cumulative-seconds counter for one engine routine
-// (perf timer name).
-func (m *serverMetrics) routine(name string) *obs.FloatCounter {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	fc, ok := m.routines[name]
-	if !ok {
-		fc = m.reg.FloatCounter("splatt_solver_routine_seconds_total",
-			"Cumulative engine seconds by routine, across all finished jobs.",
-			obs.Label{Name: "routine", Value: name})
-		m.routines[name] = fc
-	}
-	return fc
 }
 
 // format returns the completed-jobs counter for one resolved storage
@@ -312,8 +305,9 @@ func (m *serverMetrics) solver(name string) *obs.Counter {
 }
 
 // recordProfile folds one finished job's span profile into the
-// server-wide phase and comm families. The maps are fully populated at
-// construction (the phase enum is closed), so no locking is needed.
+// server-wide phase, routine, and comm families. The maps are fully
+// populated at construction (the phase enum is closed), so no locking is
+// needed.
 // Collective latency histograms are fed from the retained span events;
 // when a job overflows its span ring the histograms undercount tail
 // events but the seconds/calls/bytes totals stay exact — they come from
@@ -329,6 +323,9 @@ func (m *serverMetrics) recordProfile(p *obs.Profiler) {
 		}
 		if c := m.phaseCalls[st.Phase]; c != nil {
 			c.Add(uint64(st.Calls))
+		}
+		if fc := m.phaseRoutine[st.Phase]; fc != nil {
+			fc.Add(st.Seconds)
 		}
 		if c := m.commBytes[st.Phase]; c != nil && st.Bytes > 0 {
 			c.Add(uint64(st.Bytes))

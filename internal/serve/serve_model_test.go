@@ -397,7 +397,7 @@ func TestDeleteTensor(t *testing.T) {
 }
 
 // TestPaginationAndAliases covers ?limit=&offset=&status= with
-// X-Total-Count, plus the deprecated unversioned route aliases.
+// X-Total-Count, and that the retired unversioned aliases answer 404.
 func TestPaginationAndAliases(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 
@@ -480,17 +480,9 @@ func TestPaginationAndAliases(t *testing.T) {
 		t.Fatalf("status=failed returned %d jobs", len(failed))
 	}
 
-	// Deprecated aliases answer identically (modulo recency-independent
-	// ordering) to their /v1 twins.
-	for _, path := range []string{"/tensors", "/jobs", "/models", "/metrics", "/healthz"} {
-		respAlias, _ := doJSON(t, "GET", ts.URL+path, nil)
-		respV1, _ := doJSON(t, "GET", ts.URL+"/v1"+path, nil)
-		if respAlias.StatusCode != respV1.StatusCode {
-			t.Errorf("alias %s: status %d, /v1 twin %d", path, respAlias.StatusCode, respV1.StatusCode)
-		}
-		if respAlias.StatusCode != http.StatusOK {
-			t.Errorf("alias %s: status %d", path, respAlias.StatusCode)
-		}
+	// The unversioned aliases are gone: only /v1 is mounted.
+	if resp, _ := doJSON(t, "GET", ts.URL+"/tensors", nil); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("unversioned /tensors: status %d, want 404", resp.StatusCode)
 	}
 }
 

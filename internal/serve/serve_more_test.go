@@ -5,15 +5,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/sptensor"
 )
 
 func deleteJob(t *testing.T, base, id string) (*http.Response, []byte) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodDelete, base+"/jobs/"+id, nil)
+	req, err := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+id, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,12 +283,12 @@ func TestJobHistoryBounded(t *testing.T) {
 	}
 	// Oldest two pruned, newest two retained.
 	for _, id := range ids[:2] {
-		if code := getJobStatusCode(t, ts.URL+"/jobs/"+id); code != http.StatusNotFound {
+		if code := getJobStatusCode(t, ts.URL+"/v1/jobs/"+id); code != http.StatusNotFound {
 			t.Fatalf("pruned job %s: status %d, want 404", id, code)
 		}
 	}
 	for _, id := range ids[2:] {
-		if code := getJobStatusCode(t, ts.URL+"/jobs/"+id); code != http.StatusOK {
+		if code := getJobStatusCode(t, ts.URL+"/v1/jobs/"+id); code != http.StatusOK {
 			t.Fatalf("retained job %s: status %d, want 200", id, code)
 		}
 	}
@@ -327,19 +329,54 @@ func TestQueuedJobSurvivesEviction(t *testing.T) {
 	}
 }
 
+// TestRetiredJobReleasesTensor pins that a finished job does not keep its
+// tensor reachable after the registry evicts it: retired jobs stay in the
+// bounded history, so a retained pointer would let evicted revisions
+// escape MaxCachedTensors.
+func TestRetiredJobReleasesTensor(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, MaxCachedTensors: 1})
+	res := uploadTensor(t, ts.URL, tnsBytes(t, sptensor.Random([]int{12, 10, 8}, 300, 41)))
+	tensor, err := s.registry.Pin(res.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := weak.Make(tensor)
+	s.registry.Unpin(res.ID)
+
+	st, code := submitJob(t, ts.URL, JobSpec{TensorID: res.ID, Rank: 3, MaxIters: 2, Seed: 1})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d", code)
+	}
+	waitState(t, ts.URL, st.ID, 30*time.Second, terminal)
+	s.Close() // the worker has retired the job once the pool drains
+
+	// A second upload evicts the job's tensor from the one-entry cache.
+	uploadTensor(t, ts.URL, tnsBytes(t, sptensor.Random([]int{10, 10, 10}, 40, 42)))
+	if _, ok := s.registry.Lookup(res.ID); ok {
+		t.Fatal("job tensor not evicted")
+	}
+	if _, ok := s.lookupJob(st.ID); !ok {
+		t.Fatal("retired job missing from history")
+	}
+	runtime.GC()
+	if ref.Value() != nil {
+		t.Error("retired job keeps its evicted tensor reachable")
+	}
+}
+
 // TestAPIErrors covers the failure surface of the HTTP layer.
 func TestAPIErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueCapacity: 4})
 
 	// Malformed upload.
-	resp, _ := postBytes(t, ts.URL+"/tensors", []byte("1 2 notanumber\n"))
+	resp, _ := postBytes(t, ts.URL+"/v1/tensors", []byte("1 2 notanumber\n"))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad upload: status %d", resp.StatusCode)
 	}
 
 	// Job against a tensor that was never uploaded.
 	body, _ := json.Marshal(JobSpec{TensorID: "deadbeef"})
-	resp, _ = postBytes(t, ts.URL+"/jobs", body)
+	resp, _ = postBytes(t, ts.URL+"/v1/jobs", body)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("job on missing tensor: status %d", resp.StatusCode)
 	}
@@ -348,22 +385,22 @@ func TestAPIErrors(t *testing.T) {
 	tensor := sptensor.Random([]int{8, 8, 8}, 40, 1)
 	res := uploadTensor(t, ts.URL, tnsBytes(t, tensor))
 	body, _ = json.Marshal(JobSpec{TensorID: res.ID, Kind: "qr"})
-	resp, _ = postBytes(t, ts.URL+"/jobs", body)
+	resp, _ = postBytes(t, ts.URL+"/v1/jobs", body)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown kind: status %d", resp.StatusCode)
 	}
 
 	// Unknown job / tensor lookups.
-	if st := getJobStatusCode(t, ts.URL+"/jobs/nope"); st != http.StatusNotFound {
+	if st := getJobStatusCode(t, ts.URL+"/v1/jobs/nope"); st != http.StatusNotFound {
 		t.Fatalf("missing job: status %d", st)
 	}
-	if st := getJobStatusCode(t, ts.URL+"/tensors/nope"); st != http.StatusNotFound {
+	if st := getJobStatusCode(t, ts.URL+"/v1/tensors/nope"); st != http.StatusNotFound {
 		t.Fatalf("missing tensor: status %d", st)
 	}
 
 	// Upload above the size limit: 413 with the envelope's too_large code.
 	_, ts2 := newTestServer(t, Config{Workers: 1, QueueCapacity: 4, MaxUploadBytes: 16})
-	resp, data := postBytes(t, ts2.URL+"/tensors", bytes.Repeat([]byte("1 1 1 1.0\n"), 10))
+	resp, data := postBytes(t, ts2.URL+"/v1/tensors", bytes.Repeat([]byte("1 1 1 1.0\n"), 10))
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized upload: status %d, want 413", resp.StatusCode)
 	}
@@ -378,7 +415,7 @@ func TestAPIErrors(t *testing.T) {
 
 	// Tensor with an over-long mode is rejected AND not left resident.
 	s3, ts3 := newTestServer(t, Config{Workers: 1, QueueCapacity: 4, MaxModeLength: 100})
-	resp, _ = postBytes(t, ts3.URL+"/tensors", []byte("1 1 1 1.0\n500 1 1 2.0\n"))
+	resp, _ = postBytes(t, ts3.URL+"/v1/tensors", []byte("1 1 1 1.0\n500 1 1 2.0\n"))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("over-long mode: status %d", resp.StatusCode)
 	}

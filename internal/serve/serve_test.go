@@ -50,7 +50,7 @@ func postBytes(t *testing.T, url string, body []byte) (*http.Response, []byte) {
 
 func uploadTensor(t *testing.T, base string, body []byte) IngestResult {
 	t.Helper()
-	resp, data := postBytes(t, base+"/tensors", body)
+	resp, data := postBytes(t, base+"/v1/tensors", body)
 	if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusOK {
 		t.Fatalf("upload: status %d: %s", resp.StatusCode, data)
 	}
@@ -64,7 +64,7 @@ func uploadTensor(t *testing.T, base string, body []byte) IngestResult {
 func submitJob(t *testing.T, base string, spec JobSpec) (JobStatus, int) {
 	t.Helper()
 	body, _ := json.Marshal(spec)
-	resp, data := postBytes(t, base+"/jobs", body)
+	resp, data := postBytes(t, base+"/v1/jobs", body)
 	var st JobStatus
 	if resp.StatusCode == http.StatusAccepted {
 		if err := json.Unmarshal(data, &st); err != nil {
@@ -76,7 +76,7 @@ func submitJob(t *testing.T, base string, spec JobSpec) (JobStatus, int) {
 
 func getJob(t *testing.T, base, id string) JobStatus {
 	t.Helper()
-	resp, err := http.Get(base + "/jobs/" + id)
+	resp, err := http.Get(base + "/v1/jobs/" + id)
 	if err != nil {
 		t.Fatalf("GET job: %v", err)
 	}
@@ -110,7 +110,7 @@ func terminal(st JobStatus) bool {
 
 func getMetrics(t *testing.T, base string) Metrics {
 	t.Helper()
-	resp, err := http.Get(base + "/metrics")
+	resp, err := http.Get(base + "/v1/metrics")
 	if err != nil {
 		t.Fatalf("GET metrics: %v", err)
 	}

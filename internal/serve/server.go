@@ -202,8 +202,7 @@ func (s *Server) Registry() *Registry { return s.registry }
 func (s *Server) Models() *model.Registry { return s.models }
 
 // Handler returns the HTTP API. Every route lives under the versioned /v1
-// prefix; the original unversioned paths remain as deprecated aliases for
-// one release:
+// prefix:
 //
 //	POST   /v1/tensors      — upload a .tns or binary tensor body
 //	GET    /v1/tensors      — list resident tensors (?limit=&offset=)
@@ -225,7 +224,7 @@ func (s *Server) Models() *model.Registry { return s.models }
 //	GET    /v1/jobs/{id}/trace — full per-iteration trace timeline
 //	GET    /v1/jobs/{id}/profile  — aggregated per-phase/per-locale profile
 //	GET    /v1/jobs/{id}/timeline — Chrome trace-event JSON (Perfetto)
-//	GET    /v1/metrics      — queue/cache/worker gauges + engine timers + query latency
+//	GET    /v1/metrics      — queue/cache/worker gauges + routine seconds + query latency
 //	GET    /v1/metrics/prometheus — the same registry in text exposition 0.0.4
 //	GET    /v1/healthz
 //
@@ -235,16 +234,12 @@ func (s *Server) Models() *model.Registry { return s.models }
 // instruments, handler deadline, and body limit.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	// route mounts one wrapped handler under /v1 and its deprecated
-	// unversioned alias (pattern is "METHOD /path"); both mounts share the
-	// canonical /v1 route's instruments so traffic counts once per
-	// logical endpoint. bodyLimit <= 0 leaves the body unbounded,
+	// route mounts one wrapped handler under /v1 (pattern is
+	// "METHOD /path"). bodyLimit <= 0 leaves the body unbounded,
 	// timeout <= 0 leaves the handler deadline off.
 	route := func(method, path string, timeout time.Duration, bodyLimit int64, h http.HandlerFunc) {
-		wrapped := s.instrument(s.met.route(method, "/v1"+path),
-			withTimeout(timeout, withBodyLimit(bodyLimit, h)))
-		mux.Handle(method+" /v1"+path, wrapped)
-		mux.Handle(method+" "+path, wrapped)
+		mux.Handle(method+" /v1"+path, s.instrument(s.met.route(method, "/v1"+path),
+			withTimeout(timeout, withBodyLimit(bodyLimit, h))))
 	}
 	reqT, upT := s.cfg.RequestTimeout, s.cfg.UploadTimeout
 	route("POST", "/tensors", upT, s.cfg.MaxUploadBytes, s.handleUpload)
@@ -659,8 +654,9 @@ type Metrics struct {
 	// counts and cumulative handler seconds.
 	ModelQueries map[string]QueryStats `json:"model_queries,omitempty"`
 
-	// RoutineSeconds aggregates the engines' perf timers (MTTKRP, SORT,
-	// INVERSE, ...) across all finished jobs.
+	// RoutineSeconds aggregates the engines' per-routine seconds (MTTKRP,
+	// SORT, INVERSE, ...), derived from profiler phases, across all
+	// finished jobs.
 	RoutineSeconds map[string]float64 `json:"routine_seconds"`
 }
 

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -15,26 +17,27 @@ import (
 // TestJobProfileAndTimeline is the end-to-end acceptance run for the span
 // profiler surface: a completed distributed job serves a per-phase
 // profile whose comm bytes reconcile with the job result, and a Chrome
-// trace timeline that is valid, monotonic, and B/E-matched.
+// trace timeline that is valid, monotonic, and B/E-matched. After it and
+// one CPD job, the routine families read the same clock as the phase
+// families.
 func TestJobProfileAndTimeline(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	base := ts.URL + "/v1"
-	res := uploadTensor(t, base, tnsBytes(t, sptensor.Random([]int{12, 10, 8}, 300, 3)))
+	res := uploadTensor(t, ts.URL, tnsBytes(t, sptensor.Random([]int{12, 10, 8}, 300, 3)))
 
-	st, code := submitJob(t, base, JobSpec{
+	st, code := submitJob(t, ts.URL, JobSpec{
 		TensorID: res.ID, Kind: KindDistributed, Rank: 6, MaxIters: 6, Seed: 5, Locales: 2,
 	})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)
 	}
-	st = waitState(t, base, st.ID, 30*time.Second, terminal)
+	st = waitState(t, ts.URL, st.ID, 30*time.Second, terminal)
 	if st.State != StateDone {
 		t.Fatalf("job ended %s (err=%q)", st.State, st.Error)
 	}
 
 	// Profile: per-phase and per-locale attribution, with comm bytes
 	// summing exactly to the result's comm_bytes.
-	resp, err := http.Get(base + "/jobs/" + st.ID + "/profile")
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/profile")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +71,7 @@ func TestJobProfileAndTimeline(t *testing.T) {
 
 	// Timeline: Chrome trace-event JSON with per-thread monotonic
 	// timestamps and stack-matched B/E pairs.
-	resp, err = http.Get(base + "/jobs/" + st.ID + "/timeline")
+	resp, err = http.Get(ts.URL + "/v1/jobs/" + st.ID + "/timeline")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +125,16 @@ func TestJobProfileAndTimeline(t *testing.T) {
 		t.Error("timeline has no span events")
 	}
 
-	// The worker folded the profile into the Prometheus families.
-	resp, err = http.Get(base + "/metrics/prometheus")
+	cpd, code := submitJob(t, ts.URL, JobSpec{TensorID: res.ID, Rank: 6, MaxIters: 6, Seed: 5})
+	if code != http.StatusAccepted {
+		t.Fatalf("cpd submit: status %d", code)
+	}
+	if cpd = waitState(t, ts.URL, cpd.ID, 30*time.Second, terminal); cpd.State != StateDone {
+		t.Fatalf("cpd job ended %s (err=%q)", cpd.State, cpd.Error)
+	}
+
+	// The worker folded both profiles into the Prometheus families.
+	resp, err = http.Get(ts.URL + "/v1/metrics/prometheus")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,10 +151,15 @@ func TestJobProfileAndTimeline(t *testing.T) {
 			t.Errorf("Prometheus exposition missing %s", family)
 		}
 	}
+	routine := promValue(t, string(text), `splatt_solver_routine_seconds_total{routine="MTTKRP"}`)
+	phase := promValue(t, string(text), `splatt_phase_seconds_total{phase="mttkrp"}`)
+	if routine <= 0 || routine != phase {
+		t.Errorf("MTTKRP routine seconds %v, mttkrp phase seconds %v; want equal and positive", routine, phase)
+	}
 
 	// Unknown jobs 404 on both endpoints.
-	for _, ep := range []string{"/jobs/nope/profile", "/jobs/nope/timeline"} {
-		resp, err := http.Get(base + ep)
+	for _, ep := range []string{"/v1/jobs/nope/profile", "/v1/jobs/nope/timeline"} {
+		resp, err := http.Get(ts.URL + ep)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,17 +175,16 @@ func TestJobProfileAndTimeline(t *testing.T) {
 // profile of a queued/running job is safe.
 func TestJobProfileForCPD(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	base := ts.URL + "/v1"
-	res := uploadTensor(t, base, tnsBytes(t, sptensor.Random([]int{10, 9, 8}, 250, 7)))
-	st, code := submitJob(t, base, JobSpec{TensorID: res.ID, Rank: 5, MaxIters: 4})
+	res := uploadTensor(t, ts.URL, tnsBytes(t, sptensor.Random([]int{10, 9, 8}, 250, 7)))
+	st, code := submitJob(t, ts.URL, JobSpec{TensorID: res.ID, Rank: 5, MaxIters: 4})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)
 	}
-	st = waitState(t, base, st.ID, 30*time.Second, terminal)
+	st = waitState(t, ts.URL, st.ID, 30*time.Second, terminal)
 	if st.State != StateDone {
 		t.Fatalf("job ended %s (err=%q)", st.State, st.Error)
 	}
-	resp, err := http.Get(base + "/jobs/" + st.ID + "/profile")
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/profile")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,4 +208,24 @@ func TestJobProfileForCPD(t *testing.T) {
 	if !found {
 		t.Error("cpd profile has no mttkrp spans")
 	}
+	if !slices.ContainsFunc(jp.Profile.Phases, func(ps obs.PhaseStat) bool { return ps.Phase == "build" }) {
+		t.Error("cpd profile has no backend build span")
+	}
+}
+
+// promValue returns the value of one sample line in a Prometheus text
+// exposition.
+func promValue(t *testing.T, text, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", series, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("exposition has no %s sample", series)
+	return 0
 }

@@ -34,7 +34,7 @@ func filterTensor(t *sptensor.Tensor, keep func(x int) bool) *sptensor.Tensor {
 // decode the AppendResult.
 func patchTensor(t *testing.T, base, id string, body []byte) (AppendResult, int) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPatch, base+"/tensors/"+id, bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodPatch, base+"/v1/tensors/"+id, bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("PATCH request: %v", err)
 	}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/perf"
 	"repro/internal/sketch"
 )
 
@@ -19,7 +18,9 @@ import (
 // each job to a terminal state, then releases the submission-time tensor
 // pin and retires the job into the bounded history. Jobs cancelled while
 // queued are popped, released, and skipped the same way, so every pin
-// taken at submission is dropped exactly once.
+// taken at submission is dropped exactly once. Releasing the pin also
+// drops the job's tensor reference, so retired jobs in the history never
+// keep an evicted revision reachable.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
@@ -32,9 +33,10 @@ func (s *Server) worker() {
 			s.execute(j)
 			s.busy.Add(-1)
 		} else {
-			s.tally(StateCancelled, nil) // cancelled while queued
+			s.tally(StateCancelled) // cancelled while queued
 		}
 		s.registry.Unpin(j.Spec.TensorID)
+		j.tensor = nil
 		s.retire(j)
 	}
 }
@@ -49,7 +51,6 @@ func (s *Server) execute(j *Job) {
 	var err error
 	start := time.Now()
 	res := &JobResult{}
-	var timers *perf.Registry
 	var cancelled bool
 	var kruskal *core.KruskalTensor
 
@@ -62,9 +63,7 @@ func (s *Server) execute(j *Job) {
 	pprof.Do(j.ctx, labels, func(ctx context.Context) {
 		switch j.Spec.Kind {
 		case KindCPD:
-			timers = perf.NewRegistry()
 			opts := j.Spec.coreOptions(ctx)
-			opts.Timers = timers
 			opts.Trace = j.trace
 			opts.Spans = j.spans
 			if j.Spec.WarmStart != "" {
@@ -108,17 +107,18 @@ func (s *Server) execute(j *Job) {
 		}
 	})
 	res.Seconds = time.Since(start).Seconds()
-	// Fold the job's phase profile into the server-wide families whatever
-	// the outcome — cancelled and failed runs burned real phase time too.
+	// Fold the job's phase profile (and the routine seconds derived from
+	// it) into the server-wide families whatever the outcome — cancelled
+	// and failed runs burned real phase time too.
 	s.met.recordProfile(j.spans)
 
 	switch {
 	case cancelled || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		j.finish(StateCancelled, res, err)
-		s.tally(StateCancelled, timers)
+		s.tally(StateCancelled)
 	case err != nil:
 		j.finish(StateFailed, nil, err)
-		s.tally(StateFailed, timers)
+		s.tally(StateFailed)
 	default:
 		if j.Spec.Publish {
 			// Publish-on-complete: the finished factors become a resident,
@@ -126,12 +126,12 @@ func (s *Server) execute(j *Job) {
 			// asked for a servable model and did not get one.
 			if perr := s.publishModel(j, kruskal, res); perr != nil {
 				j.finish(StateFailed, nil, perr)
-				s.tally(StateFailed, timers)
+				s.tally(StateFailed)
 				return
 			}
 		}
 		j.finish(StateDone, res, nil)
-		s.tally(StateDone, timers)
+		s.tally(StateDone)
 		s.tallyFormat(res.Format)
 		s.tallySolver(res.Solver)
 	}
@@ -198,9 +198,8 @@ func (s *Server) publishModel(j *Job, k *core.KruskalTensor, res *JobResult) err
 	return nil
 }
 
-// tally merges a finished job's outcome and engine timers into the
-// server-wide instruments.
-func (s *Server) tally(state JobState, timers *perf.Registry) {
+// tally counts a finished job's outcome in the server-wide instruments.
+func (s *Server) tally(state JobState) {
 	switch state {
 	case StateDone:
 		s.met.jobsCompleted.Inc()
@@ -208,11 +207,6 @@ func (s *Server) tally(state JobState, timers *perf.Registry) {
 		s.met.jobsFailed.Inc()
 	case StateCancelled:
 		s.met.jobsCancelled.Inc()
-	}
-	if timers != nil {
-		timers.Visit(func(name string, secs float64, laps int) {
-			s.met.routine(name).Add(secs)
-		})
 	}
 }
 

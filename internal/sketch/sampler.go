@@ -123,10 +123,11 @@ type Sampler struct {
 	curOut     *dense.Matrix
 	curOutLen  int
 
-	// spans, when non-nil, splits SampledMTTKRP into a sample-draw span
-	// (fiber index build + leverage draw) and an accumulation span, so
-	// the profiler attributes sketching cost separately from the sampled
-	// kernel. Set by the owning solver; recording is allocation-free.
+	// spans splits SampledMTTKRP into a sample-draw span (fiber index
+	// build + leverage draw) and an accumulation span, so the profiler
+	// attributes sketching cost separately from the sampled kernel. Set
+	// by the owning solver (nil records nothing); recording is
+	// allocation-free.
 	spans *obs.SpanRecorder
 }
 
@@ -436,16 +437,11 @@ func (s *Sampler) SampledMTTKRP(mode, iter int, factors []*dense.Matrix, out, no
 			panic(fmt.Sprintf("sketch: mode %d leverage table not refreshed", n))
 		}
 	}
-	var span int64
-	if s.spans != nil {
-		span = s.spans.Start()
-	}
+	span := s.spans.Start()
 	s.buildFiberIndex(mode)
 	s.drawSamples(mode, iter)
-	if s.spans != nil {
-		s.spans.EndMode(obs.PhaseSample, span, mode)
-		span = s.spans.Start()
-	}
+	s.spans.EndMode(obs.PhaseSample, span, mode)
+	span = s.spans.Start()
 
 	out.Zero()
 	normal.Zero()
@@ -469,9 +465,7 @@ func (s *Sampler) SampledMTTKRP(mode, iter int, factors []*dense.Matrix, out, no
 			normal.Data[i*r+j] = normal.Data[j*r+i]
 		}
 	}
-	if s.spans != nil {
-		s.spans.EndMode(obs.PhaseSampledMTTKRP, span, mode)
-	}
+	s.spans.EndMode(obs.PhaseSampledMTTKRP, span, mode)
 }
 
 // accumulateParallel splits the distinct samples (already drawn into

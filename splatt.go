@@ -43,7 +43,6 @@ import (
 	"repro/internal/locks"
 	"repro/internal/model"
 	"repro/internal/mttkrp"
-	"repro/internal/perf"
 	"repro/internal/sketch"
 	"repro/internal/sptensor"
 	"repro/internal/tsort"
@@ -295,10 +294,6 @@ func SaveTensorWriter(w io.Writer, t *Tensor, format TensorFormat) error {
 
 // ComputeStats derives the Table-I statistics row for a tensor.
 func ComputeStats(name string, t *Tensor) Stats { return sptensor.ComputeStats(name, t) }
-
-// NewTimerRegistry creates a per-routine timer registry to pass via
-// Options.Timers when aggregating timings across runs.
-func NewTimerRegistry() *perf.Registry { return perf.NewRegistry() }
 
 // Model is an immutable, read-optimized Kruskal model for serving: factor
 // columns normalized with the λ weights folded in, stored as flat row-major

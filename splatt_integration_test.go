@@ -192,24 +192,3 @@ func TestPublicStats(t *testing.T) {
 		t.Error("unknown dataset accepted")
 	}
 }
-
-func TestPublicTimerAggregation(t *testing.T) {
-	// A shared registry accumulates across runs (how the harness batches
-	// trials).
-	reg := splatt.NewTimerRegistry()
-	tensor := splatt.NewRandomTensor([]int{20, 15, 10}, 800, 7)
-	opts := splatt.DefaultOptions()
-	opts.Rank = 4
-	opts.MaxIters = 3
-	opts.Timers = reg
-	if _, _, err := splatt.CPD(tensor, opts); err != nil {
-		t.Fatal(err)
-	}
-	first := reg.Seconds("MTTKRP")
-	if _, _, err := splatt.CPD(tensor, opts); err != nil {
-		t.Fatal(err)
-	}
-	if reg.Seconds("MTTKRP") <= first {
-		t.Error("registry did not accumulate across runs")
-	}
-}
