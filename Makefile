@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-gate profile serve fmt vet lint cover e2e-check ci
+.PHONY: all build test race verify bench bench-gate profile serve fmt vet lint cover e2e-check ci
 
 all: build
 
@@ -12,6 +12,13 @@ test:
 
 race:
 	$(GO) test -race -short ./...
+
+# verify runs splatt-verify, the end-to-end correctness gate: every kernel
+# configuration against the coordinate-form MTTKRP, plus CPD agreement
+# across implementation profiles. `GOFLAGS=-tags=purego make verify`
+# checks the pure-Go kernel bodies.
+verify:
+	$(GO) run ./cmd/splatt-verify -trials 1 -rank 35
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
@@ -63,4 +70,4 @@ e2e-check:
 	GOWORK=off GOFLAGS= $(GO) -C benchmarks/e2e vet ./...
 	GOWORK=off GOFLAGS= $(GO) -C benchmarks/e2e test -count 1 ./...
 
-ci: lint build test race
+ci: lint build test verify race

@@ -52,7 +52,8 @@ func verifyKernels(seed int64, rank, trials int) int {
 		mttkrp.AccessReference, mttkrp.AccessPointer, mttkrp.AccessIndex2D, mttkrp.AccessSlice,
 	}
 	strategies := []mttkrp.ConflictStrategy{
-		mttkrp.StrategyAuto, mttkrp.StrategyLock, mttkrp.StrategyPrivatize,
+		mttkrp.StrategyAuto, mttkrp.StrategyNone, mttkrp.StrategyLock,
+		mttkrp.StrategyPrivatize, mttkrp.StrategyTile,
 	}
 	kinds := []locks.Kind{locks.Spin, locks.Sync, locks.FIFO}
 	allocs := []csf.AllocPolicy{csf.AllocOne, csf.AllocTwo, csf.AllocAll}

@@ -80,8 +80,8 @@ type Encoding struct {
 
 // NativeExtract reports whether the BMI2 pdep/pext kernels are live on
 // this build (amd64 with BMI2, not purego, not disabled by env). The auto
-// format heuristic consults this: with native extraction ALTO's MTTKRP
-// reaches CSF parity, so the choice can flip to the half-memory format.
+// format heuristic consults this: only with the pext tile walker does it
+// flip regular 3rd-order tensors to the half-memory format.
 func NativeExtract() bool { return nativeBitExtract }
 
 // NewEncoding builds the bit-interleaved encoding for the given mode

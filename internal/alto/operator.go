@@ -146,11 +146,13 @@ func (o *Operator) StrategyFor(mode int) mttkrp.ConflictStrategy {
 		return mttkrp.StrategyNone
 	}
 	switch o.opts.Strategy {
-	case mttkrp.StrategyLock, mttkrp.StrategyPrivatize, mttkrp.StrategyNone:
+	case mttkrp.StrategyLock, mttkrp.StrategyPrivatize:
 		return o.opts.Strategy
-	case mttkrp.StrategyTile:
-		// Tiling is a CSF-tree phase schedule; the linearized layout has no
-		// tiles, so fall back to the mutex pool (as CSF does for order > 3).
+	case mttkrp.StrategyNone, mttkrp.StrategyTile:
+		// With no root mode, any mode's row can straddle two tasks'
+		// nonzero ranges, so direct writes would race; tiling is a
+		// CSF-tree phase schedule the linearized layout has no tiles for.
+		// Both fall back to the mutex pool (as CSF does for order > 3).
 		return mttkrp.StrategyLock
 	}
 	return mttkrp.Decide(o.t.Enc.Dims[mode], int(o.t.Runs(mode)), o.tasks(), o.opts.PrivRatio)

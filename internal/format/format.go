@@ -156,17 +156,17 @@ var nativeExtract = alto.NativeExtract
 //     representation replaces the multi-CSF set's per-root copies.
 //  3. Order 3, encoding fits one 64-bit word, and the CPU has native
 //     bit-extraction (BMI2 pdep/pext — see alto.NativeExtract) → ALTO:
-//     with the pext tile walker and the fused scaled-Hadamard flush
-//     kernels, linearized MTTKRP matches or beats the CSF fiber tree on
-//     both the regular and hub-skewed twins (re-measured at 0.92x–0.98x of
-//     CSF wall time), and the single representation halves memory against
-//     the multi-CSF set.
+//     the single representation halves memory against the multi-CSF set,
+//     at 1.1–2.1x CSF's MTTKRP time on the twins (EXPERIMENTS.md
+//     ablformat). The rule was set when the pext tile walker beat the
+//     then-scalar CSF kernels; it trades time for memory until re-decided.
 //  4. Order 3, narrow encoding, pure-Go walkers only: prefer ALTO only
 //     when the longest mode's slice-population skew (max/mean nonzeros per
 //     slice) ≥ AutoSkewThreshold — hub slices are what contend CSF's lock
 //     pool, while the linearized order spreads a hub's nonzeros across
 //     tasks with run-buffered flushes. The byte-table walker loses to CSF
-//     on regular tensors (1.2–1.4x), so skew must buy the difference.
+//     (1.8–2.9x CSF's MTTKRP time on the twins), so skew must buy the
+//     difference.
 //  5. Otherwise → CSF (the paper's format; its fiber tree wins on regular
 //     3rd-order tensors without native extraction, and a two-word ALTO
 //     pays double index traffic).
@@ -182,7 +182,7 @@ func Choose(t *sptensor.Tensor) (Spec, string) {
 		return CSF, fmt.Sprintf("csf: %d-bit linearized index needs two words", enc.TotalBits)
 	}
 	if nativeExtract() {
-		return ALTO, fmt.Sprintf("alto: native bit-extraction (%d-bit keys, pext tile walker) at CSF parity, half the memory", enc.TotalBits)
+		return ALTO, fmt.Sprintf("alto: native bit-extraction (%d-bit keys, pext tile walker), half the memory of the CSF set", enc.TotalBits)
 	}
 	longest := 0
 	for m, d := range t.Dims {

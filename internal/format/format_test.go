@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/csf"
 	"repro/internal/dense"
 	"repro/internal/locks"
 	"repro/internal/mttkrp"
@@ -115,7 +116,9 @@ func TestChooseHeuristicNative(t *testing.T) {
 		t.Errorf("unencodable chose %v (%s), want csf", got, reason)
 	}
 	// With the pext tile walker, narrow order-3 prefers ALTO regardless of
-	// skew: measured at CSF parity with half the memory.
+	// skew, for half the memory (the rule predates the vectorized CSF
+	// kernels, which are now faster; the table stays pinned until the
+	// rule is re-decided).
 	if got, reason := Choose(uniform); got != ALTO {
 		t.Errorf("uniform 3rd-order chose %v (%s), want alto", got, reason)
 	}
@@ -169,6 +172,49 @@ func TestBuildBackendsAgree(t *testing.T) {
 	}
 	if csfB.MemoryBytes() <= 0 || altoB.MemoryBytes() <= 0 {
 		t.Error("memory accounting empty")
+	}
+}
+
+// TestForcedNoneFallsBackToLock pins what a forced StrategyNone does at
+// tasks > 1 on both operators: direct writes stay only on CSF root
+// kernels, which own their output rows; every scattering mode runs, and
+// reports, the mutex pool and still matches COO. Under -race (make race)
+// an unsynchronized write here fails the test.
+func TestForcedNoneFallsBackToLock(t *testing.T) {
+	const rank, tasks = 5, 3
+	tt := sptensor.Random([]int{30, 20, 40}, 1500, 19)
+	team := parallel.NewTeam(tasks)
+	defer team.Close()
+	rng := rand.New(rand.NewSource(29))
+	factors := make([]*dense.Matrix, tt.NModes())
+	for m, d := range tt.Dims {
+		factors[m] = dense.NewRandomMatrix(d, rank, rng)
+	}
+	cfg := Config{Team: team, Rank: rank, Alloc: csf.AllocOne,
+		Kernel: mttkrp.Options{Strategy: mttkrp.StrategyNone, LockKind: locks.Spin}}
+	for _, spec := range []Spec{CSF, ALTO} {
+		b, err := Build(tt, spec, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for mode := 0; mode < tt.NModes(); mode++ {
+			want := dense.NewMatrix(tt.Dims[mode], rank)
+			mttkrp.COO(tt, factors, mode, want)
+			got := dense.NewMatrix(tt.Dims[mode], rank)
+			b.MTTKRP(mode, factors, got)
+			if d := got.MaxAbsDiff(want); d > 1e-9 {
+				t.Errorf("%v mode %d: forced none deviates from COO by %g", spec, mode, d)
+			}
+			wantStrat := mttkrp.StrategyLock
+			if set := CSFSet(b); set != nil {
+				if _, level := set.For(mode); level == 0 {
+					wantStrat = mttkrp.StrategyNone
+				}
+			}
+			if s, last := b.StrategyFor(mode), b.LastStrategy(); s != wantStrat || last != wantStrat {
+				t.Errorf("%v mode %d: StrategyFor %v, LastStrategy %v; want %v", spec, mode, s, last, wantStrat)
+			}
+		}
 	}
 }
 

@@ -9,8 +9,12 @@ import (
 // The "reference" kernels: hand-specialized 3rd-order CSF MTTKRP over flat
 // row-major arrays with direct offset arithmetic — the C/OpenMP SPLATT
 // analogue the port is measured against. No accessor or sink indirection:
-// every row access is raw pointer math, every conflict policy gets its own
-// loop body, exactly as mttkrp.c specializes them.
+// every row access is raw offset math, every conflict policy gets its own
+// loop body, exactly as mttkrp.c specializes them. The rank loops go
+// through the dispatched dense.Vec* kernels (AVX2/FMA where the CPU has
+// them, the unrolled Go bodies otherwise), as SPLATT's C compiles its rank
+// loops to vector code; the port kernels call the same table, so the
+// C-vs-Chapel figures compare the abstraction layer alone.
 
 // root3Ref computes the root-mode MTTKRP over slices [begin, end).
 func root3Ref(c *csf.CSF, mid, leaf, out *dense.Matrix, acc []float64, begin, end int) {
@@ -23,22 +27,13 @@ func root3Ref(c *csf.CSF, mid, leaf, out *dense.Matrix, acc []float64, begin, en
 		orowOff := int(fidsS[s]) * r
 		orow := odat[orowOff : orowOff+r]
 		for f := fptrS[s]; f < fptrS[s+1]; f++ {
-			for i := range acc {
-				acc[i] = 0
-			}
+			dense.VecZero(acc)
 			for x := fptrF[f]; x < fptrF[f+1]; x++ {
-				v := vals[x]
 				lrowOff := int(fidsN[x]) * r
-				lrow := ldat[lrowOff : lrowOff+r]
-				for i := range acc {
-					acc[i] += v * lrow[i]
-				}
+				dense.VecAxpy(acc, ldat[lrowOff:lrowOff+r], vals[x])
 			}
 			mrowOff := int(fidsF[f]) * r
-			mrow := mdat[mrowOff : mrowOff+r]
-			for i := range orow {
-				orow[i] += acc[i] * mrow[i]
-			}
+			dense.VecMulAdd(orow, acc, mdat[mrowOff:mrowOff+r])
 		}
 	}
 }
@@ -55,22 +50,13 @@ func internal3RefDirect(c *csf.CSF, root, leaf, out *dense.Matrix, acc []float64
 		rrowOff := int(fidsS[s]) * r
 		rrow := rdat[rrowOff : rrowOff+r]
 		for f := fptrS[s]; f < fptrS[s+1]; f++ {
-			for i := range acc {
-				acc[i] = 0
-			}
+			dense.VecZero(acc)
 			for x := fptrF[f]; x < fptrF[f+1]; x++ {
-				v := vals[x]
 				lrowOff := int(fidsN[x]) * r
-				lrow := ldat[lrowOff : lrowOff+r]
-				for i := range acc {
-					acc[i] += v * lrow[i]
-				}
+				dense.VecAxpy(acc, ldat[lrowOff:lrowOff+r], vals[x])
 			}
 			orowOff := int(fidsF[f]) * r
-			orow := odat[orowOff : orowOff+r]
-			for i := range orow {
-				orow[i] += acc[i] * rrow[i]
-			}
+			dense.VecMulAdd(odat[orowOff:orowOff+r], acc, rrow)
 		}
 	}
 }
@@ -87,23 +73,15 @@ func internal3RefLock(c *csf.CSF, root, leaf, out *dense.Matrix, pool locks.Pool
 		rrowOff := int(fidsS[s]) * r
 		rrow := rdat[rrowOff : rrowOff+r]
 		for f := fptrS[s]; f < fptrS[s+1]; f++ {
-			for i := range acc {
-				acc[i] = 0
-			}
+			dense.VecZero(acc)
 			for x := fptrF[f]; x < fptrF[f+1]; x++ {
-				v := vals[x]
 				lrowOff := int(fidsN[x]) * r
-				lrow := ldat[lrowOff : lrowOff+r]
-				for i := range acc {
-					acc[i] += v * lrow[i]
-				}
+				dense.VecAxpy(acc, ldat[lrowOff:lrowOff+r], vals[x])
 			}
 			row := int(fidsF[f])
 			orow := odat[row*r : row*r+r]
 			pool.Lock(row)
-			for i := range orow {
-				orow[i] += acc[i] * rrow[i]
-			}
+			dense.VecMulAdd(orow, acc, rrow)
 			pool.Unlock(row)
 		}
 	}
@@ -121,22 +99,13 @@ func internal3RefPriv(c *csf.CSF, root, leaf *dense.Matrix, buf []float64, rank 
 		rrowOff := int(fidsS[s]) * r
 		rrow := rdat[rrowOff : rrowOff+r]
 		for f := fptrS[s]; f < fptrS[s+1]; f++ {
-			for i := range acc {
-				acc[i] = 0
-			}
+			dense.VecZero(acc)
 			for x := fptrF[f]; x < fptrF[f+1]; x++ {
-				v := vals[x]
 				lrowOff := int(fidsN[x]) * r
-				lrow := ldat[lrowOff : lrowOff+r]
-				for i := range acc {
-					acc[i] += v * lrow[i]
-				}
+				dense.VecAxpy(acc, ldat[lrowOff:lrowOff+r], vals[x])
 			}
 			orowOff := int(fidsF[f]) * r
-			orow := buf[orowOff : orowOff+r]
-			for i := range orow {
-				orow[i] += acc[i] * rrow[i]
-			}
+			dense.VecMulAdd(buf[orowOff:orowOff+r], acc, rrow)
 		}
 	}
 }
@@ -153,17 +122,10 @@ func leaf3RefDirect(c *csf.CSF, root, mid, out *dense.Matrix, fprod []float64, b
 		rrow := rdat[rrowOff : rrowOff+r]
 		for f := fptrS[s]; f < fptrS[s+1]; f++ {
 			mrowOff := int(fidsF[f]) * r
-			mrow := mdat[mrowOff : mrowOff+r]
-			for i := range fprod {
-				fprod[i] = rrow[i] * mrow[i]
-			}
+			dense.VecMulSet(fprod, rrow, mdat[mrowOff:mrowOff+r])
 			for x := fptrF[f]; x < fptrF[f+1]; x++ {
-				v := vals[x]
 				orowOff := int(fidsN[x]) * r
-				orow := odat[orowOff : orowOff+r]
-				for i := range orow {
-					orow[i] += v * fprod[i]
-				}
+				dense.VecAxpy(odat[orowOff:orowOff+r], fprod, vals[x])
 			}
 		}
 	}
@@ -182,18 +144,12 @@ func leaf3RefLock(c *csf.CSF, root, mid, out *dense.Matrix, pool locks.Pool, fpr
 		rrow := rdat[rrowOff : rrowOff+r]
 		for f := fptrS[s]; f < fptrS[s+1]; f++ {
 			mrowOff := int(fidsF[f]) * r
-			mrow := mdat[mrowOff : mrowOff+r]
-			for i := range fprod {
-				fprod[i] = rrow[i] * mrow[i]
-			}
+			dense.VecMulSet(fprod, rrow, mdat[mrowOff:mrowOff+r])
 			for x := fptrF[f]; x < fptrF[f+1]; x++ {
-				v := vals[x]
 				row := int(fidsN[x])
 				orow := odat[row*r : row*r+r]
 				pool.Lock(row)
-				for i := range orow {
-					orow[i] += v * fprod[i]
-				}
+				dense.VecAxpy(orow, fprod, vals[x])
 				pool.Unlock(row)
 			}
 		}
@@ -213,17 +169,10 @@ func leaf3RefPriv(c *csf.CSF, root, mid *dense.Matrix, buf []float64, rank int, 
 		rrow := rdat[rrowOff : rrowOff+r]
 		for f := fptrS[s]; f < fptrS[s+1]; f++ {
 			mrowOff := int(fidsF[f]) * r
-			mrow := mdat[mrowOff : mrowOff+r]
-			for i := range fprod {
-				fprod[i] = rrow[i] * mrow[i]
-			}
+			dense.VecMulSet(fprod, rrow, mdat[mrowOff:mrowOff+r])
 			for x := fptrF[f]; x < fptrF[f+1]; x++ {
-				v := vals[x]
 				orowOff := int(fidsN[x]) * r
-				orow := buf[orowOff : orowOff+r]
-				for i := range orow {
-					orow[i] += v * fprod[i]
-				}
+				dense.VecAxpy(buf[orowOff:orowOff+r], fprod, vals[x])
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package mttkrp
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -110,6 +111,60 @@ func TestOperatorMatchesCOOAllVariants(t *testing.T) {
 				checkAllModes(t, tt, rank, tasks, opts, csf.AllocTwo)
 			}
 		}
+	}
+}
+
+// TestReferenceMatchesPointerKernels is the kernel-family parity pin. The
+// C analogue (flat-offset bodies) and the Pointer port (accessor and sink
+// bodies) call the same dispatched dense kernels, so they must agree at
+// every 3rd-order level under every strategy. Ranks 1, 3, 4, 8 and 35
+// reach the 8-wide AVX2 body and its 4-wide and scalar tails (under
+// -tags purego, the unrolled Go bodies and their tails). Root-mode outputs
+// run the identical kernel sequence over the identical slice partition,
+// so they must match bit for bit; scattered modes differ only in how the
+// flush rounds (one fused multiply-add against a product, then an add).
+func TestReferenceMatchesPointerKernels(t *testing.T) {
+	tt := sptensor.Random([]int{40, 25, 60}, 3000, 41)
+	for _, tasks := range []int{1, 3} {
+		team := parallel.NewTeam(tasks)
+		// One CSF serves every mode, so the three modes hit all three levels.
+		set := csf.NewSet(tt, csf.AllocOne, team, tsort.AllOpt)
+		for _, strategy := range []ConflictStrategy{StrategyNone, StrategyLock, StrategyPrivatize, StrategyTile} {
+			if strategy == StrategyNone && tasks > 1 {
+				continue // forced none runs the lock pool at tasks > 1
+			}
+			for _, rank := range []int{1, 3, 4, 8, 35} {
+				factors := randomFactors(tt.Dims, rank, int64(43+rank))
+				ref := NewOperator(set, team, rank, Options{Access: AccessReference, Strategy: strategy, LockKind: locks.Spin})
+				ptr := NewOperator(set, team, rank, Options{Access: AccessPointer, Strategy: strategy, LockKind: locks.Spin})
+				for mode := 0; mode < tt.NModes(); mode++ {
+					_, level := set.For(mode)
+					c := dense.NewMatrix(tt.Dims[mode], rank)
+					p := dense.NewMatrix(tt.Dims[mode], rank)
+					ref.Apply(mode, factors, c)
+					ptr.Apply(mode, factors, p)
+					if level == 0 {
+						for i := range c.Data {
+							if c.Data[i] != p.Data[i] {
+								t.Errorf("tasks=%d strategy=%v rank=%d root mode %d: entry %d C=%v Pointer=%v",
+									tasks, strategy, rank, mode, i, c.Data[i], p.Data[i])
+								break
+							}
+						}
+						continue
+					}
+					largest := 0.0
+					for i := range c.Data {
+						largest = math.Max(largest, math.Max(math.Abs(c.Data[i]), math.Abs(p.Data[i])))
+					}
+					if d := c.MaxAbsDiff(p); d > 1e-12*largest {
+						t.Errorf("tasks=%d strategy=%v rank=%d mode %d (level %d, ran %v): C and Pointer differ by %g (largest |entry| %g)",
+							tasks, strategy, rank, mode, level, ref.LastStrategy(), d, largest)
+					}
+				}
+			}
+		}
+		team.Close()
 	}
 }
 

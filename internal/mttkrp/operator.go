@@ -130,7 +130,14 @@ func (o *Operator) StrategyFor(mode int) ConflictStrategy {
 	if level == 0 || o.tasks() == 1 {
 		return StrategyNone
 	}
-	if o.opts.Strategy == StrategyTile {
+	switch o.opts.Strategy {
+	case StrategyAuto:
+		return Decide(c.Dims[mode], c.NNZ(), o.tasks(), o.opts.PrivRatio)
+	case StrategyNone:
+		// Non-root rows scatter across tasks: unsynchronized writes
+		// would race, so a forced none runs the mutex pool.
+		return StrategyLock
+	case StrategyTile:
 		// Tiling is implemented for the 3rd-order fast paths; other
 		// orders fall back to the mutex pool.
 		if c.Order() == 3 {
@@ -138,10 +145,7 @@ func (o *Operator) StrategyFor(mode int) ConflictStrategy {
 		}
 		return StrategyLock
 	}
-	if o.opts.Strategy != StrategyAuto {
-		return o.opts.Strategy
-	}
-	return Decide(c.Dims[mode], c.NNZ(), o.tasks(), o.opts.PrivRatio)
+	return o.opts.Strategy
 }
 
 // Apply computes out = MTTKRP(tensor, factors, mode): the matricized

@@ -79,8 +79,9 @@ type ConflictStrategy int
 const (
 	// StrategyAuto picks per mode via Decide (the SPLATT behaviour).
 	StrategyAuto ConflictStrategy = iota
-	// StrategyNone writes directly (valid only for root kernels or a
-	// single task).
+	// StrategyNone writes directly. Direct writes are safe only for CSF
+	// root kernels or a single task, so a forced StrategyNone runs the
+	// mutex pool (and is reported as StrategyLock) everywhere else.
 	StrategyNone
 	// StrategyLock guards each output row with the striped mutex pool.
 	StrategyLock

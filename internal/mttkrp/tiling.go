@@ -143,20 +143,11 @@ func runInternalTiled(c *csf.CSF, l *tiledLayout, root, leaf, out *dense.Matrix,
 		b := (tid + phase) % l.tasks
 		for _, tf := range l.fiberTiles[tid*l.tasks+b] {
 			rrow := rdat[int(fidsS[tf.slice])*r : int(fidsS[tf.slice])*r+r]
-			for i := range acc {
-				acc[i] = 0
-			}
+			dense.VecZero(acc)
 			for x := fptrF[tf.fiber]; x < fptrF[tf.fiber+1]; x++ {
-				v := vals[x]
-				lrow := ldat[int(fidsN[x])*r : int(fidsN[x])*r+r]
-				for i := range acc {
-					acc[i] += v * lrow[i]
-				}
+				dense.VecAxpy(acc, ldat[int(fidsN[x])*r:int(fidsN[x])*r+r], vals[x])
 			}
-			orow := odat[int(fidsF[tf.fiber])*r : int(fidsF[tf.fiber])*r+r]
-			for i := range orow {
-				orow[i] += acc[i] * rrow[i]
-			}
+			dense.VecMulAdd(odat[int(fidsF[tf.fiber])*r:int(fidsF[tf.fiber])*r+r], acc, rrow)
 		}
 		barrier()
 	}
@@ -174,16 +165,9 @@ func runLeafTiled(c *csf.CSF, l *tiledLayout, root, mid, out *dense.Matrix,
 		b := (tid + phase) % l.tasks
 		for _, seg := range l.segTiles[tid*l.tasks+b] {
 			rrow := rdat[int(fidsS[seg.slice])*r : int(fidsS[seg.slice])*r+r]
-			mrow := mdat[int(fidsF[seg.fiber])*r : int(fidsF[seg.fiber])*r+r]
-			for i := range fprod {
-				fprod[i] = rrow[i] * mrow[i]
-			}
+			dense.VecMulSet(fprod, rrow, mdat[int(fidsF[seg.fiber])*r:int(fidsF[seg.fiber])*r+r])
 			for x := seg.lo; x < seg.hi; x++ {
-				v := vals[x]
-				orow := odat[int(fidsN[x])*r : int(fidsN[x])*r+r]
-				for i := range orow {
-					orow[i] += v * fprod[i]
-				}
+				dense.VecAxpy(odat[int(fidsN[x])*r:int(fidsN[x])*r+r], fprod, vals[x])
 			}
 		}
 		barrier()

@@ -98,8 +98,8 @@ func TestCPDAutoFormatResolves(t *testing.T) {
 	}
 
 	// A regular narrow order-3 tensor resolves by walker capability: ALTO
-	// when the build has native bit-extraction (pext tile walker at CSF
-	// parity), CSF on pure-Go builds.
+	// when the build has native bit-extraction (pext tile walker, half the
+	// memory), CSF on pure-Go builds.
 	want3 := "csf"
 	if alto.NativeExtract() {
 		want3 = "alto"
