@@ -1,7 +1,7 @@
 package alto
 
 import (
-	"sort"
+	"fmt"
 
 	"repro/internal/sptensor"
 )
@@ -26,58 +26,59 @@ type Tensor struct {
 	runs []int64
 }
 
-// FromCOO linearizes and sorts a coordinate tensor. The input is not
-// modified. Fails only when the dimensions are not encodable (see
-// NewEncoding).
+// FromCOO linearizes a coordinate tensor and sorts its nonzeros by
+// linearized index with sptensor.SortPerm, a stable LSD radix sort, so
+// nonzeros with equal keys keep their input order. Narrow keys are
+// linearized next to an identity permutation and sorted carrying it; wide
+// keys sort the permutation by Lo and then by Hi, reading both through it.
+// The values (and wide keys) are then gathered through the permutation.
+// The input is not modified. Fails when the dimensions are not encodable
+// (see NewEncoding) or the tensor holds more than sptensor.MaxNNZ
+// nonzeros.
 func FromCOO(t *sptensor.Tensor) (*Tensor, error) {
 	enc, err := NewEncoding(t.Dims)
 	if err != nil {
 		return nil, err
 	}
 	nnz := t.NNZ()
-	at := &Tensor{
-		Enc:  enc,
-		Lo:   make([]uint64, nnz),
-		Vals: make([]float64, nnz),
+	if nnz > sptensor.MaxNNZ {
+		return nil, fmt.Errorf("alto: %d nonzeros exceed the %d a sort permutation indexes", nnz, sptensor.MaxNNZ)
 	}
+	at := &Tensor{Enc: enc, Lo: make([]uint64, nnz), Vals: make([]float64, nnz)}
+	var hi []uint64
 	if enc.Wide() {
-		at.Hi = make([]uint64, nnz)
+		hi = make([]uint64, nnz)
 	}
+	perm := make([]int32, nnz)
 	coord := make([]sptensor.Index, t.NModes())
 	for x := 0; x < nnz; x++ {
 		for m := range coord {
 			coord[m] = t.Inds[m][x]
 		}
-		lo, hi := enc.Linearize(coord)
-		at.Lo[x] = lo
-		if at.Hi != nil {
-			at.Hi[x] = hi
+		l, h := enc.Linearize(coord)
+		at.Lo[x] = l
+		if hi != nil {
+			hi[x] = h
 		}
-		at.Vals[x] = t.Vals[x]
+		perm[x] = int32(x)
 	}
-	sort.Sort((*linSorter)(at))
+	buf := make([]int32, nnz)
+	if hi == nil {
+		sptensor.SortPerm(perm, buf, at.Lo, make([]uint64, nnz))
+	} else {
+		lo := at.Lo
+		sptensor.SortPerm(perm, buf, lo, nil)
+		sptensor.SortPerm(perm, buf, hi, nil)
+		at.Lo, at.Hi = make([]uint64, nnz), make([]uint64, nnz)
+		for i, x := range perm {
+			at.Lo[i], at.Hi[i] = lo[x], hi[x]
+		}
+	}
+	for i, x := range perm {
+		at.Vals[i] = t.Vals[x]
+	}
 	at.computeRuns()
 	return at, nil
-}
-
-// linSorter orders nonzeros by (hi, lo) linearized index.
-type linSorter Tensor
-
-func (s *linSorter) Len() int { return len(s.Lo) }
-
-func (s *linSorter) Less(i, j int) bool {
-	if s.Hi != nil && s.Hi[i] != s.Hi[j] {
-		return s.Hi[i] < s.Hi[j]
-	}
-	return s.Lo[i] < s.Lo[j]
-}
-
-func (s *linSorter) Swap(i, j int) {
-	s.Lo[i], s.Lo[j] = s.Lo[j], s.Lo[i]
-	if s.Hi != nil {
-		s.Hi[i], s.Hi[j] = s.Hi[j], s.Hi[i]
-	}
-	s.Vals[i], s.Vals[j] = s.Vals[j], s.Vals[i]
 }
 
 // delinTile is the batch size build-time and kernel walks delinearize at

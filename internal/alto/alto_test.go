@@ -2,6 +2,7 @@ package alto
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/dense"
@@ -116,6 +117,117 @@ func TestFromCOORoundTrip(t *testing.T) {
 			v, ok := want[key(back, i)]
 			if !ok || v != back.Vals[i] {
 				t.Fatalf("%v: nonzero %d not in original (val %g)", dims, i, back.Vals[i])
+			}
+		}
+	}
+}
+
+// keyOrder returns the nonzero ids ordered by (hi, lo) with ids breaking
+// ties: the comparison-sort reference for FromCOO's radix sort.
+func keyOrder(lo, hi []uint64) []int {
+	ids := make([]int, len(lo))
+	for i := range ids {
+		ids[i] = i
+	}
+	sort.Slice(ids, func(a, b int) bool {
+		x, y := ids[a], ids[b]
+		if hi != nil && hi[x] != hi[y] {
+			return hi[x] < hi[y]
+		}
+		if lo[x] != lo[y] {
+			return lo[x] < lo[y]
+		}
+		return x < y
+	})
+	return ids
+}
+
+// TestFromCOOMatchesComparisonSort pins FromCOO's radix sort bitwise to a
+// comparison sort by (hi, lo) on shuffled input, narrow and wide. Keys
+// are unique except in the dups case, where equal keys must keep their
+// input order (the sort is stable).
+func TestFromCOOMatchesComparisonSort(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		dims []int
+		nnz  int
+		dups bool
+	}{
+		{"empty", []int{5, 4, 3}, 0, false},
+		{"one", []int{5, 4, 3}, 1, false},
+		{"order3", []int{12, 9, 7}, 300, false},
+		{"order3-skewed", []int{41086, 11, 204}, 3000, false},
+		{"order5", []int{31, 17, 1000, 2, 90}, 2000, false},
+		{"wide", []int{1 << 24, 1 << 24, 1 << 24}, 3000, false},
+		{"dups", []int{6, 5, 4}, 400, true},
+		{"wide-dups", []int{1 << 24, 1 << 24, 1 << 24}, 400, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			tt := sptensor.Random(tc.dims, tc.nnz, 13)
+			if tc.dups {
+				// Repeat every nonzero's coordinates with a new value.
+				n := tt.NNZ()
+				for m := range tt.Inds {
+					tt.Inds[m] = append(tt.Inds[m], tt.Inds[m][:n]...)
+				}
+				for x := 0; x < n; x++ {
+					tt.Vals = append(tt.Vals, float64(x))
+				}
+			}
+			rng.Shuffle(tt.NNZ(), tt.Swap)
+			in := tt.Clone()
+			at, err := FromCOO(tt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for m := range tt.Inds {
+				for x := range tt.Inds[m] {
+					if tt.Inds[m][x] != in.Inds[m][x] || tt.Vals[x] != in.Vals[x] {
+						t.Fatal("FromCOO modified its input")
+					}
+				}
+			}
+			n := tt.NNZ()
+			lo := make([]uint64, n)
+			var hi []uint64
+			if at.Enc.Wide() {
+				hi = make([]uint64, n)
+			}
+			for x := 0; x < n; x++ {
+				l, h := at.Enc.linearizeSegs(tt.Coord(x))
+				lo[x] = l
+				if hi != nil {
+					hi[x] = h
+				}
+			}
+			if at.NNZ() != n || len(at.Lo) != n || (hi == nil) != (at.Hi == nil) {
+				t.Fatalf("shape: nnz %d, %d lo words, hi %v; want %d, wide %v",
+					at.NNZ(), len(at.Lo), at.Hi != nil, n, hi != nil)
+			}
+			for i, x := range keyOrder(lo, hi) {
+				if at.Lo[i] != lo[x] || at.Vals[i] != tt.Vals[x] || (hi != nil && at.Hi[i] != hi[x]) {
+					t.Fatalf("position %d holds nonzero (%#x, %g), want input nonzero %d (%#x, %g)",
+						i, at.Lo[i], at.Vals[i], x, lo[x], tt.Vals[x])
+				}
+			}
+		})
+	}
+}
+
+// TestLinearizeAllocationFree pins Encoding.Linearize at zero allocations
+// on both the native pdep path and the portable segment walk.
+func TestLinearizeAllocationFree(t *testing.T) {
+	for _, dims := range [][]int{{41086, 11, 204}, {1 << 24, 1 << 24, 1 << 24}} {
+		enc, err := NewEncoding(dims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coord := []sptensor.Index{3, 5, 7}
+		for _, native := range []bool{false, nativeBitExtract} {
+			enc.native = native
+			if allocs := testing.AllocsPerRun(100, func() { enc.Linearize(coord) }); allocs != 0 {
+				t.Errorf("%v native=%v: Linearize allocates %v times per call", dims, native, allocs)
 			}
 		}
 	}

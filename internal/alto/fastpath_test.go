@@ -2,7 +2,6 @@ package alto
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/dense"
@@ -34,9 +33,10 @@ var parityLayouts = []struct {
 func randomKeys(t *testing.T, e *Encoding, rng *rand.Rand, n int) (lo, hi []uint64, coords [][]sptensor.Index) {
 	t.Helper()
 	order := len(e.Dims)
-	at := &Tensor{Enc: e, Lo: make([]uint64, n), Vals: make([]float64, n)}
+	rawLo := make([]uint64, n)
+	var rawHi []uint64
 	if e.Wide() {
-		at.Hi = make([]uint64, n)
+		rawHi = make([]uint64, n)
 	}
 	coord := make([]sptensor.Index, order)
 	for x := 0; x < n; x++ {
@@ -44,12 +44,21 @@ func randomKeys(t *testing.T, e *Encoding, rng *rand.Rand, n int) (lo, hi []uint
 			coord[m] = sptensor.Index(rng.Intn(d))
 		}
 		l, h := e.Linearize(coord)
-		at.Lo[x] = l
-		if at.Hi != nil {
-			at.Hi[x] = h
+		rawLo[x] = l
+		if rawHi != nil {
+			rawHi[x] = h
 		}
 	}
-	sort.Sort((*linSorter)(at))
+	at := &Tensor{Enc: e, Lo: make([]uint64, n)}
+	if rawHi != nil {
+		at.Hi = make([]uint64, n)
+	}
+	for i, x := range keyOrder(rawLo, rawHi) {
+		at.Lo[i] = rawLo[x]
+		if at.Hi != nil {
+			at.Hi[i] = rawHi[x]
+		}
+	}
 	coords = make([][]sptensor.Index, order)
 	for m := range coords {
 		coords[m] = make([]sptensor.Index, n)

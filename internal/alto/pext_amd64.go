@@ -4,6 +4,10 @@ package alto
 
 import "repro/internal/cpu"
 
+// The kernels only load and store through their slice arguments and keep
+// no pointer past return, hence //go:noescape: without it every native
+// Linearize call moves its coordinate buffer to the heap.
+
 // nativeBitExtract gates the BMI2 kernels; SHLX rides on the same feature
 // bit as PDEP/PEXT, so one flag covers all three instructions.
 var nativeBitExtract = cpu.HasBMI2
@@ -13,14 +17,20 @@ var nativeBitExtract = cpu.HasBMI2
 // contents: bit min(m, 31) is set for every mode whose value changed —
 // the same folding the byte-table Step reports. masks is the Encoding's
 // 3-words-per-mode pext mask table. Implemented in pext_amd64.s.
+//
+//go:noescape
 func pextAll(lo, hi uint64, masks []uint64, cur []uint64) uint32
 
 // pext3Tile delinearizes a tile of narrow (single-word) order-3 keys with
 // one pext per mode per key: outT/outA/outB receive the indices extracted
 // under the three masks for every key. Lengths of the out slices must be
 // at least len(keys). Implemented in pext_amd64.s.
+//
+//go:noescape
 func pext3Tile(keys []uint64, mT, mA, mB uint64, outT, outA, outB []uint32)
 
 // pdepKey linearizes one coordinate tuple (cur, len = order) into a
 // (lo, hi) key — the pdep mirror of pextAll. Implemented in pext_amd64.s.
+//
+//go:noescape
 func pdepKey(cur []uint64, masks []uint64) (lo, hi uint64)

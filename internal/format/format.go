@@ -77,6 +77,8 @@ type Backend interface {
 	LastStrategy() mttkrp.ConflictStrategy
 	// MemoryBytes estimates the representation's storage footprint.
 	MemoryBytes() int64
+	// NNZ reports the stored nonzero count.
+	NNZ() int
 	// ForEachNonzero streams every stored nonzero (coordinates in tensor
 	// mode order, value) in the backend's storage order. The sampled
 	// (ARLS) solver builds its fiber index through this path, so it works
@@ -250,6 +252,10 @@ func (b *csfBackend) MTTKRP(mode int, factors []*dense.Matrix, out *dense.Matrix
 func (b *csfBackend) StrategyFor(mode int) mttkrp.ConflictStrategy { return b.op.StrategyFor(mode) }
 func (b *csfBackend) LastStrategy() mttkrp.ConflictStrategy        { return b.op.LastStrategy() }
 func (b *csfBackend) MemoryBytes() int64                           { return b.set.MemoryBytes() }
+func (b *csfBackend) NNZ() int {
+	c, _ := b.set.For(0)
+	return c.NNZ()
+}
 func (b *csfBackend) ForEachNonzero(fn func(coord []sptensor.Index, val float64)) {
 	c, _ := b.set.For(0) // every CSF in the set stores the same nonzeros
 	c.ForEachNonzero(fn)
@@ -280,6 +286,7 @@ func (b *altoBackend) MTTKRP(mode int, factors []*dense.Matrix, out *dense.Matri
 func (b *altoBackend) StrategyFor(mode int) mttkrp.ConflictStrategy { return b.op.StrategyFor(mode) }
 func (b *altoBackend) LastStrategy() mttkrp.ConflictStrategy        { return b.op.LastStrategy() }
 func (b *altoBackend) MemoryBytes() int64                           { return b.t.MemoryBytes() }
+func (b *altoBackend) NNZ() int                                     { return b.t.NNZ() }
 func (b *altoBackend) ForEachNonzero(fn func(coord []sptensor.Index, val float64)) {
 	b.t.ForEachNonzero(fn)
 }

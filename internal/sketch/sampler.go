@@ -15,6 +15,8 @@ import (
 // so the sampled solver builds its fiber index from whatever backend the
 // run selected instead of re-reading the coordinate tensor.
 type NonzeroSource interface {
+	// NNZ reports how many nonzeros ForEachNonzero streams.
+	NNZ() int
 	// ForEachNonzero calls fn once per nonzero with the coordinate (in
 	// tensor mode order) and value. The coord slice may be reused between
 	// calls; fn must copy what it keeps.
@@ -147,7 +149,8 @@ func (s *Sampler) runTeam(body func(tid int)) {
 // NewSampler collects the source's nonzeros (src may be nil for an empty
 // shard) and prepares the complement-key radixes. It fails when any mode's
 // complement index space ∏_{n≠m} dims[n] does not fit a 64-bit key — such
-// tensors fall back to the exact solver.
+// tensors fall back to the exact solver — and when the source holds more
+// than sptensor.MaxNNZ nonzeros, the most an int32 fiber index addresses.
 func NewSampler(src NonzeroSource, dims []int, cfg Config) (*Sampler, error) {
 	order := len(dims)
 	if order < 2 {
@@ -211,16 +214,22 @@ func NewSampler(src NonzeroSource, dims []int, cfg Config) (*Sampler, error) {
 		}
 	}
 	if src != nil {
+		n := src.NNZ()
+		if n > sptensor.MaxNNZ {
+			return nil, fmt.Errorf("sketch: %d nonzeros exceed the %d a fiber index addresses", n, sptensor.MaxNNZ)
+		}
+		s.vals = make([]float64, 0, n)
+		s.coords = make([][]sptensor.Index, order)
+		for m := range s.coords {
+			s.coords[m] = make([]sptensor.Index, 0, n)
+		}
 		src.ForEachNonzero(func(coord []sptensor.Index, val float64) {
-			s.nnz++
 			s.vals = append(s.vals, val)
-			if s.coords == nil {
-				s.coords = make([][]sptensor.Index, order)
-			}
 			for m := 0; m < order; m++ {
 				s.coords[m] = append(s.coords[m], coord[m]+sptensor.Index(offsets[m]))
 			}
 		})
+		s.nnz = len(s.vals)
 	}
 
 	tasks := 1
@@ -341,13 +350,11 @@ func (t *levTable) draw(u float64) int {
 
 // buildFiberIndex sorts the nonzeros of mode m by complement key so every
 // sampled Khatri-Rao row resolves to its tensor fiber with one binary
-// search.
+// search. The keys are computed in nonzero order next to an identity
+// permutation and radix-sorted carrying it (sptensor.SortPerm); the sort
+// is stable, so equal keys keep nonzero-id order.
 func (s *Sampler) buildFiberIndex(m int) {
-	if s.keys[m] != nil || s.nnz == 0 {
-		if s.keys[m] == nil {
-			s.keys[m] = []uint64{}
-			s.perm[m] = []int32{}
-		}
+	if s.keys[m] != nil {
 		return
 	}
 	keys := make([]uint64, s.nnz)
@@ -365,18 +372,8 @@ func (s *Sampler) buildFiberIndex(m int) {
 		keys[x] = k
 		perm[x] = int32(x)
 	}
-	sort.Slice(perm, func(i, j int) bool {
-		ki, kj := keys[perm[i]], keys[perm[j]]
-		if ki != kj {
-			return ki < kj
-		}
-		return perm[i] < perm[j] // total order: deterministic accumulation
-	})
-	sorted := make([]uint64, s.nnz)
-	for i, id := range perm {
-		sorted[i] = keys[id]
-	}
-	s.keys[m] = sorted
+	sptensor.SortPerm(perm, make([]int32, s.nnz), keys, make([]uint64, s.nnz))
+	s.keys[m] = keys
 	s.perm[m] = perm
 }
 

@@ -2,6 +2,8 @@ package sketch
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/dense"
@@ -80,6 +82,8 @@ func TestSeedSplitIndependence(t *testing.T) {
 
 // cooSource adapts a coordinate tensor to NonzeroSource for direct tests.
 type cooSource struct{ t *sptensor.Tensor }
+
+func (s cooSource) NNZ() int { return s.t.NNZ() }
 
 func (s cooSource) ForEachNonzero(fn func(coord []sptensor.Index, val float64)) {
 	coord := make([]sptensor.Index, s.t.NModes())
@@ -192,6 +196,86 @@ func TestSamplerRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := NewSampler(nil, []int{5, 5}, Config{Rank: 2, Offsets: []int{1}}); err == nil {
 		t.Error("mismatched offsets accepted")
+	}
+	if _, err := NewSampler(hugeSource{t}, []int{5, 5}, Config{Rank: 2}); err == nil {
+		t.Error("more nonzeros than an int32 fiber index addresses accepted")
+	}
+}
+
+// hugeSource claims one nonzero more than sptensor.MaxNNZ; NewSampler
+// must refuse it before streaming anything.
+type hugeSource struct{ t *testing.T }
+
+func (h hugeSource) NNZ() int { return sptensor.MaxNNZ + 1 }
+
+func (h hugeSource) ForEachNonzero(func(coord []sptensor.Index, val float64)) {
+	h.t.Error("NewSampler streamed a source above the nonzero bound")
+}
+
+// TestFiberIndexMatchesComparisonSort pins the radix-sorted fiber index
+// bitwise to the comparison order it replaced: complement key, then
+// nonzero id. The nonzeros are shuffled and share complement keys, so the
+// id tie-break decides most positions; the sharded case keys local
+// mode-0 coordinates shifted by their offset.
+func TestFiberIndexMatchesComparisonSort(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		dims    []int // global mode lengths
+		local   []int // source mode lengths (nil = dims)
+		offsets []int
+		nnz     int
+	}{
+		{"order3", []int{50, 40, 30}, nil, nil, 4000},
+		{"order4", []int{7, 300, 5, 1000}, nil, nil, 3000},
+		{"order2", []int{3000, 2}, nil, nil, 2500},
+		{"sharded", []int{30, 10, 8}, []int{10, 10, 8}, []int{20, 0, 0}, 600},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			local := tc.local
+			if local == nil {
+				local = tc.dims
+			}
+			tt := sptensor.Random(local, tc.nnz, 3)
+			rand.New(rand.NewSource(4)).Shuffle(tt.NNZ(), tt.Swap)
+			s, err := NewSampler(cooSource{tt}, tc.dims, Config{Rank: 2, Offsets: tc.offsets})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := tt.NNZ()
+			for m := range tc.dims {
+				keys := make([]uint64, n)
+				ids := make([]int, n)
+				for x := range ids {
+					ids[x] = x
+					for k := range tc.dims {
+						if k != m {
+							c := int(tt.Inds[k][x])
+							if tc.offsets != nil {
+								c += tc.offsets[k]
+							}
+							keys[x] += uint64(c) * s.radix[m][k]
+						}
+					}
+				}
+				sort.Slice(ids, func(a, b int) bool {
+					x, y := ids[a], ids[b]
+					if keys[x] != keys[y] {
+						return keys[x] < keys[y]
+					}
+					return x < y
+				})
+				s.buildFiberIndex(m)
+				if len(s.keys[m]) != n || len(s.perm[m]) != n {
+					t.Fatalf("mode %d: index holds %d keys, %d ids; want %d", m, len(s.keys[m]), len(s.perm[m]), n)
+				}
+				for i, x := range ids {
+					if s.keys[m][i] != keys[x] || s.perm[m][i] != int32(x) {
+						t.Fatalf("mode %d position %d: (key %d, id %d), want (%d, %d)",
+							m, i, s.keys[m][i], s.perm[m][i], keys[x], x)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -14,7 +14,11 @@ import "fmt"
 // whose coordinates collide — within the batch, or across the base/batch
 // boundary — are summed by MergeDuplicates, matching how repeated
 // coordinates in a single upload are treated. The returned dups counts
-// those collisions.
+// those collisions. The merged tensor lists base's nonzeros, then the
+// batch's; unless that concatenation is already sorted, finding the
+// collisions costs one radix sort of every nonzero (see MergeDuplicates),
+// and a collision-free result keeps the concatenated order. The merged
+// count must not exceed MaxNNZ.
 func AppendBatch(base, batch *Tensor) (merged *Tensor, dups int, err error) {
 	if base.NModes() != batch.NModes() {
 		return nil, 0, fmt.Errorf("sptensor: append batch has order %d, base has order %d",
@@ -32,6 +36,9 @@ func AppendBatch(base, batch *Tensor) (merged *Tensor, dups int, err error) {
 		}
 	}
 	n := base.NNZ() + batch.NNZ()
+	if n > MaxNNZ {
+		return nil, 0, fmt.Errorf("sptensor: append would hold %d nonzeros, more than %d", n, MaxNNZ)
+	}
 	merged = New(dims, n)
 	for m := 0; m < order; m++ {
 		merged.Inds[m] = merged.Inds[m][:0]

@@ -3,6 +3,7 @@ package sptensor
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -66,5 +67,48 @@ func FuzzLoadTensorReader(f *testing.F) {
 			t.Fatalf("round trip changed shape: %d/%d nnz, %d/%d modes",
 				re.NNZ(), tensor.NNZ(), re.NModes(), tensor.NModes())
 		}
+	})
+}
+
+// FuzzMergeDuplicates drives MergeDuplicates' radix path against the
+// comparison-sort reference in merge_test.go. The first byte picks the
+// order (1–5) and the second which modes are 2^31 wide; every following
+// group of order+1 bytes is one nonzero: a coordinate byte per mode (taken
+// modulo a small dim, or spread over all four bytes of a wide index) and
+// a value byte whose exponent varies, so summation order shows in the
+// result's bits.
+func FuzzMergeDuplicates(f *testing.F) {
+	f.Add([]byte{2, 0, 3, 1, 7, 0, 2, 9, 3, 1, 5})
+	f.Add([]byte{4, 0x1f, 255, 0, 128, 7, 1, 2, 255, 0, 128, 7, 3, 200, 9, 9, 9, 9, 9, 9})
+	f.Add([]byte{0, 0, 5, 1, 4, 2, 5, 3, 5, 4, 1, 5})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		order := 1 + int(data[0])%5
+		wide := data[1]
+		data = data[2:]
+		n := len(data) / (order + 1)
+		dims := make([]int, order)
+		for m := range dims {
+			dims[m] = 1 + m%3*2 // 1, 3, 5: small enough to collide often
+			if wide&(1<<m) != 0 {
+				dims[m] = 1 << 31
+			}
+		}
+		tt := New(dims, n)
+		for x := 0; x < n; x++ {
+			rec := data[x*(order+1):]
+			for m := range dims {
+				if dims[m] == 1<<31 {
+					tt.Inds[m][x] = Index(uint32(rec[m]) * 0x01010101 & math.MaxInt32)
+				} else {
+					tt.Inds[m][x] = Index(int(rec[m]) % dims[m])
+				}
+			}
+			b := rec[order]
+			tt.Vals[x] = math.Ldexp(float64(int8(b)|1), int(b>>3))
+		}
+		checkMergeMatchesRef(t, tt)
 	})
 }

@@ -105,6 +105,9 @@ func ReadTNS(r io.Reader) (*Tensor, error) {
 		if len(fields) != order+1 {
 			return nil, fmt.Errorf("sptensor: line %d: %d fields, want %d", lineNo, len(fields), order+1)
 		}
+		if len(vals) == MaxNNZ {
+			return nil, fmt.Errorf("sptensor: line %d: more than %d nonzeros", lineNo, MaxNNZ)
+		}
 		for m := 0; m < order; m++ {
 			v, err := strconv.ParseInt(fields[m], 10, 32)
 			if err != nil {
@@ -139,11 +142,6 @@ func ReadTNS(r io.Reader) (*Tensor, error) {
 }
 
 const binaryMagic = "SPTNBIN1"
-
-// maxBinaryNNZ bounds the nonzero count a binary header may claim, so a
-// forged or corrupted header cannot drive a giant allocation: 2^33 nonzeros
-// of an order-3 tensor already exceed 160 GiB of storage.
-const maxBinaryNNZ = 1 << 33
 
 // binReadChunk is the element granularity of binary array reads; truncated
 // streams fail after at most one chunk of over-allocation.
@@ -216,7 +214,7 @@ func ReadBinary(r io.Reader) (*Tensor, error) {
 	if head[0] == 0 || head[0] > 64 {
 		return nil, fmt.Errorf("sptensor: implausible order %d", head[0])
 	}
-	if head[1] > maxBinaryNNZ || head[1] > uint64(math.MaxInt) {
+	if head[1] > MaxNNZ {
 		return nil, fmt.Errorf("sptensor: implausible nonzero count %d", head[1])
 	}
 	if head[1] == 0 {

@@ -48,17 +48,18 @@ func validBinary(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
+// forgedHeader forges a binary container header with no payload.
+func forgedHeader(order, nnz uint64, dims ...uint64) []byte {
+	var buf bytes.Buffer
+	buf.WriteString("SPTNBIN1")
+	_ = binary.Write(&buf, binary.LittleEndian, []uint64{order, nnz})
+	_ = binary.Write(&buf, binary.LittleEndian, dims)
+	return buf.Bytes()
+}
+
 // TestReadBinaryErrors covers the forged/truncated container surface.
 func TestReadBinaryErrors(t *testing.T) {
 	valid := validBinary(t)
-
-	header := func(order, nnz uint64, dims ...uint64) []byte {
-		var buf bytes.Buffer
-		buf.WriteString("SPTNBIN1")
-		_ = binary.Write(&buf, binary.LittleEndian, []uint64{order, nnz})
-		_ = binary.Write(&buf, binary.LittleEndian, dims)
-		return buf.Bytes()
-	}
 
 	cases := []struct {
 		name  string
@@ -68,13 +69,13 @@ func TestReadBinaryErrors(t *testing.T) {
 		{"bad magic", []byte("NOTATNSB" + "rest")},
 		{"truncated magic", []byte("SPTN")},
 		{"truncated header", []byte("SPTNBIN1\x01\x00")},
-		{"zero order", header(0, 10, 1)},
-		{"implausible order", header(65, 10)},
-		{"zero nonzeros", header(3, 0, 2, 2, 2)},
-		{"implausible nnz", header(3, 1<<40, 2, 2, 2)},
-		{"zero dim", header(3, 10, 2, 0, 2)},
-		{"dim overflows int32", header(3, 10, 2, 1<<33, 2)},
-		{"huge nnz truncated payload", header(3, 1<<30, 8, 8, 8)},
+		{"zero order", forgedHeader(0, 10, 1)},
+		{"implausible order", forgedHeader(65, 10)},
+		{"zero nonzeros", forgedHeader(3, 0, 2, 2, 2)},
+		{"implausible nnz", forgedHeader(3, 1<<40, 2, 2, 2)},
+		{"zero dim", forgedHeader(3, 10, 2, 0, 2)},
+		{"dim overflows int32", forgedHeader(3, 10, 2, 1<<33, 2)},
+		{"huge nnz truncated payload", forgedHeader(3, 1<<30, 8, 8, 8)},
 		{"truncated indices", valid[:len(valid)-200]},
 		{"truncated values", valid[:len(valid)-8]},
 	}
@@ -84,6 +85,21 @@ func TestReadBinaryErrors(t *testing.T) {
 				t.Fatalf("ReadBinary(%s) succeeded, want error", tc.name)
 			}
 		})
+	}
+}
+
+// TestReadBinaryNNZBound pins the header's nonzero bound at MaxNNZ, the
+// most an int32 sort permutation indexes: one more is refused as
+// implausible before any payload is read, while MaxNNZ itself passes the
+// header check and fails only on the missing payload.
+func TestReadBinaryNNZBound(t *testing.T) {
+	_, err := ReadBinary(bytes.NewReader(forgedHeader(3, MaxNNZ+1, 2, 2, 2)))
+	if err == nil || !strings.Contains(err.Error(), "implausible nonzero count") {
+		t.Errorf("header claiming MaxNNZ+1 nonzeros: err %v, want implausible nonzero count", err)
+	}
+	_, err = ReadBinary(bytes.NewReader(forgedHeader(3, MaxNNZ, 2, 2, 2)))
+	if err == nil || strings.Contains(err.Error(), "implausible") {
+		t.Errorf("header claiming MaxNNZ nonzeros: err %v, want a truncated-payload error", err)
 	}
 }
 
