@@ -76,24 +76,30 @@ func TestWorkspaceNormalizeColumnsMatchesPackageLevel(t *testing.T) {
 }
 
 func TestWorkspaceSolveNormalsAllocationFree(t *testing.T) {
-	for _, tasks := range []int{1, 4} {
-		team, ws, v, a := workspaceFixture(t, tasks, 200, 16)
-		// SPD system: Gram of a well-conditioned matrix plus a ridge.
-		Syrk(team, a, v)
-		for i := 0; i < 16; i++ {
-			v.Set(i, i, v.At(i, i)+1)
-		}
-		m := a.Clone()
-		ws.SolveNormals(v, m) // warm-up (Cholesky fast path)
-		if n := testing.AllocsPerRun(10, func() { ws.SolveNormals(v, m) }); n != 0 {
-			t.Errorf("tasks=%d: SolveNormals (Cholesky) allocates %.1f per call, want 0", tasks, n)
-		}
-		// Rank-deficient V forces the eigen pseudo-inverse fallback, which
-		// must also run out of the cached Jacobi scratch.
-		v.Zero()
-		ws.SolveNormals(v, m) // warm-up fallback
-		if n := testing.AllocsPerRun(10, func() { ws.SolveNormals(v, m) }); n != 0 {
-			t.Errorf("tasks=%d: SolveNormals (pseudo-inverse) allocates %.1f per call, want 0", tasks, n)
+	// Each task's row range ends in a partial panel block at tasks 1 and 4.
+	const rows = 8*solveBlock + 7
+	for _, rank := range []int{16, 35} {
+		for _, tasks := range []int{1, 4} {
+			team, ws, v, a := workspaceFixture(t, tasks, rows, rank)
+			// SPD system: Gram of a well-conditioned matrix plus a ridge.
+			Syrk(team, a, v)
+			for i := 0; i < rank; i++ {
+				v.Set(i, i, v.At(i, i)+1)
+			}
+			m := a.Clone()
+			ws.SolveNormals(v, m) // warm-up (Cholesky fast path)
+			if n := testing.AllocsPerRun(10, func() { ws.SolveNormals(v, m) }); n != 0 {
+				t.Errorf("rank=%d tasks=%d: SolveNormals (Cholesky) allocates %.1f per call, want 0",
+					rank, tasks, n)
+			}
+			// Rank-deficient V forces the eigen pseudo-inverse fallback, which
+			// must also run out of the cached Jacobi scratch.
+			v.Zero()
+			ws.SolveNormals(v, m) // warm-up fallback
+			if n := testing.AllocsPerRun(10, func() { ws.SolveNormals(v, m) }); n != 0 {
+				t.Errorf("rank=%d tasks=%d: SolveNormals (pseudo-inverse) allocates %.1f per call, want 0",
+					rank, tasks, n)
+			}
 		}
 	}
 }

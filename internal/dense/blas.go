@@ -71,34 +71,6 @@ func Gemm(a, b, c *Matrix) {
 	}
 }
 
-// GemmParallel computes C = A·B splitting A's rows across the team. Used
-// for the tall-skinny A(n) = M·V† application where A has millions of rows.
-func GemmParallel(team *parallel.Team, a, b, c *Matrix) {
-	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
-		panic(fmt.Sprintf("dense: GemmParallel shapes %dx%d · %dx%d -> %dx%d",
-			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
-	}
-	parallel.ForBlocks(team, a.Rows, func(_, begin, end int) {
-		for i := begin; i < end; i++ {
-			arow := a.Row(i)
-			crow := c.Row(i)
-			for j := range crow {
-				crow[j] = 0
-			}
-			for k := 0; k < a.Cols; k++ {
-				v := arow[k]
-				if v == 0 {
-					continue
-				}
-				brow := b.Row(k)
-				for j := range crow {
-					crow[j] += v * brow[j]
-				}
-			}
-		}
-	})
-}
-
 // HadamardProduct computes dst = dst ∘ src elementwise (shapes must match).
 // CP-ALS forms V = ∘_{m≠n} A(m)ᵀA(m) with repeated Hadamard products.
 func HadamardProduct(dst, src *Matrix) {

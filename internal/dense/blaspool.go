@@ -49,14 +49,13 @@ func burn(iters int) {
 	spinSink.Add(acc)
 }
 
-// parallelRows applies f to every row index in [0, n) on the pool's own
-// goroutines. The call returns when the row work is done; post-op spinners
-// continue burning CPU in the background.
-func (p *BLASPool) parallelRows(n int, f func(i int)) {
+// parallelRows splits the row range [0, n) across the pool's own
+// goroutines and calls f once per goroutine with its block. The call
+// returns when the row work is done; post-op spinners continue burning CPU
+// in the background.
+func (p *BLASPool) parallelRows(n int, f func(begin, end int)) {
 	if p == nil || p.Threads <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
+		f(0, n)
 		if p != nil && p.SpinCount > 0 {
 			burn(p.SpinCount)
 		}
@@ -67,9 +66,7 @@ func (p *BLASPool) parallelRows(n int, f func(i int)) {
 		wg.Add(1)
 		go func(tid int) {
 			begin, end := parallel.Partition(n, p.Threads, tid)
-			for i := begin; i < end; i++ {
-				f(i)
-			}
+			f(begin, end)
 			wg.Done()
 			// Linger after the result is ready, like an OpenMP worker
 			// spin-waiting for more work it will never get.
@@ -83,27 +80,11 @@ func (p *BLASPool) parallelRows(n int, f func(i int)) {
 
 // SolveNormalsBLAS is SolveNormals executed on the BLAS pool instead of the
 // CP-ALS team — the configuration the paper benchmarks when it varies
-// OMP_NUM_THREADS. The factorization is serial (R×R is tiny); the per-row
-// triangular solves run on pool goroutines.
+// OMP_NUM_THREADS. The factorization is serial (R×R is tiny); each pool
+// goroutine applies it to its block of rows through the blocked solve.
 func SolveNormalsBLAS(pool *BLASPool, v *Matrix, m *Matrix) {
-	l := v.Clone()
-	if err := Cholesky(l); err == nil {
-		pool.parallelRows(m.Rows, func(i int) {
-			CholeskySolve(l, m.Row(i))
-		})
-		return
-	}
-	pinv := PseudoInverse(v, 0)
-	tmp := m.Clone()
-	pool.parallelRows(m.Rows, func(i int) {
-		trow := tmp.Row(i)
-		mrow := m.Row(i)
-		for j := range mrow {
-			s := 0.0
-			for k := 0; k < pinv.Rows; k++ {
-				s += trow[k] * pinv.Data[k*pinv.Cols+j]
-			}
-			mrow[j] = s
-		}
+	f, chol := factorNormals(v)
+	pool.parallelRows(m.Rows, func(begin, end int) {
+		solveRows(f, chol, m, begin, end, make([]float64, panelLen(v.Rows)))
 	})
 }

@@ -66,20 +66,6 @@ func TestGemmAgainstManual(t *testing.T) {
 	}
 }
 
-func TestGemmParallelMatchesSerial(t *testing.T) {
-	a := randMatrix(40, 8, 2)
-	b := randMatrix(8, 8, 3)
-	want := NewMatrix(40, 8)
-	Gemm(a, b, want)
-	got := NewMatrix(40, 8)
-	team := parallel.NewTeam(3)
-	defer team.Close()
-	GemmParallel(team, a, b, got)
-	if d := got.MaxAbsDiff(want); d > 1e-12 {
-		t.Errorf("parallel gemm deviates by %g", d)
-	}
-}
-
 func TestSyrkMatchesExplicitGram(t *testing.T) {
 	for _, tasks := range []int{1, 3} {
 		a := randMatrix(50, 6, 4)

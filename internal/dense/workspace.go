@@ -29,7 +29,7 @@ type Workspace struct {
 
 	partGram [][]float64 // per-task r×r Gram partials
 	partNorm [][]float64 // per-task r-length norm partials
-	rowTmp   [][]float64 // per-task r-length row scratch
+	panel    [][]float64 // per-task blocked-solve panels (panelLen(r))
 	inv      []float64   // column-scale reciprocals
 	chol     *Matrix     // cached Cholesky factor (r×r)
 	eigW     *Matrix     // Jacobi working copy
@@ -43,13 +43,14 @@ type Workspace struct {
 	curC      *Matrix
 	curLambda []float64
 	curKind   NormKind
-	curSolve  *Matrix // Cholesky path: matrix whose rows are solved in place
+	curSolve  *Matrix // matrix whose rows are solved in place
+	curFactor *Matrix // chol, or pinv on the fallback
+	curChol   bool
 
 	syrkBody     func(tid int)
 	normPartBody func(tid int)
 	normScale    func(tid int)
 	solveBody    func(tid int)
-	pinvBody     func(tid int)
 }
 
 // NewWorkspace builds a workspace for the given team (nil = serial) and
@@ -67,12 +68,12 @@ func NewWorkspace(team *parallel.Team, arena *parallel.Arena, rank int) *Workspa
 	r := rank
 	w.partGram = make([][]float64, tasks)
 	w.partNorm = make([][]float64, tasks)
-	w.rowTmp = make([][]float64, tasks)
+	w.panel = make([][]float64, tasks)
 	for t := 0; t < tasks; t++ {
 		ta := arena.Task(t)
 		w.partGram[t] = ta.F64(r * r)
 		w.partNorm[t] = ta.F64(r)
-		w.rowTmp[t] = ta.F64(r)
+		w.panel[t] = ta.F64(panelLen(r))
 	}
 	t0 := arena.Task(0)
 	w.inv = t0.F64(r)
@@ -99,25 +100,7 @@ func NewWorkspace(team *parallel.Team, arena *parallel.Arena, rank int) *Workspa
 	}
 	w.solveBody = func(tid int) {
 		begin, end := parallel.Partition(w.curSolve.Rows, w.tasks, tid)
-		for i := begin; i < end; i++ {
-			CholeskySolve(w.chol, w.curSolve.Row(i))
-		}
-	}
-	w.pinvBody = func(tid int) {
-		begin, end := parallel.Partition(w.curSolve.Rows, w.tasks, tid)
-		tmp := w.rowTmp[tid]
-		for i := begin; i < end; i++ {
-			row := w.curSolve.Row(i)
-			for j := 0; j < w.rank; j++ {
-				s := 0.0
-				prow := w.pinv.Row(j)
-				for k := 0; k < w.rank; k++ {
-					s += row[k] * prow[k] // pinv is symmetric: row view = col view
-				}
-				tmp[j] = s
-			}
-			copy(row, tmp)
-		}
+		solveRows(w.curFactor, w.curChol, w.curSolve, begin, end, w.panel[tid])
 	}
 	return w
 }
@@ -234,9 +217,11 @@ func reduceNorms(parts [][]float64, lambda []float64, kind NormKind) {
 	}
 }
 
-// SolveNormals overwrites m (I×rank) with m·V†: Cholesky fast path with the
-// factor built in the cached buffer, eigen-based pseudo-inverse fallback
-// through the cached Jacobi scratch. Allocation-free on both paths.
+// SolveNormals overwrites m (I×rank) with m·V†, the workspace variant of
+// the package-level SolveNormals: the Cholesky factor is built in the
+// cached buffer, the pseudo-inverse fallback runs through the cached
+// Jacobi scratch, and each task applies the factor to its rows through the
+// blocked solve on its arena panel. Allocation-free on both branches.
 func (w *Workspace) SolveNormals(v, m *Matrix) {
 	r := w.rank
 	if v.Rows != r || v.Cols != r || m.Cols != r {
@@ -244,15 +229,14 @@ func (w *Workspace) SolveNormals(v, m *Matrix) {
 			v.Rows, v.Cols, m.Rows, m.Cols, r))
 	}
 	w.chol.CopyFrom(v)
-	w.curSolve = m
-	if err := Cholesky(w.chol); err == nil {
-		w.run(w.solveBody)
-		w.curSolve = nil
-		return
+	w.curFactor, w.curChol = w.chol, true
+	if Cholesky(w.chol) != nil {
+		PseudoInverseInto(v, 0, w.pinv, w.eigW, w.eigQ, w.eigVals, w.eigInv)
+		w.curFactor, w.curChol = w.pinv, false
 	}
-	PseudoInverseInto(v, 0, w.pinv, w.eigW, w.eigQ, w.eigVals, w.eigInv)
-	w.run(w.pinvBody)
-	w.curSolve = nil
+	w.curSolve = m
+	w.run(w.solveBody)
+	w.curSolve, w.curFactor = nil, nil
 }
 
 // PseudoInverse computes out = V† through the cached Jacobi scratch —

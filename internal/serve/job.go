@@ -81,6 +81,18 @@ type JobSpec struct {
 	WarmStart string `json:"warm_start,omitempty"`
 }
 
+// Caps on a job's size knobs, refused at submit: the engines allocate
+// per-task scratch from them before the first iteration runs.
+const (
+	// maxRank bounds the dense workspace: tasks × rank² Gram partials,
+	// 8 MiB per task at the cap.
+	maxRank = 1024
+	// maxTasks bounds the team, each of whose tasks holds that scratch.
+	maxTasks = 256
+	// maxLocales bounds dist jobs, whose locales each run a full solver.
+	maxLocales = 64
+)
+
 // normalize fills defaults and validates the engine-independent fields.
 func (s *JobSpec) normalize() error {
 	if s.TensorID == "" {
@@ -97,6 +109,10 @@ func (s *JobSpec) normalize() error {
 	if s.Rank < 0 || s.MaxIters < 0 || s.Tasks < 0 || s.Locales < 0 ||
 		s.Samples < 0 || s.RefineIters < 0 {
 		return fmt.Errorf("serve: job spec has negative parameters")
+	}
+	if s.Rank > maxRank || s.Tasks > maxTasks || s.Locales > maxLocales {
+		return fmt.Errorf("serve: job spec rank %d, tasks %d, locales %d exceeds the caps %d, %d, %d",
+			s.Rank, s.Tasks, s.Locales, maxRank, maxTasks, maxLocales)
 	}
 	if _, err := format.Parse(s.Format); err != nil {
 		return err

@@ -424,6 +424,35 @@ func TestAPIErrors(t *testing.T) {
 	}
 }
 
+// TestOversizedJobRefusedAtSubmit: a rank, task or locale count above its
+// cap is refused with the 400 envelope before any engine allocates for it,
+// and the server goes on to run an ordinary job.
+func TestOversizedJobRefusedAtSubmit(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueCapacity: 4})
+	res := uploadTensor(t, ts.URL, tnsBytes(t, sptensor.Random([]int{8, 8, 8}, 40, 1)))
+	for _, spec := range []JobSpec{
+		{TensorID: res.ID, Rank: 1 << 20},
+		{TensorID: res.ID, Rank: 4, Tasks: maxTasks + 1},
+		{TensorID: res.ID, Rank: 4, Kind: KindDistributed, Locales: maxLocales + 1},
+	} {
+		body, _ := json.Marshal(spec)
+		resp, data := postBytes(t, ts.URL+"/v1/jobs", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%+v: status %d, want 400", spec, resp.StatusCode)
+		}
+		if code := decodeEnvelope(t, data); code != "bad_request" {
+			t.Fatalf("%+v: envelope code %q", spec, code)
+		}
+	}
+	st, code := submitJob(t, ts.URL, JobSpec{TensorID: res.ID, Rank: 4, MaxIters: 5})
+	if code != http.StatusAccepted {
+		t.Fatalf("ordinary job after refusals: status %d", code)
+	}
+	if st = waitState(t, ts.URL, st.ID, 30*time.Second, terminal); st.State != StateDone {
+		t.Fatalf("ordinary job ended %s: %s", st.State, st.Error)
+	}
+}
+
 func getJobStatusCode(t *testing.T, url string) int {
 	t.Helper()
 	resp, err := http.Get(url)
