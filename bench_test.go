@@ -4,7 +4,7 @@
 // finishes on a laptop; cmd/splatt-bench produces the full paper-style
 // reports with side-by-side paper values.
 //
-// Mapping (see DESIGN.md §5):
+// Mapping (see EXPERIMENTS.md, "Experiment ids"):
 //
 //	BenchmarkTable1  dataset twin generation + statistics
 //	BenchmarkTable3  full CP-ALS per profile (C vs Chapel-initial)
@@ -13,7 +13,7 @@
 //	BenchmarkFig4    mutex pool kinds on the lock-requiring twin
 //	BenchmarkFig5-8  per-routine CP-ALS, reference vs optimized port
 //	BenchmarkFig9/10 MTTKRP scaling across the three codes
-//	BenchmarkAblation* design-choice ablations (DESIGN.md §6)
+//	BenchmarkAblation* design-choice ablations (EXPERIMENTS.md, "Experiment ids")
 package splatt_test
 
 import (

@@ -2,6 +2,7 @@ package alto
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sptensor"
 )
@@ -24,6 +25,11 @@ type Tensor struct {
 	// conflict decision (one output-row flush happens per run, not per
 	// nonzero).
 	runs []int64
+
+	// blockMin[b*order+m] and blockMax[b*order+m] bound the mode-m
+	// indices of nonzeros [b·delinTile, (b+1)·delinTile), recorded by the
+	// computeRuns walk so Window reads whole blocks without delinearizing.
+	blockMin, blockMax []sptensor.Index
 }
 
 // FromCOO linearizes a coordinate tensor and sorts its nonzeros by
@@ -88,7 +94,8 @@ const delinTile = 1024
 
 // computeRuns counts, per mode, the maximal runs of equal index in the
 // linearized order, walking the nonzeros through the batched byte-table
-// delinearization.
+// delinearization. The same walk records each delinTile block's per-mode
+// index bounds for Window.
 func (at *Tensor) computeRuns() {
 	order := at.Order()
 	at.runs = make([]int64, order)
@@ -96,41 +103,80 @@ func (at *Tensor) computeRuns() {
 	if nnz == 0 {
 		return
 	}
-	for m := 0; m < order; m++ {
-		at.runs[m] = 1
-	}
+	blocks := (nnz + delinTile - 1) / delinTile
+	at.blockMin = make([]sptensor.Index, blocks*order)
+	at.blockMax = make([]sptensor.Index, blocks*order)
 	cols := make([][]sptensor.Index, order)
 	for m := range cols {
 		cols[m] = make([]sptensor.Index, delinTile)
 	}
 	prev := make([]sptensor.Index, order)
 	for tile := 0; tile < nnz; tile += delinTile {
-		end := tile + delinTile
-		if end > nnz {
-			end = nnz
-		}
+		end := min(tile+delinTile, nnz)
 		at.Enc.DelinearizeRange(at.Lo, at.Hi, tile, end, cols, nil)
 		n := end - tile
-		start := 0
-		if tile == 0 {
-			for m := 0; m < order; m++ {
-				prev[m] = cols[m][0]
-			}
-			start = 1
-		}
+		b := tile / delinTile * order
 		for m := 0; m < order; m++ {
 			col := cols[m][:n]
-			p := prev[m]
+			if tile == 0 { // the first nonzero opens every mode's first run
+				prev[m] = col[0]
+				at.runs[m] = 1
+			}
+			p, lo, hi := prev[m], col[0], col[0]
 			runs := int64(0)
-			for i := start; i < n; i++ {
-				if col[i] != p {
+			for _, v := range col { // compiles to conditional moves
+				if v != p {
 					runs++
-					p = col[i]
 				}
+				p = v
+				lo, hi = min(lo, v), max(hi, v)
 			}
 			at.runs[m] += runs
 			prev[m] = p
+			at.blockMin[b+m], at.blockMax[b+m] = lo, hi
 		}
+	}
+}
+
+// Window sets lo[m], hi[m] to the half-open range of mode-m indices that
+// nonzeros [begin, end) touch, for every mode (lo = hi = 0 for an empty
+// range). Whole delinTile blocks read the bounds computeRuns recorded;
+// only the partial blocks at either edge are delinearized.
+func (at *Tensor) Window(begin, end int, lo, hi []int) {
+	order := at.Order()
+	for m := 0; m < order; m++ {
+		lo[m], hi[m] = 0, 0
+		if begin < end {
+			lo[m] = math.MaxInt
+		}
+	}
+	var cols [][]sptensor.Index // edge-block scratch, made on first use
+	for x := begin; x < end; {
+		b := x / delinTile
+		next := min((b+1)*delinTile, at.NNZ())
+		if x == b*delinTile && next <= end {
+			for m := 0; m < order; m++ {
+				lo[m] = min(lo[m], int(at.blockMin[b*order+m]))
+				hi[m] = max(hi[m], int(at.blockMax[b*order+m])+1)
+			}
+			x = next
+			continue
+		}
+		next = min(next, end)
+		if cols == nil {
+			cols = make([][]sptensor.Index, order)
+			for m := range cols {
+				cols[m] = make([]sptensor.Index, delinTile)
+			}
+		}
+		at.Enc.DelinearizeRange(at.Lo, at.Hi, x, next, cols, nil)
+		for m := 0; m < order; m++ {
+			for _, v := range cols[m][:next-x] {
+				lo[m] = min(lo[m], int(v))
+				hi[m] = max(hi[m], int(v)+1)
+			}
+		}
+		x = next
 	}
 }
 

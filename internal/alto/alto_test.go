@@ -1,6 +1,7 @@
 package alto
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -267,20 +268,37 @@ func randomFactors(dims []int, rank int, seed int64) []*dense.Matrix {
 	return factors
 }
 
+// TestOperatorMatchesReferenceAcrossOrdersAndStrategies runs every forced
+// strategy and auto against the coordinate-form reference, at team sizes
+// that split the nonzeros unevenly and at more tasks than nonzeros.
 func TestOperatorMatchesReferenceAcrossOrdersAndStrategies(t *testing.T) {
 	const rank = 5
+	fixtures := differentialTensors(t)
 	for _, dims := range [][]int{
 		{15, 11, 9},
 		{10, 8, 6, 5},
 		{7, 6, 5, 4, 3},
 	} {
-		tt := sptensor.Random(dims, 500, 21)
-		at, err := FromCOO(tt)
+		at, err := FromCOO(sptensor.Random(dims, 500, 21))
 		if err != nil {
 			t.Fatal(err)
 		}
+		fixtures[fmt.Sprint(dims)] = at
+	}
+	for name, at := range fixtures {
+		tt := at.ToCOO()
+		dims := tt.Dims
 		factors := randomFactors(dims, rank, 23)
-		for _, tasks := range []int{1, 4} {
+		want := make([]*dense.Matrix, len(dims))
+		for mode := range dims {
+			want[mode] = dense.NewMatrix(dims[mode], rank)
+			mttkrp.COO(tt, factors, mode, want[mode])
+		}
+		teams := []int{1, 2, 3, 4, 7}
+		if at.NNZ() < 7 {
+			teams = append(teams, at.NNZ()+3)
+		}
+		for _, tasks := range teams {
 			team := parallel.NewTeam(tasks)
 			for _, strat := range []mttkrp.ConflictStrategy{
 				mttkrp.StrategyAuto, mttkrp.StrategyLock, mttkrp.StrategyPrivatize, mttkrp.StrategyTile,
@@ -289,16 +307,18 @@ func TestOperatorMatchesReferenceAcrossOrdersAndStrategies(t *testing.T) {
 					Strategy: strat, LockKind: locks.Spin,
 				})
 				for mode := range dims {
-					want := dense.NewMatrix(dims[mode], rank)
-					naiveMTTKRP(tt, factors, mode, want)
 					got := dense.NewMatrix(dims[mode], rank)
 					op.Apply(mode, factors, got)
-					if d := got.MaxAbsDiff(want); d > 1e-9 {
-						t.Errorf("dims=%v strat=%v tasks=%d mode=%d: deviates by %g",
-							dims, strat, tasks, mode, d)
+					if d := got.MaxAbsDiff(want[mode]); d > 1e-9 {
+						t.Errorf("%s strat=%v tasks=%d mode=%d: deviates by %g",
+							name, strat, tasks, mode, d)
 					}
 					if got, want := op.LastStrategy(), op.StrategyFor(mode); got != want {
 						t.Errorf("LastStrategy %v != StrategyFor %v", got, want)
+					}
+					if tasks > 1 && (strat == mttkrp.StrategyLock || strat == mttkrp.StrategyPrivatize) &&
+						op.LastStrategy() != strat {
+						t.Errorf("%s tasks=%d: forced %v ran %v", name, tasks, strat, op.LastStrategy())
 					}
 				}
 			}
@@ -377,14 +397,14 @@ func TestReuseStatsDriveDecision(t *testing.T) {
 	team := parallel.NewTeam(4)
 	defer team.Close()
 	op := NewOperator(at, team, 2, mttkrp.Options{LockKind: locks.Spin})
-	// Mode 0: 1 run, so runs/privRatio = 0 < dims*tasks → locks win under
-	// the reuse-driven rule even though nnz/privRatio would also be small.
+	// Mode 0: 1 run, so runs/PrivRatio = 0 < its window rows (one per
+	// task) → locks win under the reuse-driven rule.
 	if got := op.StrategyFor(0); got != mttkrp.StrategyLock {
 		t.Errorf("high-reuse mode chose %v, want lock", got)
 	}
-	// Mode 2 varies fastest (runs ≈ nnz): the rule degenerates to SPLATT's,
-	// and 64 rows × 4 tasks ≫ 64 runs / 50 → locks there too; a serial
-	// operator always reports StrategyNone.
+	// Mode 2 varies fastest (runs ≈ nnz), and its window rows far exceed
+	// 64 runs / 50 → locks there too; a serial operator always reports
+	// StrategyNone.
 	serial := NewOperator(at, nil, 2, mttkrp.Options{})
 	if got := serial.StrategyFor(0); got != mttkrp.StrategyNone {
 		t.Errorf("serial operator chose %v, want none", got)

@@ -36,8 +36,8 @@ type Operator struct {
 	rank int
 
 	pool   locks.Pool
-	priv   *parallel.Scratch
-	bounds []int // contiguous nonzero ranges, len tasks+1
+	priv   *mttkrp.Privatizer // per-task buffers over each task's row window
+	bounds []int              // contiguous nonzero ranges, len tasks+1
 
 	kernels []taskKernel // per-task tile workspaces
 
@@ -58,6 +58,11 @@ type taskKernel struct {
 	acc   []float64 // output-row accumulator (rank)
 	hprod []float64 // cached non-target Hadamard product (rank)
 
+	// Privatized output of the in-flight Apply: row r accumulates into
+	// priv[(r-privBase)·rank:]. Set only under StrategyPrivatize.
+	priv     []float64
+	privBase int
+
 	// Tile buffers for the native (BMI2) order-3 walker: pext3Tile batch-
 	// delinearizes tileN keys per assembly call, amortizing the call
 	// overhead to a fraction of a nanosecond per nonzero. Allocated only
@@ -77,9 +82,6 @@ func NewOperator(t *Tensor, team *parallel.Team, rank int, opts mttkrp.Options) 
 	o := &Operator{t: t, team: team, opts: opts, rank: rank}
 	o.pool = locks.NewPool(opts.LockKind, opts.PoolSize)
 	tasks := o.tasks()
-	// Grown to the output mode on the first privatized Apply: a
-	// dims×rank buffer up front can dwarf the nonzeros.
-	o.priv = parallel.NewScratch(tasks, 0)
 	o.bounds = make([]int, tasks+1)
 	for tid := 0; tid < tasks; tid++ {
 		begin, _ := parallel.Partition(t.NNZ(), tasks, tid)
@@ -87,11 +89,20 @@ func NewOperator(t *Tensor, team *parallel.Team, rank int, opts mttkrp.Options) 
 	}
 	o.bounds[tasks] = t.NNZ()
 
+	// Sorted keys make each task's range touch only a window of every
+	// mode's rows; the privatized buffers cover just those windows.
+	order := t.Order()
+	lo, hi := make([][]int, tasks), make([][]int, tasks)
+	for tid := range lo {
+		lo[tid], hi[tid] = make([]int, order), make([]int, order)
+		t.Window(o.bounds[tid], o.bounds[tid+1], lo[tid], hi[tid])
+	}
+	o.priv = mttkrp.NewPrivatizer(rank, lo, hi)
+
 	arena := opts.Arena
 	if arena == nil || arena.Tasks() < tasks {
 		arena = parallel.NewArena(tasks)
 	}
-	order := t.Order()
 	native3 := order == 3 && t.Hi == nil && t.Enc.native
 	o.kernels = make([]taskKernel, tasks)
 	for tid := range o.kernels {
@@ -110,6 +121,10 @@ func NewOperator(t *Tensor, team *parallel.Team, rank int, opts mttkrp.Options) 
 		begin, end := o.bounds[tid], o.bounds[tid+1]
 		if begin >= end {
 			return
+		}
+		if o.curStrategy == mttkrp.StrategyPrivatize {
+			k := &o.kernels[tid]
+			k.priv, k.privBase = o.priv.Open(tid)
 		}
 		switch {
 		case native3:
@@ -136,11 +151,12 @@ func (o *Operator) LastStrategy() mttkrp.ConflictStrategy { return o.lastStrateg
 // StrategyFor reports the conflict strategy Apply would use for a mode.
 //
 // The automatic decision adapts SPLATT's lock-vs-privatize rule to the
-// linearized layout: because row flushes happen once per fiber run, the
-// rule compares the privatization-reduction cost I_m × tasks against
-// runs(m) / privRatio — the *run* count, not nnz. A mode with high fiber
-// reuse (runs ≪ nnz) therefore leans toward locks, which it acquires
-// rarely, instead of paying the dense O(I_m × tasks) reduction.
+// linearized layout on both sides. The privatized cost is the sum of the
+// tasks' row windows, the rows their buffers zero and the reduction adds,
+// not I_m × tasks. The lock cost is runs(m), since a row flushes once
+// per fiber run, not once per nonzero. A mode with high fiber reuse
+// (runs ≪ nnz) therefore leans toward locks, which it acquires rarely;
+// a mode whose windows are narrow leans toward privatizing.
 func (o *Operator) StrategyFor(mode int) mttkrp.ConflictStrategy {
 	if o.tasks() == 1 {
 		return mttkrp.StrategyNone
@@ -155,8 +171,12 @@ func (o *Operator) StrategyFor(mode int) mttkrp.ConflictStrategy {
 		// Both fall back to the mutex pool (as CSF does for order > 3).
 		return mttkrp.StrategyLock
 	}
-	return mttkrp.Decide(o.t.Enc.Dims[mode], int(o.t.Runs(mode)), o.tasks(), o.opts.PrivRatio)
+	return mttkrp.Decide(o.priv.Rows(mode), int(o.t.Runs(mode)), o.tasks())
 }
+
+// WindowRows reports the rows mode's privatized buffers span: the sum over
+// tasks of the window of rows each task's nonzero range touches.
+func (o *Operator) WindowRows(mode int) int { return o.priv.Rows(mode) }
 
 // Apply computes out = MTTKRP(tensor, factors, mode). out must be
 // Dims[mode]×rank and is overwritten.
@@ -171,8 +191,7 @@ func (o *Operator) Apply(mode int, factors []*dense.Matrix, out *dense.Matrix) {
 	o.lastStrategy = strategy
 
 	if strategy == mttkrp.StrategyPrivatize {
-		o.priv.Grow(dims[mode] * o.rank)
-		o.priv.Zero(dims[mode] * o.rank)
+		o.priv.Stage(mode)
 	}
 	o.curMode, o.curFactors, o.curOut, o.curStrategy = mode, factors, out, strategy
 	if o.team == nil || o.team.N() == 1 {
@@ -182,14 +201,14 @@ func (o *Operator) Apply(mode int, factors []*dense.Matrix, out *dense.Matrix) {
 	}
 	o.curFactors, o.curOut = nil, nil
 	if strategy == mttkrp.StrategyPrivatize {
-		o.priv.ReduceInto(o.team, out.Data, dims[mode]*o.rank)
+		o.priv.Reduce(o.team, out)
 	}
 }
 
 // flush commits the accumulated output row under the conflict strategy and
 // clears the accumulator.
 func (o *Operator) flush(strategy mttkrp.ConflictStrategy, out *dense.Matrix,
-	privBuf []float64, row sptensor.Index, acc []float64) {
+	k *taskKernel, row sptensor.Index, acc []float64) {
 
 	id := int(row)
 	switch strategy {
@@ -198,11 +217,17 @@ func (o *Operator) flush(strategy mttkrp.ConflictStrategy, out *dense.Matrix,
 		dense.VecAdd(out.Row(id), acc)
 		o.pool.Unlock(id)
 	case mttkrp.StrategyPrivatize:
-		dense.VecAdd(privBuf[id*o.rank:id*o.rank+o.rank], acc)
+		dense.VecAdd(k.privRow(id, o.rank), acc)
 	default: // StrategyNone: single task, direct writes
 		dense.VecAdd(out.Row(id), acc)
 	}
 	dense.VecZero(acc)
+}
+
+// privRow is output row id's slot in the task's privatized window.
+func (k *taskKernel) privRow(id, rank int) []float64 {
+	off := (id - k.privBase) * rank
+	return k.priv[off : off+rank]
 }
 
 // runRange is the kernel body for one task's contiguous nonzero range: walk
@@ -229,11 +254,6 @@ func (o *Operator) runRange(tid, begin, end int) {
 		otherMask &^= 1 << uint(mode)
 	}
 
-	var privBuf []float64
-	if strategy == mttkrp.StrategyPrivatize {
-		privBuf = o.priv.Buf(tid)
-	}
-
 	prevLo := lo[begin]
 	var prevHi uint64
 	if hiArr != nil {
@@ -253,7 +273,7 @@ func (o *Operator) runRange(tid, begin, end int) {
 		mask := enc.Step(prevLo, prevHi, curLo, curHi, cur)
 		prevLo, prevHi = curLo, curHi
 		if row := sptensor.Index(cur[mode]); row != curRow {
-			o.flush(strategy, out, privBuf, curRow, acc)
+			o.flush(strategy, out, k, curRow, acc)
 			curRow = row
 		}
 		if mask&otherMask != 0 {
@@ -261,7 +281,7 @@ func (o *Operator) runRange(tid, begin, end int) {
 		}
 		dense.VecAxpy(acc, hprod, vals[x])
 	}
-	o.flush(strategy, out, privBuf, curRow, acc)
+	o.flush(strategy, out, k, curRow, acc)
 }
 
 // runRange3 is the 3rd-order narrow-encoding specialization of runRange:
@@ -289,11 +309,6 @@ func (o *Operator) runRange3(tid, begin, end int) {
 		ma, mb = 0, 1
 	}
 	fa, fb := factors[ma], factors[mb]
-
-	var privBuf []float64
-	if strategy == mttkrp.StrategyPrivatize {
-		privBuf = o.priv.Buf(tid)
-	}
 
 	prevLo := lo[begin]
 	cur := k.cur
@@ -345,7 +360,7 @@ func (o *Operator) runRange3(tid, begin, end int) {
 		}
 		prevLo = curLo
 		if rowChanged {
-			o.flushRun(strategy, out, privBuf, curRow, acc, hprod, vpend, pendValid, accUsed)
+			o.flushRun(strategy, out, k, curRow, acc, hprod, vpend, pendValid, accUsed)
 			curRow = sptensor.Index(curT)
 			pendValid, accUsed = false, false
 		}
@@ -371,7 +386,7 @@ func (o *Operator) runRange3(tid, begin, end int) {
 			pendValid = true
 		}
 	}
-	o.flushRun(strategy, out, privBuf, curRow, acc, hprod, vpend, pendValid, accUsed)
+	o.flushRun(strategy, out, k, curRow, acc, hprod, vpend, pendValid, accUsed)
 }
 
 // runRange3Native is the BMI2 variant of runRange3: instead of patching
@@ -410,10 +425,6 @@ func (o *Operator) runRange3Native(tid, begin, end int) {
 	mA := enc.pextMasks[3*ma]
 	mB := enc.pextMasks[3*mb]
 
-	var privBuf []float64
-	if strategy == mttkrp.StrategyPrivatize {
-		privBuf = o.priv.Buf(tid)
-	}
 	// Lock-free strategies write rank-strided rows of one flat array
 	// (task-private or the output itself), so the dominant dense-tensor
 	// step — new row on an unmaterialized single-value run — can flush with
@@ -421,9 +432,10 @@ func (o *Operator) runRange3Native(tid, begin, end int) {
 	// flush must stay inside the pool's critical section.
 	rank := o.rank
 	var flat []float64
+	flatBase := 0 // the first row flat holds
 	switch strategy {
 	case mttkrp.StrategyPrivatize:
-		flat = privBuf
+		flat, flatBase = k.priv, k.privBase
 	case mttkrp.StrategyLock:
 		// flat stays nil: fused fast path disabled
 	default:
@@ -482,10 +494,10 @@ func (o *Operator) runRange3Native(tid, begin, end int) {
 			}
 			// Row change: flush the finished run.
 			if flat != nil && pendValid && !accUsed {
-				id := int(curT) * rank
+				id := (int(curT) - flatBase) * rank
 				dense.VecMulAxpy(flat[id:id+rank], fa.Row(int(curA)), fb.Row(int(curB)), vpend)
 			} else {
-				o.flushRunRows(strategy, out, privBuf, curRow,
+				o.flushRunRows(strategy, out, k, curRow,
 					acc, fa.Row(int(curA)), fb.Row(int(curB)), vpend, pendValid, accUsed)
 				accUsed = false
 			}
@@ -495,7 +507,7 @@ func (o *Operator) runRange3Native(tid, begin, end int) {
 			pendValid = true
 		}
 	}
-	o.flushRunRows(strategy, out, privBuf, curRow,
+	o.flushRunRows(strategy, out, k, curRow,
 		acc, fa.Row(int(curA)), fb.Row(int(curB)), vpend, pendValid, accUsed)
 }
 
@@ -503,7 +515,7 @@ func (o *Operator) runRange3Native(tid, begin, end int) {
 // value flushes directly from the factor rows via the fused scaled-Hadamard
 // kernel.
 func (o *Operator) flushRunRows(strategy mttkrp.ConflictStrategy, out *dense.Matrix,
-	privBuf []float64, row sptensor.Index, acc, ra, rb []float64, vpend float64,
+	k *taskKernel, row sptensor.Index, acc, ra, rb []float64, vpend float64,
 	pendValid, accUsed bool) {
 
 	id := int(row)
@@ -515,7 +527,7 @@ func (o *Operator) flushRunRows(strategy mttkrp.ConflictStrategy, out *dense.Mat
 		locked = true
 		target = out.Row(id)
 	case mttkrp.StrategyPrivatize:
-		target = privBuf[id*o.rank : id*o.rank+o.rank]
+		target = k.privRow(id, o.rank)
 	default:
 		target = out.Row(id)
 	}
@@ -536,7 +548,7 @@ func (o *Operator) flushRunRows(strategy mttkrp.ConflictStrategy, out *dense.Mat
 // flushRun commits one output row's run: the materialized accumulator (if
 // any) plus the pending value under the current Hadamard product.
 func (o *Operator) flushRun(strategy mttkrp.ConflictStrategy, out *dense.Matrix,
-	privBuf []float64, row sptensor.Index, acc, hprod []float64, vpend float64,
+	k *taskKernel, row sptensor.Index, acc, hprod []float64, vpend float64,
 	pendValid, accUsed bool) {
 
 	id := int(row)
@@ -548,7 +560,7 @@ func (o *Operator) flushRun(strategy mttkrp.ConflictStrategy, out *dense.Matrix,
 		locked = true
 		target = out.Row(id)
 	case mttkrp.StrategyPrivatize:
-		target = privBuf[id*o.rank : id*o.rank+o.rank]
+		target = k.privRow(id, o.rank)
 	default:
 		target = out.Row(id)
 	}

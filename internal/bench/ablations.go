@@ -49,9 +49,9 @@ func (r *Runner) AblationBLAS() {
 	tbl.render(r.out)
 }
 
-// AblationLockDecision ablates the lock-vs-privatize rule (DESIGN.md §6.1):
-// force both strategies on both twins and compare with the automatic
-// decision.
+// AblationLockDecision ablates the lock-vs-privatize rule (mttkrp.Decide;
+// the `abllock` experiment in EXPERIMENTS.md): force both strategies on
+// both twins and compare with the automatic decision.
 func (r *Runner) AblationLockDecision() {
 	r.header("Ablation lock-vs-privatize", "forced conflict strategies vs. the automatic rule")
 	tasks := r.maxTasks()
@@ -85,8 +85,9 @@ func (r *Runner) AblationLockDecision() {
 	tbl.render(r.out)
 }
 
-// AblationCSFAlloc ablates the CSF allocation policy (DESIGN.md §6.2):
-// one/two/all-mode representations trade memory for conflict-free kernels.
+// AblationCSFAlloc ablates the CSF allocation policy (the `ablcsf`
+// experiment in EXPERIMENTS.md; README, "Tensor formats"): one/two/all-mode
+// representations trade memory for conflict-free kernels.
 func (r *Runner) AblationCSFAlloc() {
 	r.header("Ablation CSF allocation", "one vs two vs all-mode CSF representations")
 	tasks := r.maxTasks()

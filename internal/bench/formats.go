@@ -1,8 +1,11 @@
 package bench
 
 import (
+	"repro/internal/alto"
 	"repro/internal/core"
 	"repro/internal/format"
+	"repro/internal/mttkrp"
+	"repro/internal/parallel"
 	"repro/internal/perf"
 	"repro/internal/sptensor"
 )
@@ -39,22 +42,28 @@ func (r *Runner) AblationFormats() {
 			choice.String())
 	}
 	tbl.note("ALTO stores one linearized array for all modes (vs the multi-CSF")
-	tbl.note("set) and drives its lock-vs-privatize choice from fiber-reuse runs;")
+	tbl.note("set) and prices lock-vs-privatize by row windows and fiber runs;")
 	tbl.note("CSF's tree reuse wins on regular tensors, ALTO on hub-skewed ones")
 	tbl.render(r.out)
 
-	// Conflict-strategy interaction: the reuse-driven decision per mode.
+	// Conflict-strategy interaction: the window- and reuse-driven decision
+	// per mode, with both sides of the rule.
 	yelp := r.dataset("yelp")
 	stbl := newTable("ALTO auto conflict strategy per mode (YELP twin, "+humanInt(tasks)+" tasks)",
-		"Mode", "strategy")
-	opts := core.DefaultOptions()
-	opts.Format = format.ALTO
-	runner := mustRunner(yelp, r.cfg.Rank, tasks, opts)
-	for m := 0; m < yelp.NModes(); m++ {
-		stbl.addRow(humanInt(m), runner.StrategyFor(m).String())
+		"Mode", "strategy", "window rows", "I_m*tasks", "runs/"+humanInt(mttkrp.PrivRatio))
+	at, err := alto.FromCOO(yelp)
+	if err != nil {
+		panic(err)
 	}
-	runner.Close()
-	stbl.note("high fiber reuse in the linearized order leans a mode toward the")
-	stbl.note("lock pool (one acquisition per run) over the dense reduction")
+	team := parallel.NewTeam(tasks)
+	op := alto.NewOperator(at, team, r.cfg.Rank, mttkrp.DefaultOptions())
+	for m := 0; m < yelp.NModes(); m++ {
+		stbl.addRow(humanInt(m), op.StrategyFor(m).String(), humanInt(op.WindowRows(m)),
+			humanInt(yelp.Dims[m]*tasks), humanInt(int(at.Runs(m))/mttkrp.PrivRatio))
+	}
+	team.Close()
+	stbl.note("a mode privatizes when its window rows (the rows each task's key")
+	stbl.note("range touches, summed) are at most runs/50, since a row flushes once")
+	stbl.note("per run; I_m*tasks is what a whole-mode buffer per task would cost")
 	stbl.render(r.out)
 }

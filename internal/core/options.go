@@ -80,8 +80,6 @@ type Options struct {
 	LockKind locks.Kind
 	// Strategy forces the conflict strategy (StrategyAuto = decide).
 	Strategy mttkrp.ConflictStrategy
-	// PrivRatio overrides the lock-vs-privatize ratio (0 = default).
-	PrivRatio int
 	// SortVariant selects the §V-C sorting implementation.
 	SortVariant tsort.Variant
 	// Alloc selects the CSF allocation policy (CSF backend only).
@@ -195,10 +193,9 @@ func (o Options) backendConfig(spans *obs.SpanRecorder) format.Config {
 	return format.Config{
 		Rank: o.Rank,
 		Kernel: mttkrp.Options{
-			Access:    o.Access,
-			Strategy:  o.Strategy,
-			LockKind:  o.LockKind,
-			PrivRatio: o.PrivRatio,
+			Access:   o.Access,
+			Strategy: o.Strategy,
+			LockKind: o.LockKind,
 		},
 		Alloc:       o.Alloc,
 		SortVariant: o.SortVariant,

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/format"
+	"repro/internal/mttkrp"
 	"repro/internal/sketch"
 	"repro/internal/sptensor"
 )
@@ -76,20 +77,24 @@ func TestSessionMatchesCPD(t *testing.T) {
 // TestSessionSteadyStateAllocationFree is the engine-level counterpart of
 // the dense workspace tests: after one warm-up iteration, a full ALS
 // iteration (MTTKRP, Gram, solve, normalize, fit) allocates nothing, for
-// both storage backends and both solvers.
+// both storage backends and both solvers, and with the privatized
+// conflict strategy forced.
 func TestSessionSteadyStateAllocationFree(t *testing.T) {
 	tensor := sessionTensor(t)
 	for _, tc := range []struct {
-		name   string
-		format format.Spec
-		solver sketch.Solver
-		tasks  int
+		name     string
+		format   format.Spec
+		solver   sketch.Solver
+		tasks    int
+		strategy mttkrp.ConflictStrategy
 	}{
-		{"csf-als-serial", format.CSF, sketch.ALS, 1},
-		{"csf-als-parallel", format.CSF, sketch.ALS, 4},
-		{"alto-als-serial", format.ALTO, sketch.ALS, 1},
-		{"alto-als-parallel", format.ALTO, sketch.ALS, 4},
-		{"csf-arls-parallel", format.CSF, sketch.ARLS, 4},
+		{"csf-als-serial", format.CSF, sketch.ALS, 1, mttkrp.StrategyAuto},
+		{"csf-als-parallel", format.CSF, sketch.ALS, 4, mttkrp.StrategyAuto},
+		{"alto-als-serial", format.ALTO, sketch.ALS, 1, mttkrp.StrategyAuto},
+		{"alto-als-parallel", format.ALTO, sketch.ALS, 4, mttkrp.StrategyAuto},
+		{"csf-arls-parallel", format.CSF, sketch.ARLS, 4, mttkrp.StrategyAuto},
+		{"csf-als-privatize", format.CSF, sketch.ALS, 4, mttkrp.StrategyPrivatize},
+		{"alto-als-privatize", format.ALTO, sketch.ALS, 4, mttkrp.StrategyPrivatize},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := DefaultOptions()
@@ -99,6 +104,7 @@ func TestSessionSteadyStateAllocationFree(t *testing.T) {
 			opts.Tasks = tc.tasks
 			opts.Format = tc.format
 			opts.Solver = tc.solver
+			opts.Strategy = tc.strategy
 			s, err := NewSession(tensor, opts)
 			if err != nil {
 				t.Fatal(err)

@@ -215,31 +215,35 @@ func TestCOOParallelMatchesSerial(t *testing.T) {
 }
 
 func TestDecide(t *testing.T) {
+	// CSF's operands: I_n × tasks privatized rows against nnz flushes.
+	csfDecide := func(modeLen, nnz, tasks int) ConflictStrategy {
+		return Decide(modeLen*tasks, nnz, tasks)
+	}
 	// Serial never needs conflict handling.
-	if got := Decide(1000, 100000, 1, 0); got != StrategyNone {
+	if got := csfDecide(1000, 100000, 1); got != StrategyNone {
 		t.Errorf("serial: got %v, want none", got)
 	}
 	// YELP-like ratio (~107 nnz per slice of the longest mode): privatize
 	// at 2 tasks, lock at 4+ — the paper's "locks beyond two" behaviour.
 	modeLen, nnz := 75000, 8000000
-	if got := Decide(modeLen, nnz, 2, 0); got != StrategyPrivatize {
+	if got := csfDecide(modeLen, nnz, 2); got != StrategyPrivatize {
 		t.Errorf("yelp@2: got %v, want privatize", got)
 	}
-	if got := Decide(modeLen, nnz, 4, 0); got != StrategyLock {
+	if got := csfDecide(modeLen, nnz, 4); got != StrategyLock {
 		t.Errorf("yelp@4: got %v, want lock", got)
 	}
 	// NELL-2-like ratio (~2655): privatize at every task count evaluated.
 	modeLen, nnz = 29000, 77000000
 	for _, tasks := range []int{2, 4, 8, 16, 32} {
-		if got := Decide(modeLen, nnz, tasks, 0); got != StrategyPrivatize {
+		if got := csfDecide(modeLen, nnz, tasks); got != StrategyPrivatize {
 			t.Errorf("nell-2@%d: got %v, want privatize", tasks, got)
 		}
 	}
 	// The rule is scale invariant: the twins at 1/64 scale decide the same.
-	if got := Decide(75000/64, 8000000/64, 4, 0); got != StrategyLock {
+	if got := csfDecide(75000/64, 8000000/64, 4); got != StrategyLock {
 		t.Errorf("yelp/64@4: got %v, want lock", got)
 	}
-	if got := Decide(29000/64, 77000000/64, 32, 0); got != StrategyPrivatize {
+	if got := csfDecide(29000/64, 77000000/64, 32); got != StrategyPrivatize {
 		t.Errorf("nell-2/64@32: got %v, want privatize", got)
 	}
 }

@@ -26,7 +26,7 @@ type Operator struct {
 	rank int
 
 	pool   locks.Pool
-	priv   *parallel.Scratch
+	priv   *Privatizer
 	bounds [][]int // per CSF: slice partition bounds (len tasks+1)
 
 	// tilings caches tile schedules per (CSF, level), built on first use
@@ -66,9 +66,14 @@ func NewOperator(set *csf.Set, team *parallel.Team, rank int, opts Options) *Ope
 	o := &Operator{set: set, team: team, opts: opts, rank: rank}
 	o.pool = locks.NewPool(opts.LockKind, opts.PoolSize)
 	tasks := o.tasks()
-	// Grown to the output mode on the first privatized Apply: a
-	// dims×rank buffer up front can dwarf the nonzeros.
-	o.priv = parallel.NewScratch(tasks, 0)
+	// A slice partition bounds no mode's rows, so every task's privatized
+	// window is the whole mode.
+	dims := set.CSFs[0].Dims
+	lo, hi := make([][]int, tasks), make([][]int, tasks)
+	for tid := range lo {
+		lo[tid], hi[tid] = make([]int, len(dims)), dims
+	}
+	o.priv = NewPrivatizer(rank, lo, hi)
 	o.bounds = make([][]int, len(set.CSFs))
 	for i, c := range set.CSFs {
 		o.bounds[i] = parallel.PartitionByWeight(c.SliceWeights(), tasks)
@@ -97,7 +102,11 @@ func NewOperator(set *csf.Set, team *parallel.Team, rank int, opts Options) *Ope
 		if begin >= end {
 			return
 		}
-		o.runKernel(o.curCSF, o.curLevel, o.curFactors, o.curOut, o.curStrategy, tid, begin, end)
+		var priv []float64
+		if o.curStrategy == StrategyPrivatize {
+			priv, _ = o.priv.Open(tid) // CSF windows start at row 0
+		}
+		o.runKernel(o.curCSF, o.curLevel, o.curFactors, o.curOut, o.curStrategy, priv, tid, begin, end)
 	}
 	o.tileBody = func(tid int) {
 		c, layout := o.curCSF, o.curLayout
@@ -132,7 +141,7 @@ func (o *Operator) StrategyFor(mode int) ConflictStrategy {
 	}
 	switch o.opts.Strategy {
 	case StrategyAuto:
-		return Decide(c.Dims[mode], c.NNZ(), o.tasks(), o.opts.PrivRatio)
+		return Decide(o.priv.Rows(mode), c.NNZ(), o.tasks())
 	case StrategyNone:
 		// Non-root rows scatter across tasks: unsynchronized writes
 		// would race, so a forced none runs the mutex pool.
@@ -174,10 +183,8 @@ func (o *Operator) Apply(mode int, factors []*dense.Matrix, out *dense.Matrix) {
 	}
 
 	if strategy == StrategyPrivatize {
-		o.priv.Grow(c.Dims[mode] * o.rank)
-		o.priv.Zero(c.Dims[mode] * o.rank)
+		o.priv.Stage(mode)
 	}
-
 	if o.team == nil || o.team.N() == 1 {
 		o.runBody(0)
 	} else {
@@ -186,7 +193,7 @@ func (o *Operator) Apply(mode int, factors []*dense.Matrix, out *dense.Matrix) {
 	o.curFactors, o.curOut = nil, nil
 
 	if strategy == StrategyPrivatize {
-		o.priv.ReduceInto(o.team, out.Data, c.Dims[mode]*o.rank)
+		o.priv.Reduce(o.team, out)
 	}
 }
 
@@ -212,8 +219,9 @@ func (o *Operator) applyTiled(c *csf.CSF, level, csfIdx int) {
 }
 
 // sinkFor stages and returns task tid's persistent sink for the strategy
-// (pointer-backed, so the interface conversion never allocates).
-func (o *Operator) sinkFor(level int, strategy ConflictStrategy, out *dense.Matrix, tid int) rowSink {
+// (pointer-backed, so the interface conversion never allocates); priv is
+// the task's privatized buffer.
+func (o *Operator) sinkFor(level int, strategy ConflictStrategy, out *dense.Matrix, priv []float64, tid int) rowSink {
 	switch {
 	case level == 0 || strategy == StrategyNone:
 		o.dSinks[tid] = newDirectSink(out)
@@ -222,22 +230,23 @@ func (o *Operator) sinkFor(level int, strategy ConflictStrategy, out *dense.Matr
 		o.lSinks[tid] = newLockSink(out, o.pool)
 		return &o.lSinks[tid]
 	default:
-		o.pSinks[tid] = newPrivSink(o.priv.Buf(tid), o.rank)
+		o.pSinks[tid] = newPrivSink(priv, o.rank)
 		return &o.pSinks[tid]
 	}
 }
 
-// runKernel dispatches one task's slice range to the right kernel body.
+// runKernel dispatches one task's slice range to the right kernel body;
+// priv is the task's privatized buffer under StrategyPrivatize.
 func (o *Operator) runKernel(c *csf.CSF, level int, factors []*dense.Matrix,
-	out *dense.Matrix, strategy ConflictStrategy, tid, begin, end int) {
+	out *dense.Matrix, strategy ConflictStrategy, priv []float64, tid, begin, end int) {
 
 	if c.Order() == 3 {
-		o.run3(c, level, factors, out, strategy, tid, begin, end)
+		o.run3(c, level, factors, out, strategy, priv, tid, begin, end)
 		return
 	}
 	// Arbitrary-order generic walker (pointer access only; the paper's
 	// access study is 3rd-order).
-	sink := o.sinkFor(level, strategy, out, tid)
+	sink := o.sinkFor(level, strategy, out, priv, tid)
 	w := o.walkers[tid]
 	if w == nil {
 		w = newNWalker(c.Order(), o.rank)
@@ -250,7 +259,7 @@ func (o *Operator) runKernel(c *csf.CSF, level int, factors []*dense.Matrix,
 // run3 dispatches the 3rd-order fast paths across the access-mode and
 // conflict-strategy axes.
 func (o *Operator) run3(c *csf.CSF, level int, factors []*dense.Matrix,
-	out *dense.Matrix, strategy ConflictStrategy, tid, begin, end int) {
+	out *dense.Matrix, strategy ConflictStrategy, priv []float64, tid, begin, end int) {
 
 	aRoot := factors[c.ModeOrder[0]]
 	aMid := factors[c.ModeOrder[1]]
@@ -267,7 +276,7 @@ func (o *Operator) run3(c *csf.CSF, level int, factors []*dense.Matrix,
 			case StrategyLock:
 				internal3RefLock(c, aRoot, aLeaf, out, o.pool, acc, begin, end)
 			case StrategyPrivatize:
-				internal3RefPriv(c, aRoot, aLeaf, o.priv.Buf(tid), o.rank, acc, begin, end)
+				internal3RefPriv(c, aRoot, aLeaf, priv, o.rank, acc, begin, end)
 			default:
 				internal3RefDirect(c, aRoot, aLeaf, out, acc, begin, end)
 			}
@@ -276,7 +285,7 @@ func (o *Operator) run3(c *csf.CSF, level int, factors []*dense.Matrix,
 			case StrategyLock:
 				leaf3RefLock(c, aRoot, aMid, out, o.pool, acc, begin, end)
 			case StrategyPrivatize:
-				leaf3RefPriv(c, aRoot, aMid, o.priv.Buf(tid), o.rank, acc, begin, end)
+				leaf3RefPriv(c, aRoot, aMid, priv, o.rank, acc, begin, end)
 			default:
 				leaf3RefDirect(c, aRoot, aMid, out, acc, begin, end)
 			}
@@ -287,13 +296,13 @@ func (o *Operator) run3(c *csf.CSF, level int, factors []*dense.Matrix,
 	switch o.opts.Access {
 	case AccessPointer:
 		run3Port(o, c, level, newPtrAccess(aRoot), newPtrAccess(aMid), newPtrAccess(aLeaf),
-			out, strategy, tid, acc, tmp, begin, end)
+			out, strategy, priv, acc, tmp, begin, end)
 	case AccessIndex2D:
 		run3Port(o, c, level, newIdx2DAccess(aRoot), newIdx2DAccess(aMid), newIdx2DAccess(aLeaf),
-			out, strategy, tid, acc, tmp, begin, end)
+			out, strategy, priv, acc, tmp, begin, end)
 	case AccessSlice:
 		run3Port(o, c, level, newSliceAccess(aRoot), newSliceAccess(aMid), newSliceAccess(aLeaf),
-			out, strategy, tid, acc, tmp, begin, end)
+			out, strategy, priv, acc, tmp, begin, end)
 	default:
 		panic(fmt.Sprintf("mttkrp: unknown access mode %v", o.opts.Access))
 	}
@@ -301,7 +310,7 @@ func (o *Operator) run3(c *csf.CSF, level int, factors []*dense.Matrix,
 
 // run3Port instantiates the port kernels for one accessor type.
 func run3Port[A accessor](o *Operator, c *csf.CSF, level int, aRoot, aMid, aLeaf A,
-	out *dense.Matrix, strategy ConflictStrategy, tid int, acc, tmp []float64, begin, end int) {
+	out *dense.Matrix, strategy ConflictStrategy, priv, acc, tmp []float64, begin, end int) {
 
 	switch level {
 	case 0:
@@ -311,7 +320,7 @@ func run3Port[A accessor](o *Operator, c *csf.CSF, level int, aRoot, aMid, aLeaf
 		case StrategyLock:
 			internal3Port(c, aRoot, aLeaf, newLockSink(out, o.pool), acc, begin, end)
 		case StrategyPrivatize:
-			internal3Port(c, aRoot, aLeaf, newPrivSink(o.priv.Buf(tid), o.rank), acc, begin, end)
+			internal3Port(c, aRoot, aLeaf, newPrivSink(priv, o.rank), acc, begin, end)
 		default:
 			internal3Port(c, aRoot, aLeaf, newDirectSink(out), acc, begin, end)
 		}
@@ -320,7 +329,7 @@ func run3Port[A accessor](o *Operator, c *csf.CSF, level int, aRoot, aMid, aLeaf
 		case StrategyLock:
 			leaf3Port(c, aRoot, aMid, newLockSink(out, o.pool), acc, tmp, begin, end)
 		case StrategyPrivatize:
-			leaf3Port(c, aRoot, aMid, newPrivSink(o.priv.Buf(tid), o.rank), acc, tmp, begin, end)
+			leaf3Port(c, aRoot, aMid, newPrivSink(priv, o.rank), acc, tmp, begin, end)
 		default:
 			leaf3Port(c, aRoot, aMid, newDirectSink(out), acc, tmp, begin, end)
 		}

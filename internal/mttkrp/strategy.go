@@ -130,24 +130,26 @@ func ParseStrategy(s string) (ConflictStrategy, error) {
 	return StrategyAuto, fmt.Errorf("mttkrp: unknown conflict strategy %q", s)
 }
 
-// DefaultPrivRatio is the divisor in the lock-vs-privatize rule: privatize
-// mode n iff I_n × tasks ≤ nnz / DefaultPrivRatio. The value 50 reproduces
-// the paper's observed split (§V-D): the YELP twin needs locks for its
-// 41k-mode beyond ~3 tasks, while every NELL-2 mode privatizes at any task
-// count we can run, because the rule depends only on the scale-invariant
-// nnz/I_n ratio. See DESIGN.md §6 and the abl2 ablation.
-const DefaultPrivRatio = 50
+// PrivRatio is the divisor of the lock-vs-privatize rule: privatize a mode
+// iff its privatized rows are at most its flushes / PrivRatio. The value
+// 50 reproduces the paper's observed split (§V-D) for CSF, which counts
+// I_n × tasks rows against nnz: the YELP twin needs locks for its 41k-mode
+// beyond ~3 tasks, while every NELL-2 mode privatizes at any task count we
+// can run, because the rule depends only on the scale-invariant nnz/I_n
+// ratio. The `abllock` ablation (EXPERIMENTS.md, "Experiment ids") forces
+// each strategy against the rule.
+const PrivRatio = 50
 
-// Decide picks the conflict strategy for a non-root mode of length modeLen
-// in a tensor with nnz nonzeros decomposed by `tasks` tasks.
-func Decide(modeLen, nnz, tasks, privRatio int) ConflictStrategy {
+// Decide picks the conflict strategy for a non-root mode decomposed by
+// `tasks` tasks. privRows is the number of rows the privatized buffers hold
+// and the reduction adds (Privatizer.Rows); flushes is the number of
+// output-row updates the kernels make, each one lock acquisition under
+// StrategyLock.
+func Decide(privRows, flushes, tasks int) ConflictStrategy {
 	if tasks <= 1 {
 		return StrategyNone
 	}
-	if privRatio <= 0 {
-		privRatio = DefaultPrivRatio
-	}
-	if int64(modeLen)*int64(tasks) <= int64(nnz)/int64(privRatio) {
+	if int64(privRows) <= int64(flushes)/PrivRatio {
 		return StrategyPrivatize
 	}
 	return StrategyLock
@@ -163,8 +165,6 @@ type Options struct {
 	LockKind locks.Kind
 	// PoolSize is the mutex-pool stripe count (0 = locks.DefaultPoolSize).
 	PoolSize int
-	// PrivRatio overrides DefaultPrivRatio (0 = default).
-	PrivRatio int
 	// Arena, when non-nil, supplies the operators' per-task kernel
 	// workspaces (tile index columns, accumulators, walker scratch) from
 	// the engine's shared per-run arena instead of private allocations.

@@ -12,41 +12,38 @@ import (
 )
 
 // TestDecideBoundaries pins the lock-vs-privatize rule at its edges:
-// privatize iff I_n × tasks ≤ nnz / privRatio.
+// privatize iff privatized rows ≤ flushes / PrivRatio.
 func TestDecideBoundaries(t *testing.T) {
 	// tasks <= 1 short-circuits to direct writes regardless of the ratio.
-	if got := Decide(10, 1_000_000, 1, 50); got != StrategyNone {
+	if got := Decide(10, 1_000_000, 1); got != StrategyNone {
 		t.Errorf("tasks=1: %v, want none", got)
 	}
-	if got := Decide(10, 1_000_000, 0, 50); got != StrategyNone {
+	if got := Decide(10, 1_000_000, 0); got != StrategyNone {
 		t.Errorf("tasks=0: %v, want none", got)
 	}
 
-	// Exact equality: modeLen*tasks == nnz/privRatio must privatize (the
-	// rule is ≤, matching SPLATT).
+	// Exact equality: rows == flushes/PrivRatio must privatize (the rule
+	// is ≤, matching SPLATT).
 	const modeLen, tasks, ratio = 10, 4, 50
-	exact := modeLen * tasks * ratio // nnz/ratio == modeLen*tasks exactly
-	if got := Decide(modeLen, exact, tasks, ratio); got != StrategyPrivatize {
+	rows := modeLen * tasks
+	exact := rows * ratio // flushes/ratio == rows exactly
+	if got := Decide(rows, exact, tasks); got != StrategyPrivatize {
 		t.Errorf("exact equality: %v, want privatize", got)
 	}
 	// One integer step below the threshold flips to locks.
-	if got := Decide(modeLen, exact-ratio, tasks, ratio); got != StrategyLock {
+	if got := Decide(rows, exact-ratio, tasks); got != StrategyLock {
 		t.Errorf("just under: %v, want lock", got)
 	}
 
-	// privRatio <= 0 falls back to DefaultPrivRatio.
-	for _, bad := range []int{0, -7} {
-		if got, want := Decide(modeLen, exact, tasks, bad), Decide(modeLen, exact, tasks, DefaultPrivRatio); got != want {
-			t.Errorf("privRatio=%d: %v, want default behaviour %v", bad, got, want)
-		}
-	}
-	if DefaultPrivRatio != ratio {
-		t.Fatalf("test constants assume DefaultPrivRatio == %d (got %d)", ratio, DefaultPrivRatio)
+	// The ratio is a constant, no longer an option.
+	if PrivRatio != ratio {
+		t.Fatalf("test constants assume PrivRatio == %d (got %d)", ratio, PrivRatio)
 	}
 
-	// Degenerate inputs: zero nnz can never satisfy a positive threshold.
-	if got := Decide(1, 0, 2, 50); got != StrategyLock {
-		t.Errorf("nnz=0: %v, want lock", got)
+	// Degenerate inputs: zero flushes can never satisfy a positive
+	// threshold.
+	if got := Decide(2, 0, 2); got != StrategyLock {
+		t.Errorf("flushes=0: %v, want lock", got)
 	}
 }
 

@@ -69,32 +69,3 @@ func TestArenaGrowthKeepsOldBuffersValid(t *testing.T) {
 		t.Fatal("pre-growth buffer lost its contents")
 	}
 }
-
-func TestScratchReduceIntoMatchesSerialSum(t *testing.T) {
-	team := NewTeam(3)
-	defer team.Close()
-	s := NewScratch(3, 10)
-	for tid := 0; tid < 3; tid++ {
-		for i := 0; i < 10; i++ {
-			s.Buf(tid)[i] = float64(tid + i)
-		}
-	}
-	dst := make([]float64, 10)
-	for i := range dst {
-		dst[i] = 1
-	}
-	s.ReduceInto(team, dst, 10)
-	for i := range dst {
-		want := 1.0
-		for tid := 0; tid < 3; tid++ {
-			want += float64(tid + i)
-		}
-		if dst[i] != want {
-			t.Fatalf("dst[%d] = %g, want %g", i, dst[i], want)
-		}
-	}
-	// The reduction body is cached: repeated reductions allocate nothing.
-	if n := testing.AllocsPerRun(10, func() { s.ReduceInto(team, dst, 10) }); n != 0 {
-		t.Errorf("ReduceInto allocates %.1f per call, want 0", n)
-	}
-}

@@ -219,44 +219,6 @@ func TestForBlocksTileRange(t *testing.T) {
 	}
 }
 
-func TestScratchReduceInto(t *testing.T) {
-	const tasks, n = 3, 40
-	s := NewScratch(tasks, n)
-	for tid := 0; tid < tasks; tid++ {
-		for i := 0; i < n; i++ {
-			s.Buf(tid)[i] = float64(tid + 1)
-		}
-	}
-	dst := make([]float64, n)
-	for i := range dst {
-		dst[i] = 10
-	}
-	team := NewTeam(2)
-	defer team.Close()
-	s.ReduceInto(team, dst, n)
-	for i, v := range dst {
-		if v != 10+1+2+3 {
-			t.Fatalf("dst[%d] = %g, want 16", i, v)
-		}
-	}
-}
-
-func TestScratchGrowAndZero(t *testing.T) {
-	s := NewScratch(2, 4)
-	s.Grow(16)
-	if len(s.Buf(0)) < 16 || len(s.Buf(1)) < 16 {
-		t.Fatal("grow did not resize")
-	}
-	s.Buf(0)[3] = 7
-	s.Zero(8)
-	if s.Buf(0)[3] != 0 {
-		t.Error("zero did not clear")
-	}
-	if s.Tasks() != 2 {
-		t.Errorf("tasks = %d", s.Tasks())
-	}
-}
-
 func TestReduceHelpers(t *testing.T) {
 	if v := ReduceSum([]float64{1, 2, 3.5}); v != 6.5 {
 		t.Errorf("ReduceSum = %g", v)

@@ -1,90 +1,5 @@
 package parallel
 
-// Scratch is per-task workspace, SPLATT's thd_info: each task owns a private
-// float64 buffer (used for privatized MTTKRP accumulation and partial column
-// norms) that persists across parallel regions to avoid re-allocation inside
-// the CP-ALS iteration loop — the exact allocation-churn problem the paper's
-// sorting study diagnoses (§V-C).
-type Scratch struct {
-	bufs [][]float64
-
-	// Staged reduction operands + a body built on first use, so the
-	// per-iteration privatized-MTTKRP reduction dispatches without
-	// materializing a closure.
-	redDst   []float64
-	redN     int
-	redTasks int
-	redBody  func(tid int)
-}
-
-// NewScratch creates per-task buffers: tasks buffers of `size` float64s.
-func NewScratch(tasks, size int) *Scratch {
-	s := &Scratch{bufs: make([][]float64, tasks)}
-	for i := range s.bufs {
-		s.bufs[i] = make([]float64, size)
-	}
-	return s
-}
-
-// Tasks reports the number of per-task buffers.
-func (s *Scratch) Tasks() int { return len(s.bufs) }
-
-// Buf returns task tid's buffer.
-func (s *Scratch) Buf(tid int) []float64 { return s.bufs[tid] }
-
-// Grow ensures every buffer holds at least size elements, reallocating only
-// when needed. Contents are not preserved on reallocation.
-func (s *Scratch) Grow(size int) {
-	for i := range s.bufs {
-		if len(s.bufs[i]) < size {
-			s.bufs[i] = make([]float64, size)
-		}
-	}
-}
-
-// Zero clears the first n elements of every task buffer.
-func (s *Scratch) Zero(n int) {
-	for i := range s.bufs {
-		b := s.bufs[i]
-		if n < len(b) {
-			b = b[:n]
-		}
-		for j := range b {
-			b[j] = 0
-		}
-	}
-}
-
-// ReduceInto sums the first n elements of every task buffer into dst
-// (dst[i] += Σ_tid buf[tid][i]), splitting the element range across the
-// team. This is the parallel reduction SPLATT performs after privatized
-// MTTKRP accumulation (thd_reduce).
-func (s *Scratch) ReduceInto(t *Team, dst []float64, n int) {
-	if s.redBody == nil {
-		s.redBody = func(tid int) {
-			begin, end := Partition(s.redN, s.redTasks, tid)
-			tasks := len(s.bufs)
-			dst := s.redDst
-			for i := begin; i < end; i++ {
-				acc := dst[i]
-				for tid := 0; tid < tasks; tid++ {
-					acc += s.bufs[tid][i]
-				}
-				dst[i] = acc
-			}
-		}
-	}
-	s.redDst, s.redN = dst, n
-	if t == nil || t.N() == 1 {
-		s.redTasks = 1
-		s.redBody(0)
-	} else {
-		s.redTasks = t.N()
-		t.Run(s.redBody)
-	}
-	s.redDst = nil
-}
-
 // ReduceSum tree-reduces scalar partials: returns Σ parts[i]. Convenience
 // for per-task partial sums (fit computation, norms).
 func ReduceSum(parts []float64) float64 {

@@ -6,7 +6,8 @@
 // paper's Chapel port had to emulate, §IV-B): a Team is the `omp parallel`
 // region / Chapel `coforall`, Partition is the manually computed loop bounds
 // that replace `omp for` inside a parallel region, Barrier is `omp barrier`,
-// and Scratch is SPLATT's per-thread `thd_info` buffers.
+// and Arena is the per-task workspace. SPLATT's per-thread `thd_info`
+// output buffers are mttkrp.Privatizer.
 package parallel
 
 import (
