@@ -73,9 +73,10 @@ type levTable struct {
 }
 
 // Sampler owns the sampled-MTTKRP machinery for one tensor (or tensor
-// shard): the nonzero arrays in global coordinates, a lazily built
-// per-mode fiber index keyed by the complement multi-index, and the cached
-// per-mode leverage-score distributions.
+// shard): the nonzero arrays in global coordinates, per-mode fiber
+// indexes keyed by the complement multi-index (built for every mode at the
+// first SampledMTTKRP), and the cached per-mode leverage-score
+// distributions.
 type Sampler struct {
 	dims    []int
 	offsets []int
@@ -348,33 +349,90 @@ func (t *levTable) draw(u float64) int {
 	return i
 }
 
-// buildFiberIndex sorts the nonzeros of mode m by complement key so every
+// buildFiberIndexes sorts every mode's nonzeros by complement key, so a
 // sampled Khatri-Rao row resolves to its tensor fiber with one binary
-// search. The keys are computed in nonzero order next to an identity
-// permutation and radix-sorted carrying it (sptensor.SortPerm); the sort
-// is stable, so equal keys keep nonzero-id order.
-func (s *Sampler) buildFiberIndex(m int) {
-	if s.keys[m] != nil {
+// search. SampledMTTKRP builds all modes at its first call; each team task
+// builds whole modes (tid, tid+tasks, …), so the indexes do not depend on
+// the team size.
+//
+// Mode m is ordered without sorting keys: one stable counting pass per
+// complement mode, least significant (last) first, leaves the nonzeros in
+// lexicographic complement-coordinate order, which is ascending key order
+// with equal keys in nonzero-id order. Mode n's pass counts into dims[n]+1
+// int32 entries, a quarter of mode n's leverage table. The first pass
+// scatters the identity order; each later pass reads its mode's
+// coordinates through the previous pass's permutation. The keys are then
+// gathered in permutation order. Besides the indexes, each building task
+// holds one maxDim+1 histogram and a 4-byte-per-nonzero permutation
+// buffer.
+func (s *Sampler) buildFiberIndexes() {
+	order := len(s.dims)
+	for m := range s.keys {
+		s.keys[m] = make([]uint64, s.nnz)
+		s.perm[m] = make([]int32, s.nnz)
+	}
+	tasks := 1
+	if s.team != nil {
+		tasks = s.team.N()
+	}
+	s.runTeam(func(tid int) {
+		if tid >= order {
+			return
+		}
+		hist := make([]int32, s.maxDim+1)
+		buf := make([]int32, s.nnz)
+		for m := tid; m < order; m += tasks {
+			keys, perm := s.keys[m], s.perm[m]
+			// The order-1 passes alternate between perm and buf, the last
+			// into perm.
+			dst, other := perm, buf
+			if order%2 == 1 {
+				dst, other = buf, perm
+			}
+			var src []int32 // nil: the identity order
+			for n := order - 1; n >= 0; n-- {
+				if n != m {
+					countPass(dst, src, s.coords[n], hist[:s.dims[n]+1])
+					src, dst, other = dst, other, dst
+				}
+			}
+			radix := s.radix[m]
+			for i, x := range perm {
+				k := uint64(0)
+				for n := 0; n < order; n++ {
+					if n != m {
+						k += uint64(s.coords[n][x]) * radix[n]
+					}
+				}
+				keys[i] = k
+			}
+		}
+	})
+}
+
+// countPass stably scatters the nonzero ids src lists (nil: every id in
+// increasing order) into dst by ascending coordinate col[id]. hist needs
+// one more entry than the coordinates' range.
+func countPass(dst, src []int32, col []sptensor.Index, hist []int32) {
+	clear(hist)
+	for _, c := range col {
+		hist[c+1]++
+	}
+	for i := 1; i < len(hist); i++ {
+		hist[i] += hist[i-1]
+	}
+	if src == nil {
+		for x, c := range col {
+			dst[hist[c]] = int32(x)
+			hist[c]++
+		}
 		return
 	}
-	keys := make([]uint64, s.nnz)
-	perm := make([]int32, s.nnz)
-	radix := s.radix[m]
-	order := len(s.dims)
-	for x := 0; x < s.nnz; x++ {
-		k := uint64(0)
-		for n := 0; n < order; n++ {
-			if n == m {
-				continue
-			}
-			k += uint64(s.coords[n][x]) * radix[n]
-		}
-		keys[x] = k
-		perm[x] = int32(x)
+	for _, x := range src {
+		c := col[x]
+		dst[hist[c]] = x
+		hist[c]++
 	}
-	sptensor.SortPerm(perm, make([]int32, s.nnz), keys, make([]uint64, s.nnz))
-	s.keys[m] = keys
-	s.perm[m] = perm
 }
 
 // drawSamples draws the deterministic sample set for (mode, iter) into the
@@ -435,7 +493,9 @@ func (s *Sampler) SampledMTTKRP(mode, iter int, factors []*dense.Matrix, out, no
 		}
 	}
 	span := s.spans.Start()
-	s.buildFiberIndex(mode)
+	if s.keys[mode] == nil {
+		s.buildFiberIndexes()
+	}
 	s.drawSamples(mode, iter)
 	s.spans.EndMode(obs.PhaseSample, span, mode)
 	span = s.spans.Start()

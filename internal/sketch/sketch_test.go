@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -212,11 +213,13 @@ func (h hugeSource) ForEachNonzero(func(coord []sptensor.Index, val float64)) {
 	h.t.Error("NewSampler streamed a source above the nonzero bound")
 }
 
-// TestFiberIndexMatchesComparisonSort pins the radix-sorted fiber index
-// bitwise to the comparison order it replaced: complement key, then
-// nonzero id. The nonzeros are shuffled and share complement keys, so the
-// id tie-break decides most positions; the sharded case keys local
-// mode-0 coordinates shifted by their offset.
+// TestFiberIndexMatchesComparisonSort pins the counting-sorted fiber
+// indexes bitwise to the comparison order they replaced: complement key,
+// then nonzero id. The nonzeros are shuffled and share complement keys, so
+// the id tie-break decides most positions; order 2 has a mode longer than
+// nnz, and the sharded case keys local mode-0 coordinates shifted by their
+// offset. Teams of 1, 2 and 3 tasks build the modes on different tasks and
+// must agree.
 func TestFiberIndexMatchesComparisonSort(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -231,49 +234,55 @@ func TestFiberIndexMatchesComparisonSort(t *testing.T) {
 		{"sharded", []int{30, 10, 8}, []int{10, 10, 8}, []int{20, 0, 0}, 600},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			local := tc.local
-			if local == nil {
-				local = tc.dims
-			}
-			tt := sptensor.Random(local, tc.nnz, 3)
-			rand.New(rand.NewSource(4)).Shuffle(tt.NNZ(), tt.Swap)
-			s, err := NewSampler(cooSource{tt}, tc.dims, Config{Rank: 2, Offsets: tc.offsets})
-			if err != nil {
-				t.Fatal(err)
-			}
-			n := tt.NNZ()
-			for m := range tc.dims {
-				keys := make([]uint64, n)
-				ids := make([]int, n)
-				for x := range ids {
-					ids[x] = x
-					for k := range tc.dims {
-						if k != m {
-							c := int(tt.Inds[k][x])
-							if tc.offsets != nil {
-								c += tc.offsets[k]
+			for _, tasks := range []int{1, 2, 3} {
+				t.Run(fmt.Sprintf("tasks=%d", tasks), func(t *testing.T) {
+					local := tc.local
+					if local == nil {
+						local = tc.dims
+					}
+					tt := sptensor.Random(local, tc.nnz, 3)
+					rand.New(rand.NewSource(4)).Shuffle(tt.NNZ(), tt.Swap)
+					team := parallel.NewTeam(tasks)
+					defer team.Close()
+					s, err := NewSampler(cooSource{tt}, tc.dims, Config{Rank: 2, Offsets: tc.offsets, Team: team})
+					if err != nil {
+						t.Fatal(err)
+					}
+					s.buildFiberIndexes()
+					n := tt.NNZ()
+					for m := range tc.dims {
+						keys := make([]uint64, n)
+						ids := make([]int, n)
+						for x := range ids {
+							ids[x] = x
+							for k := range tc.dims {
+								if k != m {
+									c := int(tt.Inds[k][x])
+									if tc.offsets != nil {
+										c += tc.offsets[k]
+									}
+									keys[x] += uint64(c) * s.radix[m][k]
+								}
 							}
-							keys[x] += uint64(c) * s.radix[m][k]
+						}
+						sort.Slice(ids, func(a, b int) bool {
+							x, y := ids[a], ids[b]
+							if keys[x] != keys[y] {
+								return keys[x] < keys[y]
+							}
+							return x < y
+						})
+						if len(s.keys[m]) != n || len(s.perm[m]) != n {
+							t.Fatalf("mode %d: index holds %d keys, %d ids; want %d", m, len(s.keys[m]), len(s.perm[m]), n)
+						}
+						for i, x := range ids {
+							if s.keys[m][i] != keys[x] || s.perm[m][i] != int32(x) {
+								t.Fatalf("mode %d position %d: (key %d, id %d), want (%d, %d)",
+									m, i, s.keys[m][i], s.perm[m][i], keys[x], x)
+							}
 						}
 					}
-				}
-				sort.Slice(ids, func(a, b int) bool {
-					x, y := ids[a], ids[b]
-					if keys[x] != keys[y] {
-						return keys[x] < keys[y]
-					}
-					return x < y
 				})
-				s.buildFiberIndex(m)
-				if len(s.keys[m]) != n || len(s.perm[m]) != n {
-					t.Fatalf("mode %d: index holds %d keys, %d ids; want %d", m, len(s.keys[m]), len(s.perm[m]), n)
-				}
-				for i, x := range ids {
-					if s.keys[m][i] != keys[x] || s.perm[m][i] != int32(x) {
-						t.Fatalf("mode %d position %d: (key %d, id %d), want (%d, %d)",
-							m, i, s.keys[m][i], s.perm[m][i], keys[x], x)
-					}
-				}
 			}
 		})
 	}

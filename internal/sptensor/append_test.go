@@ -39,22 +39,18 @@ func TestAppendBatchMergesAcrossBoundary(t *testing.T) {
 	if merged.NNZ() != 4 {
 		t.Fatalf("merged nnz = %d, want 4", merged.NNZ())
 	}
-	want := map[[3]int]float64{
-		{0, 0, 0}: 1, {1, 1, 1}: 12, {2, 2, 2}: 3, {0, 2, 1}: 10,
-	}
-	for x := 0; x < merged.NNZ(); x++ {
-		key := [3]int{int(merged.Inds[0][x]), int(merged.Inds[1][x]), int(merged.Inds[2][x])}
-		v, ok := want[key]
-		if !ok {
-			t.Fatalf("unexpected coordinate %v", key)
+	// base's nonzeros keep their places, the cross-boundary collision
+	// summed into base's; the batch's new coordinate follows at its first
+	// occurrence.
+	want := []struct {
+		c [3]Index
+		v float64
+	}{{[3]Index{0, 0, 0}, 1}, {[3]Index{1, 1, 1}, 12}, {[3]Index{2, 2, 2}, 3}, {[3]Index{0, 2, 1}, 10}}
+	for x, w := range want {
+		c := [3]Index{merged.Inds[0][x], merged.Inds[1][x], merged.Inds[2][x]}
+		if c != w.c || merged.Vals[x] != w.v {
+			t.Errorf("nonzero %d = %v:%g, want %v:%g", x, c, merged.Vals[x], w.c, w.v)
 		}
-		if math.Abs(merged.Vals[x]-v) > 1e-12 {
-			t.Errorf("value at %v = %g, want %g", key, merged.Vals[x], v)
-		}
-		delete(want, key)
-	}
-	if len(want) != 0 {
-		t.Errorf("missing coordinates: %v", want)
 	}
 	// Snapshot isolation: the inputs are untouched.
 	if base.NNZ() != 3 || math.Abs(base.Vals[1]-2) > 0 {

@@ -147,29 +147,50 @@ const binaryMagic = "SPTNBIN1"
 // streams fail after at most one chunk of over-allocation.
 const binReadChunk = 1 << 20
 
-// WriteBinary writes t in the repository's binary container format.
+// binWriteChunk is the byte size of the buffer WriteBinary encodes through.
+const binWriteChunk = 64 << 10
+
+// WriteBinary writes t in the repository's binary container format. It
+// encodes through one binWriteChunk buffer, writing it to w whenever it
+// fills, so no column is copied whole.
 func WriteBinary(w io.Writer, t *Tensor) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
+	le := binary.LittleEndian
+	buf := make([]byte, 0, binWriteChunk)
+	flush := func() error {
+		_, err := w.Write(buf)
+		buf = buf[:0]
 		return err
 	}
-	header := make([]uint64, 0, 2+len(t.Dims))
-	header = append(header, uint64(t.NModes()), uint64(t.NNZ()))
+	buf = append(buf, binaryMagic...)
+	buf = le.AppendUint64(buf, uint64(t.NModes()))
+	buf = le.AppendUint64(buf, uint64(t.NNZ()))
 	for _, d := range t.Dims {
-		header = append(header, uint64(d))
+		if cap(buf)-len(buf) < 8 {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
+		buf = le.AppendUint64(buf, uint64(d))
 	}
-	if err := binary.Write(bw, binary.LittleEndian, header); err != nil {
-		return err
-	}
-	for m := range t.Inds {
-		if err := binary.Write(bw, binary.LittleEndian, t.Inds[m]); err != nil {
-			return err
+	for _, col := range t.Inds {
+		for _, x := range col {
+			if cap(buf)-len(buf) < 4 {
+				if err := flush(); err != nil {
+					return err
+				}
+			}
+			buf = le.AppendUint32(buf, uint32(x))
 		}
 	}
-	if err := binary.Write(bw, binary.LittleEndian, t.Vals); err != nil {
-		return err
+	for _, v := range t.Vals {
+		if cap(buf)-len(buf) < 8 {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
+		buf = le.AppendUint64(buf, math.Float64bits(v))
 	}
-	return bw.Flush()
+	return flush()
 }
 
 // readChunked reads n little-endian elements in bounded chunks, so a

@@ -17,6 +17,11 @@ package sptensor
 // exist in unsorted input the survivors end up in lexicographic order.
 // Either way a coordinate's values are summed in input order. The tensor
 // must hold at most MaxNNZ nonzeros.
+//
+// The loaders and Generate merge through it. AppendBatch does not: its
+// base is already duplicate-free, so it finds a batch's collisions by
+// hashing the batch, sums them in the same order, and keeps base's order
+// where this function would sort.
 func MergeDuplicates(t *Tensor) int {
 	n := t.NNZ()
 	if n < 2 {

@@ -3,9 +3,10 @@ package sptensor
 import "math"
 
 // MaxNNZ is the largest nonzero count the package accepts: SortPerm's
-// permutation holds int32 nonzero ids. Both loaders reject input above
-// it, and every builder that sorts nonzeros (AppendBatch, the ALTO build,
-// the sampler's fiber index) returns an error instead of wrapping.
+// permutation, AppendBatch's hash table and the sampler's fiber index hold
+// int32 nonzero ids. Both loaders and AppendBatch reject input above it,
+// and the builders that sort nonzeros (the ALTO build, the sampler's fiber
+// index) return an error instead of wrapping.
 const MaxNNZ = math.MaxInt32
 
 // SortPerm stably sorts perm, a permutation of 0..len(perm)-1, into
