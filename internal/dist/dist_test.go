@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/sketch"
 	"repro/internal/sptensor"
 )
 
@@ -89,36 +90,48 @@ func TestSingleLocaleFastPath(t *testing.T) {
 
 // TestLocalesExceedSlices covers the oversubscribed degenerate case: more
 // locales than populated mode-0 slices, so some slabs are empty. The run
-// must complete (no deadlocked collective) and still match shared memory.
+// must complete (no deadlocked collective) and still match shared memory,
+// for the exact solver and for the sampled one, whose empty-shard samplers
+// hold no nonzeros but still take part in every sampled update.
 func TestLocalesExceedSlices(t *testing.T) {
 	tensor := sptensor.Random([]int{3, 25, 25}, 400, 11)
-	co := core.DefaultOptions()
-	co.Rank = 4
-	co.MaxIters = 10
-	co.Seed = 5
-	_, rc, err := core.CPD(tensor, co)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := distOptions(8)
-	o.Rank = 4
-	o.MaxIters = 10
-	o.Seed = 5
-	_, rd, err := CPD(tensor, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(rd.Fit-rc.Fit) > 1e-8 {
-		t.Errorf("fit %.12f, shared-memory %.12f", rd.Fit, rc.Fit)
-	}
-	empty := 0
-	for _, n := range rd.ShardNNZ {
-		if n == 0 {
-			empty++
-		}
-	}
-	if empty == 0 {
-		t.Errorf("expected empty shards with 8 locales over 3 slices, got %v", rd.ShardNNZ)
+	for _, solver := range []sketch.Solver{sketch.ALS, sketch.ARLS} {
+		t.Run(solver.String(), func(t *testing.T) {
+			co := core.DefaultOptions()
+			co.Rank = 4
+			co.MaxIters = 10
+			co.Seed = 5
+			co.Solver = solver
+			_, rc, err := core.CPD(tensor, co)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := distOptions(8)
+			o.Rank = 4
+			o.MaxIters = 10
+			o.Seed = 5
+			o.Solver = solver
+			_, rd, err := CPD(tensor, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rd.Solver != solver.String() || rd.SampledIters != rc.SampledIters {
+				t.Fatalf("solver %q with %d sampled iterations, shared-memory %q with %d",
+					rd.Solver, rd.SampledIters, rc.Solver, rc.SampledIters)
+			}
+			if math.Abs(rd.Fit-rc.Fit) > 1e-8 {
+				t.Errorf("fit %.12f, shared-memory %.12f", rd.Fit, rc.Fit)
+			}
+			empty := 0
+			for _, n := range rd.ShardNNZ {
+				if n == 0 {
+					empty++
+				}
+			}
+			if empty == 0 {
+				t.Errorf("expected empty shards with 8 locales over 3 slices, got %v", rd.ShardNNZ)
+			}
+		})
 	}
 }
 

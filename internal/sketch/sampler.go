@@ -364,12 +364,16 @@ func (t *levTable) draw(u float64) int {
 // coordinates through the previous pass's permutation. The keys are then
 // gathered in permutation order. Besides the indexes, each building task
 // holds one maxDim+1 histogram and a 4-byte-per-nonzero permutation
-// buffer.
+// buffer. An empty shard's sampler has no coordinate columns and gets
+// empty indexes.
 func (s *Sampler) buildFiberIndexes() {
 	order := len(s.dims)
 	for m := range s.keys {
 		s.keys[m] = make([]uint64, s.nnz)
 		s.perm[m] = make([]int32, s.nnz)
+	}
+	if s.nnz == 0 {
+		return
 	}
 	tasks := 1
 	if s.team != nil {

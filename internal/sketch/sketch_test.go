@@ -288,6 +288,53 @@ func TestFiberIndexMatchesComparisonSort(t *testing.T) {
 	}
 }
 
+// TestEmptySamplerSampledMTTKRP covers an empty distributed shard: a
+// sampler without a source builds empty fiber indexes, adds no output rows
+// and computes the same sampled normal matrix as a populated sampler with
+// the same seed and team size.
+func TestEmptySamplerSampledMTTKRP(t *testing.T) {
+	dims := []int{20, 15, 10}
+	const rank = 4
+	tt := sptensor.Random(dims, 500, 5)
+	fs := testFactors(dims, rank, 2)
+	gs := grams(fs)
+	for _, tasks := range []int{1, 2} {
+		t.Run(fmt.Sprintf("tasks=%d", tasks), func(t *testing.T) {
+			team := parallel.NewTeam(tasks)
+			defer team.Close()
+			cfg := Config{Rank: rank, Seed: 7, Samples: 200, Team: team}
+			empty, err := NewSampler(nil, dims, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := NewSampler(cooSource{tt}, dims, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refreshAll(empty, fs, gs)
+			refreshAll(full, fs, gs)
+			for m := range dims {
+				out := dense.NewMatrix(dims[m], rank)
+				normal := dense.NewMatrix(rank, rank)
+				empty.SampledMTTKRP(m, 1, fs, out, normal)
+				for i, v := range out.Data {
+					if v != 0 {
+						t.Fatalf("mode %d: empty sampler wrote out[%d] = %g", m, i, v)
+					}
+				}
+				fullOut := dense.NewMatrix(dims[m], rank)
+				want := dense.NewMatrix(rank, rank)
+				full.SampledMTTKRP(m, 1, fs, fullOut, want)
+				for i := range want.Data {
+					if normal.Data[i] != want.Data[i] {
+						t.Fatalf("mode %d: normal[%d] = %g, populated sampler %g", m, i, normal.Data[i], want.Data[i])
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestSampledMTTKRPDeterminism(t *testing.T) {
 	dims := []int{50, 40, 30}
 	tt := sptensor.Random(dims, 5000, 17)

@@ -62,31 +62,24 @@ func AppendBatch(base, batch *Tensor) (merged *Tensor, dups int, err error) {
 
 	// first[j] is the batch id of the first nonzero with j's coordinates;
 	// at[f] is where that first occurrence lands: the base nonzero with
-	// its coordinates, else a position after base's. Hashes are computed a
-	// block at a time, one mode column after another.
+	// its coordinates, else a position after base's.
 	tab := newCoordTable(batch)
-	var hs [512]uint64
 	first := make([]int32, nb)
-	for j0 := 0; j0 < nb; j0 += len(hs) {
-		for i, h := range tab.hash(batch.Inds, j0, hs[:]) {
-			j := j0 + i
-			s, id := tab.find(batch.Inds, j, h)
-			if id < 0 {
-				id = int32(j)
-				tab.ids[s], tab.fps[s] = id, uint32(h>>32)
-			}
-			first[j] = id
+	for j := range first {
+		s, id := tab.find(batch.Inds, j)
+		if id < 0 {
+			id = int32(j)
+			tab.ids[s] = id
 		}
+		first[j] = id
 	}
 	at := make([]int32, nb)
 	for j := range at {
 		at[j] = -1
 	}
-	for x0 := 0; x0 < nbase; x0 += len(hs) {
-		for i, h := range tab.hash(base.Inds, x0, hs[:]) {
-			if _, id := tab.find(base.Inds, x0+i, h); id >= 0 {
-				at[id] = int32(x0 + i)
-			}
+	for x := 0; x < nbase; x++ {
+		if _, id := tab.find(base.Inds, x); id >= 0 {
+			at[id] = int32(x)
 		}
 	}
 	n := nbase
@@ -125,16 +118,14 @@ func AppendBatch(base, batch *Tensor) (merged *Tensor, dups int, err error) {
 // "High speed hashing for integers and strings", arXiv:1504.06804), with
 // the 64-bit constants drawn for each table. That family is universal
 // over tuples of 32-bit coordinates, so coordinates chosen without seeing
-// the constants collide no more than random ones. The hash's top bits
-// pick the home slot and its top 32 are kept as a fingerprint; a slot
-// matches only on equal coordinates, so any mode length works.
+// the constants collide no more than random ones. A slot matches only on
+// equal coordinates, so any mode length works.
 type coordTable struct {
 	inds  [][]Index // coordinates of the ids in slots
 	mul   []uint64  // per-mode multiplier
 	add   uint64
-	shift uint     // 64 − log2(len(ids))
-	ids   []int32  // nonzero id per slot, −1 when empty
-	fps   []uint32 // top 32 bits of the hash of ids[s]
+	shift uint    // 64 − log2(len(ids))
+	ids   []int32 // nonzero id per slot, −1 when empty
 }
 
 // newCoordTable sizes a table for t's nonzeros at a load of at most one
@@ -150,7 +141,6 @@ func newCoordTable(t *Tensor) *coordTable {
 		add:   rand.Uint64(),
 		shift: uint(64 - bits.TrailingZeros(uint(size))),
 		ids:   make([]int32, size),
-		fps:   make([]uint32, size),
 	}
 	for m := range tab.mul {
 		tab.mul[m] = rand.Uint64()
@@ -161,40 +151,24 @@ func newCoordTable(t *Tensor) *coordTable {
 	return tab
 }
 
-// hash fills hs, or its first n−x0 entries when fewer nonzeros remain,
-// with the hashes of inds' nonzeros from x0 on, and returns the filled
-// part.
-func (tab *coordTable) hash(inds [][]Index, x0 int, hs []uint64) []uint64 {
-	n := len(inds[0]) - x0
-	if n < len(hs) {
-		hs = hs[:n]
-	}
-	for i := range hs {
-		hs[i] = tab.add
-	}
-	for m, col := range inds {
-		mul, col := tab.mul[m], col[x0:x0+len(hs)]
-		for i, c := range col {
-			hs[i] += mul * uint64(c)
-		}
-	}
-	return hs
-}
-
 // find looks up the coordinates of nonzero x of inds (a tensor of the
-// table's order), whose hash is h. It returns the slot holding an id with
-// equal coordinates and that id, or the empty slot the probe ended on and
-// −1. Probes step by 1, 2, 3, …, which visits every slot of a power-of-two
+// table's order). It returns the slot holding an id with equal
+// coordinates and that id, or the empty slot the probe ended on and −1.
+// Probes step by 1, 2, 3, …, which visits every slot of a power-of-two
 // table, and the load bound leaves one empty.
-func (tab *coordTable) find(inds [][]Index, x int, h uint64) (int, int32) {
+func (tab *coordTable) find(inds [][]Index, x int) (int, int32) {
+	h := tab.add
+	for m, col := range inds {
+		h += tab.mul[m] * uint64(col[x])
+	}
 	mask := len(tab.ids) - 1
-	s, fp := int(h>>tab.shift), uint32(h>>32)
+	s := int(h >> tab.shift)
 	for step := 1; ; step++ {
 		id := tab.ids[s]
 		if id < 0 {
 			return s, -1
 		}
-		if tab.fps[s] == fp && sameCoord(inds, x, tab.inds, int(id)) {
+		if sameCoord(inds, x, tab.inds, int(id)) {
 			return s, id
 		}
 		s = (s + step) & mask

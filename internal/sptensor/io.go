@@ -156,7 +156,11 @@ const binWriteChunk = 64 << 10
 func WriteBinary(w io.Writer, t *Tensor) error {
 	le := binary.LittleEndian
 	buf := make([]byte, 0, binWriteChunk)
-	flush := func() error {
+	// room writes buf out when fewer than k of its bytes are free.
+	room := func(k int) error {
+		if cap(buf)-len(buf) >= k {
+			return nil
+		}
 		_, err := w.Write(buf)
 		buf = buf[:0]
 		return err
@@ -165,32 +169,27 @@ func WriteBinary(w io.Writer, t *Tensor) error {
 	buf = le.AppendUint64(buf, uint64(t.NModes()))
 	buf = le.AppendUint64(buf, uint64(t.NNZ()))
 	for _, d := range t.Dims {
-		if cap(buf)-len(buf) < 8 {
-			if err := flush(); err != nil {
-				return err
-			}
+		if err := room(8); err != nil {
+			return err
 		}
 		buf = le.AppendUint64(buf, uint64(d))
 	}
 	for _, col := range t.Inds {
 		for _, x := range col {
-			if cap(buf)-len(buf) < 4 {
-				if err := flush(); err != nil {
-					return err
-				}
+			if err := room(4); err != nil {
+				return err
 			}
 			buf = le.AppendUint32(buf, uint32(x))
 		}
 	}
 	for _, v := range t.Vals {
-		if cap(buf)-len(buf) < 8 {
-			if err := flush(); err != nil {
-				return err
-			}
+		if err := room(8); err != nil {
+			return err
 		}
 		buf = le.AppendUint64(buf, math.Float64bits(v))
 	}
-	return flush()
+	_, err := w.Write(buf)
+	return err
 }
 
 // readChunked reads n little-endian elements in bounded chunks, so a
