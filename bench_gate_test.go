@@ -43,7 +43,13 @@ func row(name string, nsop int) string {
 
 // memRow is a -benchmem row: ns/op plus B/op and allocs/op columns.
 func memRow(name string, nsop, bop, allocs int) string {
-	return name + "-8   \t       1\t" + itoa(nsop) + " ns/op\t" +
+	return procsRow(name+"-8", nsop, bop, allocs)
+}
+
+// procsRow is a -benchmem row under its full name, which carries the -N
+// suffix go test adds when GOMAXPROCS is N > 1 and none at GOMAXPROCS=1.
+func procsRow(name string, nsop, bop, allocs int) string {
+	return name + "   \t       1\t" + itoa(nsop) + " ns/op\t" +
 		itoa(bop) + " B/op\t" + itoa(allocs) + " allocs/op\n"
 }
 
@@ -203,5 +209,43 @@ func TestBenchCompareAveragesRepeatedRuns(t *testing.T) {
 	out, err := runCompare(t, base, cur, "BENCH_MAX_REGRESSION_PCT=5")
 	if err != nil {
 		t.Fatalf("averaged run failed: %v\n%s", err, out)
+	}
+}
+
+func TestBenchCompareStripsGOMAXPROCSSuffix(t *testing.T) {
+	// A baseline pinned at GOMAXPROCS=1 names rows without a suffix (one
+	// name ends in -2 by itself); a run on 2 CPUs appends -2 to every
+	// name. The rows must still be matched, so that a planted ns/op or
+	// allocs/op regression fails and a clean run passes.
+	names := []string{"BenchmarkSteady/yelp/tasks=1", "BenchmarkTable/NELL-2"}
+	base := benchHeader
+	for _, name := range names {
+		base += procsRow(name, 2_000_000, 0, 0)
+	}
+	fresh := func(nsop, allocs int) string {
+		cur := benchHeader
+		for _, name := range names {
+			cur += procsRow(name+"-2", 2_000_000, 0, 0)
+		}
+		return cur + procsRow(names[0]+"-2", nsop, 0, allocs)
+	}
+	out, err := runCompare(t, base, fresh(2_000_000, 0))
+	if err != nil {
+		t.Fatalf("clean run failed: %v\n%s", err, out)
+	}
+	if !strings.Contains(out, "2 benchmark(s) in both") || strings.Contains(out, "MISSING") {
+		t.Errorf("suffixed rows not matched to the baseline:\n%s", out)
+	}
+	if !strings.Contains(out, "GOMAXPROCS name suffixes differ") {
+		t.Errorf("no warning about the differing suffixes:\n%s", out)
+	}
+	// Averaged over the two fresh rows, 2 ms and 5 ms read 3.5 ms: +75%.
+	out, err = runCompare(t, base, fresh(5_000_000, 0), "BENCH_MAX_REGRESSION_PCT=5")
+	if err == nil || !strings.Contains(out, "REGRESSION "+names[0]) {
+		t.Fatalf("ns/op regression behind a -2 suffix passed: %v\n%s", err, out)
+	}
+	out, err = runCompare(t, base, fresh(2_000_000, 100))
+	if err == nil || !strings.Contains(out, "ALLOC-REGRESSION "+names[0]) {
+		t.Fatalf("allocs/op regression behind a -2 suffix passed: %v\n%s", err, out)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/parallel"
 	"repro/internal/sptensor"
 )
 
@@ -38,10 +39,12 @@ type Tensor struct {
 // linearized next to an identity permutation and sorted carrying it; wide
 // keys sort the permutation by Lo and then by Hi, reading both through it.
 // The values (and wide keys) are then gathered through the permutation.
-// The input is not modified. Fails when the dimensions are not encodable
-// (see NewEncoding) or the tensor holds more than sptensor.MaxNNZ
-// nonzeros.
-func FromCOO(t *sptensor.Tensor) (*Tensor, error) {
+// team (nil = serial) splits the linearization, every sort pass, the
+// gathers and computeRuns; the result is bitwise the same at every team
+// size. The input is not modified. Fails when the dimensions are not
+// encodable (see NewEncoding) or the tensor holds more than
+// sptensor.MaxNNZ nonzeros.
+func FromCOO(t *sptensor.Tensor, team *parallel.Team) (*Tensor, error) {
 	enc, err := NewEncoding(t.Dims)
 	if err != nil {
 		return nil, err
@@ -56,34 +59,40 @@ func FromCOO(t *sptensor.Tensor) (*Tensor, error) {
 		hi = make([]uint64, nnz)
 	}
 	perm := make([]int32, nnz)
-	coord := make([]sptensor.Index, t.NModes())
-	for x := 0; x < nnz; x++ {
-		for m := range coord {
-			coord[m] = t.Inds[m][x]
+	parallel.ForBlocks(team, nnz, func(_, begin, end int) {
+		coord := make([]sptensor.Index, t.NModes())
+		for x := begin; x < end; x++ {
+			for m := range coord {
+				coord[m] = t.Inds[m][x]
+			}
+			l, h := enc.Linearize(coord)
+			at.Lo[x] = l
+			if hi != nil {
+				hi[x] = h
+			}
+			perm[x] = int32(x)
 		}
-		l, h := enc.Linearize(coord)
-		at.Lo[x] = l
-		if hi != nil {
-			hi[x] = h
-		}
-		perm[x] = int32(x)
-	}
+	})
 	buf := make([]int32, nnz)
 	if hi == nil {
-		sptensor.SortPerm(perm, buf, at.Lo, make([]uint64, nnz))
+		sptensor.SortPerm(perm, buf, at.Lo, make([]uint64, nnz), team)
 	} else {
 		lo := at.Lo
-		sptensor.SortPerm(perm, buf, lo, nil)
-		sptensor.SortPerm(perm, buf, hi, nil)
+		sptensor.SortPerm(perm, buf, lo, nil, team)
+		sptensor.SortPerm(perm, buf, hi, nil, team)
 		at.Lo, at.Hi = make([]uint64, nnz), make([]uint64, nnz)
-		for i, x := range perm {
-			at.Lo[i], at.Hi[i] = lo[x], hi[x]
+		parallel.ForBlocks(team, nnz, func(_, begin, end int) {
+			for i, x := range perm[begin:end] {
+				at.Lo[begin+i], at.Hi[begin+i] = lo[x], hi[x]
+			}
+		})
+	}
+	parallel.ForBlocks(team, nnz, func(_, begin, end int) {
+		for i, x := range perm[begin:end] {
+			at.Vals[begin+i] = t.Vals[x]
 		}
-	}
-	for i, x := range perm {
-		at.Vals[i] = t.Vals[x]
-	}
-	at.computeRuns()
+	})
+	at.computeRuns(team)
 	return at, nil
 }
 
@@ -93,10 +102,13 @@ func FromCOO(t *sptensor.Tensor) (*Tensor, error) {
 const delinTile = 1024
 
 // computeRuns counts, per mode, the maximal runs of equal index in the
-// linearized order, walking the nonzeros through the batched byte-table
-// delinearization. The same walk records each delinTile block's per-mode
-// index bounds for Window.
-func (at *Tensor) computeRuns() {
+// linearized order, delinearizing a tile at a time. The same walk records
+// each delinTile block's per-mode index bounds for Window. team (nil =
+// serial) splits the blocks into contiguous whole-block ranges: a task
+// counts a run wherever a nonzero's index differs from its predecessor's,
+// comparing its first nonzero with the previous block's last, and the
+// per-task counts are summed.
+func (at *Tensor) computeRuns(team *parallel.Team) {
 	order := at.Order()
 	at.runs = make([]int64, order)
 	nnz := at.NNZ()
@@ -106,34 +118,57 @@ func (at *Tensor) computeRuns() {
 	blocks := (nnz + delinTile - 1) / delinTile
 	at.blockMin = make([]sptensor.Index, blocks*order)
 	at.blockMax = make([]sptensor.Index, blocks*order)
-	cols := make([][]sptensor.Index, order)
-	for m := range cols {
-		cols[m] = make([]sptensor.Index, delinTile)
+	tasks := 1
+	if team != nil {
+		tasks = team.N()
 	}
-	prev := make([]sptensor.Index, order)
-	for tile := 0; tile < nnz; tile += delinTile {
-		end := min(tile+delinTile, nnz)
-		at.Enc.DelinearizeRange(at.Lo, at.Hi, tile, end, cols, nil)
-		n := end - tile
-		b := tile / delinTile * order
-		for m := 0; m < order; m++ {
-			col := cols[m][:n]
-			if tile == 0 { // the first nonzero opens every mode's first run
-				prev[m] = col[0]
-				at.runs[m] = 1
+	taskRuns := make([][]int64, tasks)
+	parallel.ForBlocks(team, blocks, func(tid, bBegin, bEnd int) {
+		if bBegin == bEnd {
+			return
+		}
+		cols := make([][]sptensor.Index, order)
+		for m := range cols {
+			cols[m] = make([]sptensor.Index, delinTile)
+		}
+		runs := make([]int64, order)
+		prev := make([]sptensor.Index, order)
+		if first := bBegin * delinTile; first > 0 {
+			at.Enc.DelinearizeRange(at.Lo, at.Hi, first-1, first, cols) // the previous block's last nonzero
+			for m := range prev {
+				prev[m] = cols[m][0]
 			}
-			p, lo, hi := prev[m], col[0], col[0]
-			runs := int64(0)
-			for _, v := range col { // compiles to conditional moves
-				if v != p {
-					runs++
+		} else {
+			for m := range prev {
+				prev[m] = -1 // no index: the first nonzero opens every mode's first run
+			}
+		}
+		for b := bBegin; b < bEnd; b++ {
+			tile := b * delinTile
+			end := min(tile+delinTile, nnz)
+			at.Enc.DelinearizeRange(at.Lo, at.Hi, tile, end, cols)
+			n := end - tile
+			for m := 0; m < order; m++ {
+				col := cols[m][:n]
+				p, lo, hi := prev[m], col[0], col[0]
+				r := int64(0)
+				for _, v := range col { // compiles to conditional moves
+					if v != p {
+						r++
+					}
+					p = v
+					lo, hi = min(lo, v), max(hi, v)
 				}
-				p = v
-				lo, hi = min(lo, v), max(hi, v)
+				runs[m] += r
+				prev[m] = p
+				at.blockMin[b*order+m], at.blockMax[b*order+m] = lo, hi
 			}
-			at.runs[m] += runs
-			prev[m] = p
-			at.blockMin[b+m], at.blockMax[b+m] = lo, hi
+		}
+		taskRuns[tid] = runs
+	})
+	for _, runs := range taskRuns {
+		for m, r := range runs {
+			at.runs[m] += r
 		}
 	}
 }
@@ -169,7 +204,7 @@ func (at *Tensor) Window(begin, end int, lo, hi []int) {
 				cols[m] = make([]sptensor.Index, delinTile)
 			}
 		}
-		at.Enc.DelinearizeRange(at.Lo, at.Hi, x, next, cols, nil)
+		at.Enc.DelinearizeRange(at.Lo, at.Hi, x, next, cols)
 		for m := 0; m < order; m++ {
 			for _, v := range cols[m][:next-x] {
 				lo[m] = min(lo[m], int(v))
@@ -178,15 +213,6 @@ func (at *Tensor) Window(begin, end int, lo, hi []int) {
 		}
 		x = next
 	}
-}
-
-// at delinearizes nonzero x into dst.
-func (at *Tensor) at(x int, dst []sptensor.Index) {
-	var hi uint64
-	if at.Hi != nil {
-		hi = at.Hi[x]
-	}
-	at.Enc.Delinearize(at.Lo[x], hi, dst)
 }
 
 // Order reports the tensor order.
@@ -219,45 +245,33 @@ func (at *Tensor) MemoryBytes() int64 {
 	return words*8 + int64(len(at.Vals))*8
 }
 
-// ForEachNonzero streams every nonzero with its full coordinate and value
-// in linearized order, delinearizing one index word at a time. The coord
-// slice is reused across calls; fn must copy what it keeps. This is the
-// nonzero access path the sampled (ARLS) solver builds its fiber index
-// from.
-func (at *Tensor) ForEachNonzero(fn func(coord []sptensor.Index, val float64)) {
-	order := at.Order()
+// Nonzeros writes every nonzero, in linearized order, into columns the
+// caller allocated: coords[m][x] receives nonzero x's mode-m index and
+// vals[x] its value (each column holds NNZ entries). team (nil = serial)
+// splits the delinTile tiles into contiguous ranges, and each task
+// delinearizes its range straight into the columns. This is the nonzero
+// access path the sampled (ARLS) solver copies its nonzeros through.
+func (at *Tensor) Nonzeros(coords [][]sptensor.Index, vals []float64, team *parallel.Team) {
 	nnz := at.NNZ()
-	coord := make([]sptensor.Index, order)
-	cols := make([][]sptensor.Index, order)
-	for m := range cols {
-		cols[m] = make([]sptensor.Index, delinTile)
-	}
-	for tile := 0; tile < nnz; tile += delinTile {
-		end := tile + delinTile
-		if end > nnz {
-			end = nnz
+	blocks := (nnz + delinTile - 1) / delinTile
+	parallel.ForBlocks(team, blocks, func(_, bBegin, bEnd int) {
+		begin, end := bBegin*delinTile, min(bEnd*delinTile, nnz)
+		if begin >= end {
+			return
 		}
-		at.Enc.DelinearizeRange(at.Lo, at.Hi, tile, end, cols, nil)
-		for i := 0; i < end-tile; i++ {
-			for m := 0; m < order; m++ {
-				coord[m] = cols[m][i]
-			}
-			fn(coord, at.Vals[tile+i])
+		out := make([][]sptensor.Index, len(coords))
+		for m, col := range coords {
+			out[m] = col[begin:end]
 		}
-	}
+		at.Enc.DelinearizeRange(at.Lo, at.Hi, begin, end, out)
+		copy(vals[begin:end], at.Vals[begin:end])
+	})
 }
 
 // ToCOO reconstructs the coordinate tensor (in linearized order). Tests
 // use it to prove linearization loses nothing.
 func (at *Tensor) ToCOO() *sptensor.Tensor {
 	t := sptensor.New(at.Enc.Dims, at.NNZ())
-	copy(t.Vals, at.Vals)
-	coord := make([]sptensor.Index, at.Order())
-	for x := 0; x < at.NNZ(); x++ {
-		at.at(x, coord)
-		for m := range coord {
-			t.Inds[m][x] = coord[m]
-		}
-	}
+	at.Nonzeros(t.Inds, t.Vals, nil)
 	return t
 }

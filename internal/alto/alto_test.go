@@ -2,7 +2,9 @@ package alto
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -91,7 +93,7 @@ func TestFromCOORoundTrip(t *testing.T) {
 		{1 << 24, 1 << 24, 1 << 24}, // wide path
 	} {
 		tt := sptensor.Random(dims, 300, 11)
-		at, err := FromCOO(tt)
+		at, err := FromCOO(tt, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
@@ -178,7 +180,7 @@ func TestFromCOOMatchesComparisonSort(t *testing.T) {
 			}
 			rng.Shuffle(tt.NNZ(), tt.Swap)
 			in := tt.Clone()
-			at, err := FromCOO(tt)
+			at, err := FromCOO(tt, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -210,6 +212,91 @@ func TestFromCOOMatchesComparisonSort(t *testing.T) {
 				if at.Lo[i] != lo[x] || at.Vals[i] != tt.Vals[x] || (hi != nil && at.Hi[i] != hi[x]) {
 					t.Fatalf("position %d holds nonzero (%#x, %g), want input nonzero %d (%#x, %g)",
 						i, at.Lo[i], at.Vals[i], x, lo[x], tt.Vals[x])
+				}
+			}
+		})
+	}
+}
+
+// TestFromCOOTeamInvariant builds each fixture serially and on teams of 1,
+// 2, 3 and 7 tasks and requires bitwise-equal builds: keys, values, run
+// counts, block bounds and Window over random ranges. The fixtures span
+// orders 2 to 5, narrow and wide keys, nonzero counts that are not a
+// multiple of delinTile, fewer nonzeros than tasks, and duplicate keys
+// (which keep their input order). The larger fixtures hold more than
+// sptensor.SortPerm's serial cutoff, so the teams split the sort too.
+func TestFromCOOTeamInvariant(t *testing.T) {
+	teams := []*parallel.Team{parallel.NewTeam(1), parallel.NewTeam(2), parallel.NewTeam(3), parallel.NewTeam(7)}
+	for _, team := range teams {
+		defer team.Close()
+	}
+	for _, tc := range []struct {
+		name string
+		dims []int
+		nnz  int
+		dups bool
+	}{
+		{"empty", []int{5, 4, 3}, 0, false},
+		{"one", []int{5, 4, 3}, 1, false},
+		{"fewer-than-tasks", []int{5, 4, 3}, 3, false},
+		{"order2", []int{3000, 77}, 17001, false},
+		{"order2-dups", []int{50, 40}, 700, true},
+		{"order3", []int{41086, 11, 204}, 20037, false},
+		{"order3-wide-dups", []int{1 << 30, 1 << 30, 1 << 25}, 9100, true},
+		{"order4-wide", []int{1 << 20, 1 << 20, 1 << 20, 1 << 16}, 18005, false},
+		{"order5-dups", []int{31, 17, 1000, 2, 90}, 8777, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(19))
+			tt := sptensor.Random(tc.dims, tc.nnz, 23)
+			if tc.dups {
+				n := tt.NNZ()
+				for m := range tt.Inds {
+					tt.Inds[m] = append(tt.Inds[m], tt.Inds[m][:n]...)
+				}
+				for x := 0; x < n; x++ {
+					tt.Vals = append(tt.Vals, float64(x)+0.5)
+				}
+			}
+			rng.Shuffle(tt.NNZ(), tt.Swap)
+			want, err := FromCOO(tt, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, order := want.NNZ(), want.Order()
+			ranges := [][2]int{{0, n}, {0, 0}}
+			for i := 0; i < 20 && n > 0; i++ {
+				a, b := rng.Intn(n+1), rng.Intn(n+1)
+				ranges = append(ranges, [2]int{min(a, b), max(a, b)})
+			}
+			for _, team := range teams {
+				got, err := FromCOO(tt, team)
+				if err != nil {
+					t.Fatal(err)
+				}
+				where := fmt.Sprintf("tasks=%d", team.N())
+				if !slices.Equal(got.Lo, want.Lo) || !slices.Equal(got.Hi, want.Hi) {
+					t.Fatalf("%s: keys differ from the serial build", where)
+				}
+				for x := range want.Vals {
+					if math.Float64bits(got.Vals[x]) != math.Float64bits(want.Vals[x]) {
+						t.Fatalf("%s: value %d is %v, serial build %v", where, x, got.Vals[x], want.Vals[x])
+					}
+				}
+				if !slices.Equal(got.runs, want.runs) {
+					t.Fatalf("%s: runs %v, serial build %v", where, got.runs, want.runs)
+				}
+				if !slices.Equal(got.blockMin, want.blockMin) || !slices.Equal(got.blockMax, want.blockMax) {
+					t.Fatalf("%s: block bounds differ from the serial build", where)
+				}
+				for _, r := range ranges {
+					glo, ghi := make([]int, order), make([]int, order)
+					wlo, whi := make([]int, order), make([]int, order)
+					got.Window(r[0], r[1], glo, ghi)
+					want.Window(r[0], r[1], wlo, whi)
+					if !slices.Equal(glo, wlo) || !slices.Equal(ghi, whi) {
+						t.Fatalf("%s: Window%v = %v..%v, serial build %v..%v", where, r, glo, ghi, wlo, whi)
+					}
 				}
 			}
 		})
@@ -279,7 +366,7 @@ func TestOperatorMatchesReferenceAcrossOrdersAndStrategies(t *testing.T) {
 		{10, 8, 6, 5},
 		{7, 6, 5, 4, 3},
 	} {
-		at, err := FromCOO(sptensor.Random(dims, 500, 21))
+		at, err := FromCOO(sptensor.Random(dims, 500, 21), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,7 +434,7 @@ func TestOperatorDegenerateShapes(t *testing.T) {
 	cases = append(cases, hub)
 
 	for _, tt := range cases {
-		at, err := FromCOO(tt)
+		at, err := FromCOO(tt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,7 +466,7 @@ func TestReuseStatsDriveDecision(t *testing.T) {
 		tt.Inds[2][x] = sptensor.Index(x)
 		tt.Vals[x] = 1
 	}
-	at, err := FromCOO(tt)
+	at, err := FromCOO(tt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +500,7 @@ func TestReuseStatsDriveDecision(t *testing.T) {
 
 func TestOperatorRejectsBadOutputShape(t *testing.T) {
 	tt := sptensor.Random([]int{10, 8, 9}, 100, 41)
-	at, err := FromCOO(tt)
+	at, err := FromCOO(tt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,11 +517,11 @@ func TestOperatorRejectsBadOutputShape(t *testing.T) {
 func TestMemoryBytesReflectsWideEncoding(t *testing.T) {
 	narrow := sptensor.Random([]int{16, 16, 16}, 100, 51)
 	wide := sptensor.Random([]int{1 << 24, 1 << 24, 1 << 24}, 100, 51)
-	an, err := FromCOO(narrow)
+	an, err := FromCOO(narrow, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aw, err := FromCOO(wide)
+	aw, err := FromCOO(wide, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -258,11 +258,6 @@ func (e *Encoding) Delinearize(lo, hi uint64, dst []sptensor.Index) {
 	}
 }
 
-// ChangedAll is the DelinearizeRange change mask meaning "treat every mode
-// as changed" — emitted for the first nonzero of a batch, where there is
-// no predecessor to diff against.
-const ChangedAll = ^uint32(0)
-
 // ExtractAll recovers the full coordinate tuple into cur (len = order) as
 // raw uint64 indices — the walker-state initializer of the incremental
 // paths. Native builds run one pext per (mode, word); the portable body
@@ -357,17 +352,29 @@ func (e *Encoding) patchWord(diff, oldW, newW uint64, chunkBase int, cur []uint6
 // slices of at least end-begin elements). hi may be nil for narrow
 // encodings.
 //
-// When changed is non-nil (len >= end-begin), changed[i-begin] is set to
-// the Step change mask relative to nonzero i-1 (ChangedAll for the first
-// entry): exact per mode up to 31 modes, modes beyond that folded onto bit
-// 31. Kernels use it to reuse Hadamard partial products across nonzeros
-// whose non-target coordinates are unchanged — the linearized analogue of
-// CSF's fiber-product reuse.
-func (e *Encoding) DelinearizeRange(lo, hi []uint64, begin, end int, out [][]sptensor.Index, changed []uint32) {
+// Native builds extract a delinTile of keys per assembly call, one pext
+// per mode per key: pextColumn fills mode m's column from the low words
+// and ORs in the high words' bits for wide encodings. The portable body
+// extracts the first key through the byte tables and steps every later
+// one incrementally (stepTables), touching only the changed key bytes.
+func (e *Encoding) DelinearizeRange(lo, hi []uint64, begin, end int, out [][]sptensor.Index) {
 	if begin >= end {
 		return
 	}
 	order := len(e.Dims)
+	if e.native {
+		for tile := begin; tile < end; tile += delinTile {
+			tileEnd := min(tile+delinTile, end)
+			for m := 0; m < order; m++ {
+				var hiKeys []uint64
+				if e.pextMasks[3*m+1] != 0 {
+					hiKeys = hi[tile:tileEnd]
+				}
+				pextColumn(lo[tile:tileEnd], hiKeys, e.pextMasks[3*m:3*m+3], out[m][tile-begin:tileEnd-begin])
+			}
+		}
+		return
+	}
 	var curArr [32]uint64
 	var cur []uint64
 	if order <= len(curArr) {
@@ -381,14 +388,10 @@ func (e *Encoding) DelinearizeRange(lo, hi []uint64, begin, end int, out [][]spt
 	if hi != nil {
 		prevHi = hi[begin]
 	}
-	e.ExtractAll(prevLo, prevHi, cur)
+	e.extractAllTables(prevLo, prevHi, cur)
 	for m := 0; m < order; m++ {
 		out[m][0] = sptensor.Index(cur[m])
 	}
-	if changed != nil {
-		changed[0] = ChangedAll
-	}
-
 	for x := begin + 1; x < end; x++ {
 		i := x - begin
 		curLo := lo[x]
@@ -396,12 +399,9 @@ func (e *Encoding) DelinearizeRange(lo, hi []uint64, begin, end int, out [][]spt
 		if hi != nil {
 			curHi = hi[x]
 		}
-		mask := e.Step(prevLo, prevHi, curLo, curHi, cur)
+		e.stepTables(prevLo, prevHi, curLo, curHi, cur)
 		for m := 0; m < order; m++ {
 			out[m][i] = sptensor.Index(cur[m])
-		}
-		if changed != nil {
-			changed[i] = mask
 		}
 		prevLo, prevHi = curLo, curHi
 	}

@@ -9,7 +9,7 @@ import (
 	"repro/internal/sptensor"
 )
 
-// Table-driven parity of the byte-table fast paths (ExtractAll, Step,
+// Table-driven parity of the fast paths (ExtractAll, Step,
 // DelinearizeRange) against the segment-based reference accessors
 // (Extract, Delinearize) across random encodings, including wide two-word
 // layouts and degenerate single-mode tensors.
@@ -18,6 +18,7 @@ var parityLayouts = []struct {
 	name string
 	dims []int
 }{
+	{"order2", []int{3000, 77}},
 	{"order3-small", []int{7, 5, 3}},
 	{"order3-skewed", []int{41086, 11, 204}},
 	{"order3-pow2", []int{64, 64, 64}},
@@ -27,6 +28,8 @@ var parityLayouts = []struct {
 	{"unit-modes", []int{1, 5, 1, 9}},
 	{"wide-two-word", []int{1 << 20, 1 << 20, 1 << 20, 1 << 16}},              // 76 bits
 	{"wide-max", []int{1 << 21, 1 << 21, 1 << 21, 1 << 21, 1 << 21, 1 << 21}}, // 126 bits
+	{"wide-order3", []int{1 << 30, 1 << 30, 1 << 25}},                         // 85 bits
+	{"wide-order5", []int{1 << 20, 1 << 18, 1 << 15, 1 << 14, 1 << 10}},       // 77 bits
 }
 
 // randomKeys generates n sorted (lo, hi) keys of random valid coordinates.
@@ -146,6 +149,12 @@ func TestStepMatchesExtractAll(t *testing.T) {
 	}
 }
 
+// TestDelinearizeRangeMatchesDelinearize checks DelinearizeRange against
+// the segment-walk Delinearize on every layout (orders 1 to 5, narrow and
+// wide keys), through both bodies: the native tiled extraction (on builds
+// that have it) and the portable byte tables. The windows include empty
+// and single-key ranges, ranges that start mid-tile, and ranges longer
+// than one delinTile, which the native body splits into several tiles.
 func TestDelinearizeRangeMatchesDelinearize(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, layout := range parityLayouts {
@@ -155,39 +164,27 @@ func TestDelinearizeRangeMatchesDelinearize(t *testing.T) {
 				t.Fatal(err)
 			}
 			order := len(layout.dims)
-			lo, hi, coords := randomKeys(t, e, rng, 500)
-			// Sweep a few (begin, end) windows, including empty and
-			// single-element ranges.
-			windows := [][2]int{{0, len(lo)}, {0, 1}, {3, 3}, {7, 130}, {len(lo) - 1, len(lo)}}
-			for _, w := range windows {
-				begin, end := w[0], w[1]
-				n := end - begin
-				if n < 0 {
-					continue
-				}
-				out := make([][]sptensor.Index, order)
-				for m := range out {
-					out[m] = make([]sptensor.Index, n)
-				}
-				changed := make([]uint32, n)
-				e.DelinearizeRange(lo, hi, begin, end, out, changed)
-				for i := 0; i < n; i++ {
-					for m := 0; m < order; m++ {
-						if out[m][i] != coords[m][begin+i] {
-							t.Fatalf("window %v nonzero %d mode %d: %d != %d",
-								w, i, m, out[m][i], coords[m][begin+i])
-						}
+			n := 2*delinTile + 500
+			lo, hi, coords := randomKeys(t, e, rng, n)
+			windows := [][2]int{{0, n}, {0, 1}, {3, 3}, {7, 130}, {n - 1, n}, {5, delinTile + 9}, {delinTile - 1, 2*delinTile + 1}}
+			bodies := []*Encoding{forceTables(e)}
+			if e.native {
+				bodies = append(bodies, e)
+			}
+			for _, enc := range bodies {
+				for _, w := range windows {
+					begin, end := w[0], w[1]
+					out := make([][]sptensor.Index, order)
+					for m := range out {
+						out[m] = make([]sptensor.Index, end-begin)
 					}
-				}
-				if n > 0 && changed[0] != ChangedAll {
-					t.Fatalf("window %v: first change mask %x, want ChangedAll", w, changed[0])
-				}
-				for i := 1; i < n; i++ {
-					for m := 0; m < order; m++ {
-						want := out[m][i] != out[m][i-1]
-						if got := changed[i]&(1<<uint(m)) != 0; got != want {
-							t.Fatalf("window %v nonzero %d mode %d: mask %v, changed %v",
-								w, i, m, got, want)
+					enc.DelinearizeRange(lo, hi, begin, end, out)
+					for i := 0; i < end-begin; i++ {
+						for m := 0; m < order; m++ {
+							if out[m][i] != coords[m][begin+i] {
+								t.Fatalf("native=%v window %v nonzero %d mode %d: %d != %d",
+									enc.native, w, i, m, out[m][i], coords[m][begin+i])
+							}
 						}
 					}
 				}
@@ -222,7 +219,7 @@ func TestApplyHighModeMaskFolding(t *testing.T) {
 			tensor.Vals = append(tensor.Vals, rng.NormFloat64())
 		}
 	}
-	at, err := FromCOO(tensor)
+	at, err := FromCOO(tensor, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +260,7 @@ func TestOperatorStepKernelAgainstGenericWalk(t *testing.T) {
 		}
 		tensor.Vals = append(tensor.Vals, rng.NormFloat64())
 	}
-	at, err := FromCOO(tensor)
+	at, err := FromCOO(tensor, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

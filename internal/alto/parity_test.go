@@ -156,11 +156,11 @@ func TestOperatorNativeMatchesPortableWalker(t *testing.T) {
 		}
 		tensor.Vals = append(tensor.Vals, rng.NormFloat64())
 	}
-	atNative, err := FromCOO(tensor)
+	atNative, err := FromCOO(tensor, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	atPortable, err := FromCOO(tensor)
+	atPortable, err := FromCOO(tensor, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,9 @@ func TestOperatorNativeMatchesPortableWalker(t *testing.T) {
 
 // FuzzEncodingParity drives random coordinate pairs through both the
 // native and portable Linearize/ExtractAll/Step paths and requires
-// bitwise agreement on keys, extracted indices, and change masks.
+// bitwise agreement on keys, extracted indices, and change masks. The
+// same keys then go through DelinearizeRange's native tiled body and its
+// byte-table body, which must both return the coordinates.
 func FuzzEncodingParity(f *testing.F) {
 	f.Add(uint16(37), uint16(19), uint16(53), int64(1))
 	f.Add(uint16(1), uint16(1), uint16(1), int64(2))
@@ -205,18 +207,23 @@ func FuzzEncodingParity(f *testing.F) {
 		}
 		tab := forceTables(e)
 		rng := rand.New(rand.NewSource(seed))
+		const trials = 32
 		coord := make([]sptensor.Index, 3)
+		coords := make([][]sptensor.Index, 3)
 		curN := make([]uint64, 3)
 		curT := make([]uint64, 3)
+		los, his := make([]uint64, trials), make([]uint64, trials)
 		var prevLo, prevHi uint64
-		for trial := 0; trial < 32; trial++ {
+		for trial := 0; trial < trials; trial++ {
 			for m, d := range dims {
 				coord[m] = sptensor.Index(rng.Intn(d))
+				coords[m] = append(coords[m], coord[m])
 			}
 			lo, hi := e.Linearize(coord)
 			if tlo, thi := tab.Linearize(coord); lo != tlo || hi != thi {
 				t.Fatalf("Linearize(%v): native (%x,%x) != portable (%x,%x)", coord, hi, lo, thi, tlo)
 			}
+			los[trial], his[trial] = lo, hi
 			if trial == 0 {
 				e.ExtractAll(lo, hi, curN)
 				tab.ExtractAll(lo, hi, curT)
@@ -236,6 +243,20 @@ func FuzzEncodingParity(f *testing.F) {
 				}
 			}
 			prevLo, prevHi = lo, hi
+		}
+		if !e.Wide() {
+			his = nil
+		}
+		for _, enc := range []*Encoding{e, tab} {
+			out := [][]sptensor.Index{make([]sptensor.Index, trials), make([]sptensor.Index, trials), make([]sptensor.Index, trials)}
+			enc.DelinearizeRange(los, his, 0, trials, out)
+			for m := range out {
+				for x, c := range out[m] {
+					if c != coords[m][x] {
+						t.Fatalf("DelinearizeRange (native=%v) key %d mode %d: %d != coordinate %d", enc.native, x, m, c, coords[m][x])
+					}
+				}
+			}
 		}
 	})
 }

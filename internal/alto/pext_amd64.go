@@ -2,7 +2,10 @@
 
 package alto
 
-import "repro/internal/cpu"
+import (
+	"repro/internal/cpu"
+	"repro/internal/sptensor"
+)
 
 // The kernels only load and store through their slice arguments and keep
 // no pointer past return, hence //go:noescape: without it every native
@@ -28,6 +31,16 @@ func pextAll(lo, hi uint64, masks []uint64, cur []uint64) uint32
 //
 //go:noescape
 func pext3Tile(keys []uint64, mT, mA, mB uint64, outT, outA, outB []uint32)
+
+// pextColumn extracts one mode's index from every key of a tile: out[i] =
+// pext(lo[i], masks[0]) | pext(hi[i], masks[1]) << masks[2], where masks
+// is the mode's pext mask triple. hi is empty when the mode has no bits in
+// the high word (always, for narrow encodings); then out[i] =
+// pext(lo[i], masks[0]). hi (when not empty) and out must hold at least
+// len(lo) elements. Implemented in pext_amd64.s.
+//
+//go:noescape
+func pextColumn(lo, hi []uint64, masks []uint64, out []sptensor.Index)
 
 // pdepKey linearizes one coordinate tuple (cur, len = order) into a
 // (lo, hi) key — the pdep mirror of pextAll. Implemented in pext_amd64.s.

@@ -75,6 +75,45 @@ p3_loop:
 p3_done:
 	RET
 
+// func pextColumn(lo, hi []uint64, masks []uint64, out []sptensor.Index)
+TEXT ·pextColumn(SB), NOSPLIT, $0-96
+	MOVQ lo_base+0(FP), SI
+	MOVQ lo_len+8(FP), CX
+	MOVQ hi_base+24(FP), R9
+	MOVQ hi_len+32(FP), BX
+	MOVQ masks_base+48(FP), R10
+	MOVQ out_base+72(FP), DI
+	MOVQ (R10), R8      // low mask
+	XORQ AX, AX
+	TESTQ CX, CX
+	JZ   pc_done
+	TESTQ BX, BX
+	JNZ  pc_wide
+pc_narrow:
+	MOVQ (SI)(AX*8), DX
+	PEXTQ R8, DX, R13
+	MOVL R13, (DI)(AX*4)
+	INCQ AX
+	CMPQ AX, CX
+	JL   pc_narrow
+	RET
+pc_wide:
+	MOVQ 8(R10), R11    // high mask
+	MOVQ 16(R10), R12   // high shift
+pc_wloop:
+	MOVQ (SI)(AX*8), DX
+	PEXTQ R8, DX, R13
+	MOVQ (R9)(AX*8), DX
+	PEXTQ R11, DX, R14
+	SHLXQ R12, R14, R14
+	ORQ  R14, R13
+	MOVL R13, (DI)(AX*4)
+	INCQ AX
+	CMPQ AX, CX
+	JL   pc_wloop
+pc_done:
+	RET
+
 // func pdepKey(cur []uint64, masks []uint64) (lo, hi uint64)
 TEXT ·pdepKey(SB), NOSPLIT, $0-64
 	MOVQ cur_base+0(FP), DI

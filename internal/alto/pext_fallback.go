@@ -2,6 +2,8 @@
 
 package alto
 
+import "repro/internal/sptensor"
+
 // No BMI2 on this build: the Encoding methods never take the native
 // branch (native is always false), so these stubs are unreachable. They
 // exist to keep the portable build compiling and to fail loudly if the
@@ -14,6 +16,10 @@ func pextAll(lo, hi uint64, masks []uint64, cur []uint64) uint32 {
 
 func pext3Tile(keys []uint64, mT, mA, mB uint64, outT, outA, outB []uint32) {
 	panic("alto: pext3Tile called without BMI2")
+}
+
+func pextColumn(lo, hi []uint64, masks []uint64, out []sptensor.Index) {
+	panic("alto: pextColumn called without BMI2")
 }
 
 func pdepKey(cur []uint64, masks []uint64) (lo, hi uint64) {

@@ -18,7 +18,11 @@ func bruteWindow(at *Tensor, begin, end int) (lo, hi []int) {
 	lo, hi = make([]int, order), make([]int, order)
 	coord := make([]sptensor.Index, order)
 	for x := begin; x < end; x++ {
-		at.at(x, coord)
+		var h uint64
+		if at.Hi != nil {
+			h = at.Hi[x]
+		}
+		at.Enc.Delinearize(at.Lo[x], h, coord)
 		for m, c := range coord {
 			if x == begin || int(c) < lo[m] {
 				lo[m] = int(c)
@@ -47,7 +51,7 @@ func TestWindowMatchesBruteForce(t *testing.T) {
 		{"wide-order4", []int{1 << 17, 1 << 16, 1 << 16, 1 << 16}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			at, err := FromCOO(sptensor.Random(tc.dims, 3*delinTile+300, 7))
+			at, err := FromCOO(sptensor.Random(tc.dims, 3*delinTile+300, 7), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +94,7 @@ func differentialTensors(t *testing.T) map[string]*Tensor {
 	t.Helper()
 	out := map[string]*Tensor{}
 	add := func(name string, tt *sptensor.Tensor) *Tensor {
-		at, err := FromCOO(tt)
+		at, err := FromCOO(tt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +137,7 @@ func TestPrivatizedApplyBitwise(t *testing.T) {
 				if at.Hi != nil {
 					sub.Hi = at.Hi[b:e]
 				}
-				sub.computeRuns()
+				sub.computeRuns(nil)
 				NewOperator(sub, nil, rank, mttkrp.Options{}).Apply(mode, factors, part)
 				dense.VecAdd(want.Data, part.Data)
 			}
@@ -156,7 +160,7 @@ func TestPrivatizedApplyBitwise(t *testing.T) {
 // runs/PrivRatio. The recorded window rows must be the brute-force windows
 // of each task's range.
 func TestWindowDecisionOnYELP(t *testing.T) {
-	at, err := FromCOO(sptensor.Datasets["yelp"].Generate(1.0 / 16))
+	at, err := FromCOO(sptensor.Datasets["yelp"].Generate(1.0/16), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +208,7 @@ func FuzzOperatorMatchesCOO(f *testing.F) {
 			dims = append(dims, int(d3))
 		}
 		tt := sptensor.Random(dims, int(nnz%3000)+1, seed)
-		at, err := FromCOO(tt)
+		at, err := FromCOO(tt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

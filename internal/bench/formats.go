@@ -51,7 +51,7 @@ func (r *Runner) AblationFormats() {
 	yelp := r.dataset("yelp")
 	stbl := newTable("ALTO auto conflict strategy per mode (YELP twin, "+humanInt(tasks)+" tasks)",
 		"Mode", "strategy", "window rows", "I_m*tasks", "runs/"+humanInt(mttkrp.PrivRatio))
-	at, err := alto.FromCOO(yelp)
+	at, err := alto.FromCOO(yelp, nil)
 	if err != nil {
 		panic(err)
 	}

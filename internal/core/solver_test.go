@@ -180,7 +180,7 @@ func TestSolverReportFields(t *testing.T) {
 }
 
 // TestARLSOnALTOBackend runs the sampled solver against the linearized
-// storage backend, exercising the ALTO ForEachNonzero access path.
+// storage backend, exercising the ALTO Nonzeros column fill.
 func TestARLSOnALTOBackend(t *testing.T) {
 	tt := sptensor.Random([]int{40, 30, 20}, 8000, 13)
 	opts := DefaultOptions()

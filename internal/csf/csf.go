@@ -170,23 +170,8 @@ func prefixChanged(t *sptensor.Tensor, perm []int, l, x int) bool {
 // ToCOO reconstructs the coordinate tensor (in CSF order). Tests use it to
 // prove Build loses nothing.
 func (c *CSF) ToCOO() *sptensor.Tensor {
-	order := c.Order()
-	nnz := c.NNZ()
-	t := sptensor.New(c.Dims, nnz)
-	copy(t.Vals, c.Vals)
-	copy(t.Inds[c.ModeOrder[order-1]], c.Fids[order-1])
-	// Propagate each upper level's fiber id down to its nonzeros.
-	for l := order - 2; l >= 0; l-- {
-		mode := c.ModeOrder[l]
-		// Compute, for each fiber at level l, its nonzero span by chasing
-		// Fptr down to the leaves.
-		for f := 0; f < c.NFibers(l); f++ {
-			lo, hi := c.NonzeroSpan(l, f)
-			for x := lo; x < hi; x++ {
-				t.Inds[mode][x] = c.Fids[l][f]
-			}
-		}
-	}
+	t := sptensor.New(c.Dims, c.NNZ())
+	c.Nonzeros(t.Inds, t.Vals)
 	return t
 }
 
@@ -201,47 +186,24 @@ func (c *CSF) NonzeroSpan(l, f int) (int, int) {
 	return int(lo), int(hi)
 }
 
-// ForEachNonzero streams every nonzero with its full coordinate (in
-// original tensor mode order) and value, walking the fiber tree in CSF
-// (sorted) order without materializing a coordinate tensor. The coord
-// slice is reused across calls; fn must copy what it keeps. This is the
-// nonzero access path the sampled (ARLS) solver builds its fiber index
-// from.
-func (c *CSF) ForEachNonzero(fn func(coord []sptensor.Index, val float64)) {
+// Nonzeros writes every nonzero, in CSF (sorted) order, into columns the
+// caller allocated: coords[m][x] receives nonzero x's index in original
+// tensor mode m and vals[x] its value (each column holds NNZ entries). The
+// leaf ids are copied whole; every upper level's fiber id is written over
+// the nonzero span its fiber covers. This is the nonzero access path the
+// sampled (ARLS) solver copies its nonzeros through.
+func (c *CSF) Nonzeros(coords [][]sptensor.Index, vals []float64) {
 	order := c.Order()
-	nnz := c.NNZ()
-	if nnz == 0 {
-		return
-	}
-	coord := make([]sptensor.Index, order)
-	if order == 1 {
-		for x := 0; x < nnz; x++ {
-			coord[c.ModeOrder[0]] = c.Fids[0][x]
-			fn(coord, c.Vals[x])
-		}
-		return
-	}
-	// fiber[l] is the current fiber at level l, end[l] the first nonzero
-	// position beyond it; fibers advance as the leaf scan crosses spans.
-	fiber := make([]int, order-1)
-	end := make([]int, order-1)
-	for l := 0; l < order-1; l++ {
-		_, hi := c.NonzeroSpan(l, 0)
-		end[l] = hi
-		coord[c.ModeOrder[l]] = c.Fids[l][0]
-	}
-	leafMode := c.ModeOrder[order-1]
-	for x := 0; x < nnz; x++ {
-		for l := 0; l < order-1; l++ {
-			for x >= end[l] {
-				fiber[l]++
-				_, hi := c.NonzeroSpan(l, fiber[l])
-				end[l] = hi
-				coord[c.ModeOrder[l]] = c.Fids[l][fiber[l]]
+	copy(vals, c.Vals)
+	copy(coords[c.ModeOrder[order-1]], c.Fids[order-1])
+	for l := order - 2; l >= 0; l-- {
+		col := coords[c.ModeOrder[l]]
+		for f, id := range c.Fids[l] {
+			lo, hi := c.NonzeroSpan(l, f)
+			for x := lo; x < hi; x++ {
+				col[x] = id
 			}
 		}
-		coord[leafMode] = c.Fids[order-1][x]
-		fn(coord, c.Vals[x])
 	}
 }
 

@@ -79,12 +79,13 @@ type Backend interface {
 	MemoryBytes() int64
 	// NNZ reports the stored nonzero count.
 	NNZ() int
-	// ForEachNonzero streams every stored nonzero (coordinates in tensor
-	// mode order, value) in the backend's storage order. The sampled
-	// (ARLS) solver builds its fiber index through this path, so it works
-	// against whichever representation the run selected. The coord slice
-	// is reused across calls; fn must copy what it keeps.
-	ForEachNonzero(fn func(coord []sptensor.Index, val float64))
+	// Nonzeros writes every stored nonzero, in the backend's storage
+	// order, into columns the caller allocated: coords[m][x] receives
+	// nonzero x's index in tensor mode m and vals[x] its value (each
+	// column holds NNZ entries). The sampled (ARLS) solver copies its
+	// nonzeros through this path, so it works against whichever
+	// representation the run selected.
+	Nonzeros(coords [][]sptensor.Index, vals []float64)
 }
 
 // Config carries everything a backend build needs from the engine.
@@ -256,27 +257,28 @@ func (b *csfBackend) NNZ() int {
 	c, _ := b.set.For(0)
 	return c.NNZ()
 }
-func (b *csfBackend) ForEachNonzero(fn func(coord []sptensor.Index, val float64)) {
+func (b *csfBackend) Nonzeros(coords [][]sptensor.Index, vals []float64) {
 	c, _ := b.set.For(0) // every CSF in the set stores the same nonzeros
-	c.ForEachNonzero(fn)
+	c.Nonzeros(coords, vals)
 }
 
 // altoBackend wraps the linearized tensor + operator.
 type altoBackend struct {
-	t  *alto.Tensor
-	op *alto.Operator
+	t    *alto.Tensor
+	op   *alto.Operator
+	team *parallel.Team // the build team, which also fills Nonzeros
 }
 
-// buildALTO linearizes and sorts the tensor under one build span (the
-// format's analogue of sort + CSF assembly).
+// buildALTO linearizes and sorts the tensor on the build team under one
+// build span (the format's analogue of sort + CSF assembly).
 func buildALTO(t *sptensor.Tensor, cfg Config) (*altoBackend, error) {
 	span := cfg.Spans.Start()
-	at, err := alto.FromCOO(t)
+	at, err := alto.FromCOO(t, cfg.Team)
 	cfg.Spans.End(obs.PhaseBuild, span)
 	if err != nil {
 		return nil, err
 	}
-	return &altoBackend{t: at, op: alto.NewOperator(at, cfg.Team, cfg.Rank, cfg.Kernel)}, nil
+	return &altoBackend{t: at, op: alto.NewOperator(at, cfg.Team, cfg.Rank, cfg.Kernel), team: cfg.Team}, nil
 }
 
 func (b *altoBackend) Format() Spec { return ALTO }
@@ -287,8 +289,8 @@ func (b *altoBackend) StrategyFor(mode int) mttkrp.ConflictStrategy { return b.o
 func (b *altoBackend) LastStrategy() mttkrp.ConflictStrategy        { return b.op.LastStrategy() }
 func (b *altoBackend) MemoryBytes() int64                           { return b.t.MemoryBytes() }
 func (b *altoBackend) NNZ() int                                     { return b.t.NNZ() }
-func (b *altoBackend) ForEachNonzero(fn func(coord []sptensor.Index, val float64)) {
-	b.t.ForEachNonzero(fn)
+func (b *altoBackend) Nonzeros(coords [][]sptensor.Index, vals []float64) {
+	b.t.Nonzeros(coords, vals, b.team)
 }
 
 // CSFSet returns the CSF set behind a backend, or nil when the backend is

@@ -10,17 +10,18 @@ import (
 	"repro/internal/sptensor"
 )
 
-// NonzeroSource streams every stored nonzero of a tensor representation.
+// NonzeroSource lists every stored nonzero of a tensor representation.
 // format.Backend implements it for both the CSF and ALTO storage formats,
-// so the sampled solver builds its fiber index from whatever backend the
-// run selected instead of re-reading the coordinate tensor.
+// so the sampled solver copies its nonzeros from whatever backend the run
+// selected instead of re-reading the coordinate tensor.
 type NonzeroSource interface {
-	// NNZ reports how many nonzeros ForEachNonzero streams.
+	// NNZ reports how many nonzeros Nonzeros writes.
 	NNZ() int
-	// ForEachNonzero calls fn once per nonzero with the coordinate (in
-	// tensor mode order) and value. The coord slice may be reused between
-	// calls; fn must copy what it keeps.
-	ForEachNonzero(fn func(coord []sptensor.Index, val float64))
+	// Nonzeros writes every nonzero, in the source's storage order, into
+	// columns the caller allocated: coords[m][x] receives nonzero x's
+	// index in tensor mode m and vals[x] its value (each column holds NNZ
+	// entries).
+	Nonzeros(coords [][]sptensor.Index, vals []float64)
 }
 
 // leverageMix is the uniform-mixing weight of the sampling distribution:
@@ -147,8 +148,9 @@ func (s *Sampler) runTeam(body func(tid int)) {
 	s.team.Run(body)
 }
 
-// NewSampler collects the source's nonzeros (src may be nil for an empty
-// shard) and prepares the complement-key radixes. It fails when any mode's
+// NewSampler copies the source's nonzeros into its columns with one
+// Nonzeros call, then adds the offsets (src may be nil for an empty shard),
+// and prepares the complement-key radixes. It fails when any mode's
 // complement index space ∏_{n≠m} dims[n] does not fit a 64-bit key — such
 // tensors fall back to the exact solver — and when the source holds more
 // than sptensor.MaxNNZ nonzeros, the most an int32 fiber index addresses.
@@ -219,18 +221,21 @@ func NewSampler(src NonzeroSource, dims []int, cfg Config) (*Sampler, error) {
 		if n > sptensor.MaxNNZ {
 			return nil, fmt.Errorf("sketch: %d nonzeros exceed the %d a fiber index addresses", n, sptensor.MaxNNZ)
 		}
-		s.vals = make([]float64, 0, n)
+		s.vals = make([]float64, n)
 		s.coords = make([][]sptensor.Index, order)
 		for m := range s.coords {
-			s.coords[m] = make([]sptensor.Index, 0, n)
+			s.coords[m] = make([]sptensor.Index, n)
 		}
-		src.ForEachNonzero(func(coord []sptensor.Index, val float64) {
-			s.vals = append(s.vals, val)
-			for m := 0; m < order; m++ {
-				s.coords[m] = append(s.coords[m], coord[m]+sptensor.Index(offsets[m]))
+		src.Nonzeros(s.coords, s.vals)
+		for m, off := range offsets {
+			if off != 0 {
+				col := s.coords[m]
+				for x := range col {
+					col[x] += sptensor.Index(off)
+				}
 			}
-		})
-		s.nnz = len(s.vals)
+		}
+		s.nnz = n
 	}
 
 	tasks := 1
@@ -351,21 +356,20 @@ func (t *levTable) draw(u float64) int {
 
 // buildFiberIndexes sorts every mode's nonzeros by complement key, so a
 // sampled Khatri-Rao row resolves to its tensor fiber with one binary
-// search. SampledMTTKRP builds all modes at its first call; each team task
-// builds whole modes (tid, tid+tasks, …), so the indexes do not depend on
-// the team size.
+// search. SampledMTTKRP builds all modes at its first call.
 //
 // Mode m is ordered without sorting keys: one stable counting pass per
 // complement mode, least significant (last) first, leaves the nonzeros in
 // lexicographic complement-coordinate order, which is ascending key order
-// with equal keys in nonzero-id order. Mode n's pass counts into dims[n]+1
-// int32 entries, a quarter of mode n's leverage table. The first pass
-// scatters the identity order; each later pass reads its mode's
-// coordinates through the previous pass's permutation. The keys are then
-// gathered in permutation order. Besides the indexes, each building task
-// holds one maxDim+1 histogram and a 4-byte-per-nonzero permutation
-// buffer. An empty shard's sampler has no coordinate columns and gets
-// empty indexes.
+// with equal keys in nonzero-id order. The first pass scatters the
+// identity order; each later pass reads its mode's coordinates through
+// the previous pass's permutation. The keys are then gathered in
+// permutation order. The team splits every pass (countState.pass) and
+// the gather over contiguous chunks of the nonzeros, so the indexes do
+// not depend on the team size. Besides the indexes, the build holds one
+// 4-byte-per-nonzero permutation buffer and, per task, two int32 arrays
+// of the longest mode's length. An empty shard's sampler has no
+// coordinate columns and gets empty indexes.
 func (s *Sampler) buildFiberIndexes() {
 	order := len(s.dims)
 	for m := range s.keys {
@@ -379,13 +383,15 @@ func (s *Sampler) buildFiberIndexes() {
 	if s.team != nil {
 		tasks = s.team.N()
 	}
+	cs := &countState{hists: make([][]int32, tasks), offs: make([][]int32, tasks), team: s.team}
+	for t := range cs.hists {
+		cs.hists[t] = make([]int32, s.maxDim)
+		cs.offs[t] = make([]int32, s.maxDim)
+	}
+	buf := make([]int32, s.nnz)
 	s.runTeam(func(tid int) {
-		if tid >= order {
-			return
-		}
-		hist := make([]int32, s.maxDim+1)
-		buf := make([]int32, s.nnz)
-		for m := tid; m < order; m += tasks {
+		begin, end := parallel.Partition(s.nnz, tasks, tid)
+		for m := 0; m < order; m++ {
 			keys, perm := s.keys[m], s.perm[m]
 			// The order-1 passes alternate between perm and buf, the last
 			// into perm.
@@ -396,12 +402,13 @@ func (s *Sampler) buildFiberIndexes() {
 			var src []int32 // nil: the identity order
 			for n := order - 1; n >= 0; n-- {
 				if n != m {
-					countPass(dst, src, s.coords[n], hist[:s.dims[n]+1])
+					cs.pass(tid, begin, end, dst, src, s.coords[n], s.dims[n])
 					src, dst, other = dst, other, dst
 				}
 			}
 			radix := s.radix[m]
-			for i, x := range perm {
+			for i := begin; i < end; i++ {
+				x := perm[i]
 				k := uint64(0)
 				for n := 0; n < order; n++ {
 					if n != m {
@@ -414,28 +421,64 @@ func (s *Sampler) buildFiberIndexes() {
 	})
 }
 
-// countPass stably scatters the nonzero ids src lists (nil: every id in
-// increasing order) into dst by ascending coordinate col[id]. hist needs
-// one more entry than the coordinates' range.
-func countPass(dst, src []int32, col []sptensor.Index, hist []int32) {
+// countState is the shared state of one team's counting passes: per
+// task, a coordinate histogram and the scatter offsets derived from all
+// the histograms.
+type countState struct {
+	hists, offs [][]int32
+	team        *parallel.Team // nil or one task: no barriers
+}
+
+// pass is task tid's share of one stable counting pass: the nonzero ids
+// at positions [begin, end) of src (nil: the ids begin..end-1 in order)
+// are scattered into dst by ascending coordinate col[id] < dim. Each task
+// counts its chunk; after a barrier, an id goes behind every id of a
+// smaller coordinate and behind the earlier tasks' ids of its own
+// coordinate (offsets bucket-major, then in task order), so the result is
+// the serial pass's. A closing barrier completes the scatter before dst
+// is read and the histograms are reused.
+func (cs *countState) pass(tid, begin, end int, dst, src []int32, col []sptensor.Index, dim int) {
+	hist := cs.hists[tid][:dim]
 	clear(hist)
-	for _, c := range col {
-		hist[c+1]++
-	}
-	for i := 1; i < len(hist); i++ {
-		hist[i] += hist[i-1]
-	}
 	if src == nil {
-		for x, c := range col {
-			dst[hist[c]] = int32(x)
+		for _, c := range col[begin:end] {
 			hist[c]++
 		}
-		return
+	} else {
+		for _, x := range src[begin:end] {
+			hist[col[x]]++
+		}
 	}
-	for _, x := range src {
-		c := col[x]
-		dst[hist[c]] = x
-		hist[c]++
+	cs.barrier()
+	off := cs.offs[tid][:dim]
+	sum := int32(0)
+	for c := range off {
+		for t, h := range cs.hists {
+			if t == tid {
+				off[c] = sum
+			}
+			sum += h[c]
+		}
+	}
+	if src == nil {
+		for x := begin; x < end; x++ {
+			c := col[x]
+			dst[off[c]] = int32(x)
+			off[c]++
+		}
+	} else {
+		for _, x := range src[begin:end] {
+			c := col[x]
+			dst[off[c]] = x
+			off[c]++
+		}
+	}
+	cs.barrier()
+}
+
+func (cs *countState) barrier() {
+	if len(cs.hists) > 1 {
+		cs.team.Barrier()
 	}
 }
 

@@ -86,14 +86,11 @@ type cooSource struct{ t *sptensor.Tensor }
 
 func (s cooSource) NNZ() int { return s.t.NNZ() }
 
-func (s cooSource) ForEachNonzero(fn func(coord []sptensor.Index, val float64)) {
-	coord := make([]sptensor.Index, s.t.NModes())
-	for x := range s.t.Vals {
-		for m := range coord {
-			coord[m] = s.t.Inds[m][x]
-		}
-		fn(coord, s.t.Vals[x])
+func (s cooSource) Nonzeros(coords [][]sptensor.Index, vals []float64) {
+	for m, col := range s.t.Inds {
+		copy(coords[m], col)
 	}
+	copy(vals, s.t.Vals)
 }
 
 func testFactors(dims []int, rank int, seed uint64) []*dense.Matrix {
@@ -204,13 +201,13 @@ func TestSamplerRejectsBadConfig(t *testing.T) {
 }
 
 // hugeSource claims one nonzero more than sptensor.MaxNNZ; NewSampler
-// must refuse it before streaming anything.
+// must refuse it before copying anything.
 type hugeSource struct{ t *testing.T }
 
 func (h hugeSource) NNZ() int { return sptensor.MaxNNZ + 1 }
 
-func (h hugeSource) ForEachNonzero(func(coord []sptensor.Index, val float64)) {
-	h.t.Error("NewSampler streamed a source above the nonzero bound")
+func (h hugeSource) Nonzeros([][]sptensor.Index, []float64) {
+	h.t.Error("NewSampler copied a source above the nonzero bound")
 }
 
 // TestFiberIndexMatchesComparisonSort pins the counting-sorted fiber
@@ -218,8 +215,9 @@ func (h hugeSource) ForEachNonzero(func(coord []sptensor.Index, val float64)) {
 // then nonzero id. The nonzeros are shuffled and share complement keys, so
 // the id tie-break decides most positions; order 2 has a mode longer than
 // nnz, and the sharded case keys local mode-0 coordinates shifted by their
-// offset. Teams of 1, 2 and 3 tasks build the modes on different tasks and
-// must agree.
+// offset. Teams of 1, 2 and 3 tasks split every counting pass differently
+// and must agree; the large case gives each task thousands of nonzeros
+// per pass.
 func TestFiberIndexMatchesComparisonSort(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -232,6 +230,7 @@ func TestFiberIndexMatchesComparisonSort(t *testing.T) {
 		{"order4", []int{7, 300, 5, 1000}, nil, nil, 3000},
 		{"order2", []int{3000, 2}, nil, nil, 2500},
 		{"sharded", []int{30, 10, 8}, []int{10, 10, 8}, []int{20, 0, 0}, 600},
+		{"large", []int{300, 200, 100}, nil, nil, 60000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, tasks := range []int{1, 2, 3} {

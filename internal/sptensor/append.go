@@ -90,11 +90,10 @@ func AppendBatch(base, batch *Tensor) (merged *Tensor, dups int, err error) {
 		}
 	}
 
-	merged = New(dims, n)
-	for m := range merged.Inds {
-		copy(merged.Inds[m], base.Inds[m])
+	merged = &Tensor{Dims: dims, Inds: make([][]Index, order), Vals: extend(base.Vals, n)}
+	for m, col := range base.Inds {
+		merged.Inds[m] = extend(col, n)
 	}
-	copy(merged.Vals, base.Vals)
 	for j, f := range first {
 		p := at[f]
 		if int(f) == j && int(p) >= nbase {
@@ -110,6 +109,16 @@ func AppendBatch(base, batch *Tensor) (merged *Tensor, dups int, err error) {
 		}
 	}
 	return merged, nbase + nb - n, nil
+}
+
+// extend returns a copy of s lengthened to n ≥ len(s) entries, the new
+// ones zero. The make followed at once by a copy compiles to one
+// runtime.makeslicecopy call, which clears only the entries past len(s);
+// cleared first, a revision's columns would be written twice.
+func extend[T Index | float64](s []T, n int) []T {
+	out := make([]T, n)
+	copy(out, s)
+	return out
 }
 
 // coordTable is an open-addressing hash table of one tensor's distinct

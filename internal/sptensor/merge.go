@@ -58,7 +58,7 @@ func MergeDuplicates(t *Tensor) int {
 		perm[i] = int32(i)
 	}
 	for m := order - 1; m >= 0; m-- {
-		SortPerm(perm, buf, t.Inds[m], nil)
+		SortPerm(perm, buf, t.Inds[m], nil, nil)
 	}
 	dups := 0
 	for i := 1; i < n; i++ {

@@ -1,6 +1,10 @@
 package sptensor
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/parallel"
+)
 
 // MaxNNZ is the largest nonzero count the package accepts: SortPerm's
 // permutation, AppendBatch's hash table and the sampler's fiber index hold
@@ -8,6 +12,11 @@ import "math"
 // and the builders that sort nonzeros (the ALTO build, the sampler's fiber
 // index) return an error instead of wrapping.
 const MaxNNZ = math.MaxInt32
+
+// sortParallelMin is the shortest input SortPerm splits across a team.
+// Below it a digit pass's two barriers cost more than the counting they
+// share out, so the sort runs on the calling goroutine.
+const sortParallelMin = 1 << 14
 
 // SortPerm stably sorts perm, a permutation of 0..len(perm)-1, into
 // ascending key order. It is an LSD radix sort with 8-bit digits: one
@@ -28,7 +37,14 @@ const MaxNNZ = math.MaxInt32
 //
 // Entries with equal keys keep their order in perm, so an identity perm
 // comes back sorted by (key, id).
-func SortPerm[K ~int32 | ~uint64](perm, permBuf []int32, keys, keyBuf []K) {
+//
+// team splits every pass over contiguous chunks of the current order (nil
+// or inputs shorter than sortParallelMin: one chunk, on the calling
+// goroutine). Each task counts its chunk's digits; a digit's entries go
+// to the output bucket-major, then in task order, so each task scatters
+// its own chunk behind the earlier tasks' entries of every digit. The
+// result is the serial sort's for every team size.
+func SortPerm[K ~int32 | ~uint64](perm, permBuf []int32, keys, keyBuf []K, team *parallel.Team) {
 	n := len(perm)
 	if len(keys) != n || len(permBuf) != n || (keyBuf != nil && len(keyBuf) != n) {
 		panic("sptensor: SortPerm slice lengths differ")
@@ -36,48 +52,121 @@ func SortPerm[K ~int32 | ~uint64](perm, permBuf []int32, keys, keyBuf []K) {
 	if n < 2 {
 		return
 	}
-	outPerm, outKeys := perm, keys
-	or, and := uint64(0), ^uint64(0)
-	for _, k := range keys {
-		or |= uint64(k)
-		and &= uint64(k)
+	tasks := 1
+	if team != nil && n >= sortParallelMin {
+		tasks = team.N()
 	}
-	varying := or ^ and
-	for shift := uint(0); shift < 64; shift += 8 {
-		if byte(varying>>shift) == 0 {
-			continue // every key has the same digit here
+	hist := make([][256]int, tasks) // per-task digit counts of one pass
+	ors, ands := make([]uint64, tasks), make([]uint64, tasks)
+	barrier := func() {
+		if tasks > 1 {
+			team.Barrier()
 		}
-		var off [256]int
+	}
+	body := func(tid int) {
+		begin, end := parallel.Partition(n, tasks, tid)
+		or, and := uint64(0), ^uint64(0)
+		for _, k := range keys[begin:end] {
+			or |= uint64(k)
+			and &= uint64(k)
+		}
+		ors[tid], ands[tid] = or, and
+		barrier()
+		for t := range ors {
+			or |= ors[t]
+			and &= ands[t]
+		}
+		varying := or ^ and
+		// Every task swaps its own copies of the slice headers, in step.
+		p, pb, k, kb := perm, permBuf, keys, keyBuf
+		for shift := uint(0); shift < 64; shift += 8 {
+			if byte(varying>>shift) == 0 {
+				continue // every key has the same digit here
+			}
+			h := &hist[tid]
+			*h = [256]int{}
+			if kb == nil && tasks > 1 {
+				countDigits(h, k, p[begin:end], shift)
+			} else {
+				// Carried keys sit in chunk order; a lone task's chunk holds
+				// every key, so it counts them in id order, sequentially.
+				countDigits(h, k[begin:end], nil, shift)
+			}
+			barrier()
+			var off [256]int
+			sum := 0
+			for d := range off {
+				for t := range hist {
+					if t == tid {
+						off[d] = sum
+					}
+					sum += hist[t][d]
+				}
+			}
+			if kb == nil {
+				scatter(&off, p[begin:end], pb, k, nil, shift)
+			} else {
+				scatter(&off, p[begin:end], pb, k[begin:end], kb, shift)
+				k, kb = kb, k
+			}
+			p, pb = pb, p
+			barrier() // every scatter is done and hist is free again
+		}
+		if &p[0] != &perm[0] {
+			copy(perm[begin:end], p[begin:end])
+			if keyBuf != nil {
+				copy(keys[begin:end], k[begin:end])
+			}
+		}
+	}
+	if tasks == 1 {
+		body(0)
+		return
+	}
+	team.Run(body)
+}
+
+// countDigits adds to h the digit at shift of the key of each id in ids,
+// keys[id], or with ids nil of every key in keys.
+//
+// countDigits and scatter are not inlined: inside SortPerm's task body,
+// itself inlined into its callers, the register allocator spilled the
+// loop counter and slice bases to the stack on every key, which made
+// MergeDuplicates about a quarter slower.
+//
+//go:noinline
+func countDigits[K ~int32 | ~uint64](h *[256]int, keys []K, ids []int32, shift uint) {
+	if ids == nil {
 		for _, k := range keys {
-			off[byte(uint64(k)>>shift)]++
+			h[byte(uint64(k)>>shift)]++
 		}
-		sum := 0
-		for d, cnt := range off {
-			off[d] = sum
-			sum += cnt
-		}
-		if keyBuf == nil {
-			for _, p := range perm {
-				d := byte(uint64(keys[p]) >> shift)
-				permBuf[off[d]] = p
-				off[d]++
-			}
-		} else {
-			for i, k := range keys {
-				d := byte(uint64(k) >> shift)
-				o := off[d]
-				off[d]++
-				keyBuf[o] = k
-				permBuf[o] = perm[i]
-			}
-			keys, keyBuf = keyBuf, keys
-		}
-		perm, permBuf = permBuf, perm
+		return
 	}
-	if &perm[0] != &outPerm[0] {
-		copy(outPerm, perm)
-		if keyBuf != nil {
-			copy(outKeys, keys)
+	for _, x := range ids {
+		h[byte(uint64(keys[x])>>shift)]++
+	}
+}
+
+// scatter moves each id in ids to permOut[off[d]], d being the digit at
+// shift of its key, and advances off[d]. With keyOut nil the key of id is
+// keys[id]; otherwise keys[i] is the key of ids[i] and moves to keyOut
+// beside it.
+//
+//go:noinline
+func scatter[K ~int32 | ~uint64](off *[256]int, ids, permOut []int32, keys, keyOut []K, shift uint) {
+	if keyOut == nil {
+		for _, x := range ids {
+			d := byte(uint64(keys[x]) >> shift)
+			permOut[off[d]] = x
+			off[d]++
 		}
+		return
+	}
+	for i, k := range keys {
+		d := byte(uint64(k) >> shift)
+		o := off[d]
+		off[d]++
+		keyOut[o] = k
+		permOut[o] = ids[i]
 	}
 }

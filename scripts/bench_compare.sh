@@ -18,7 +18,9 @@
 #     BENCH_PATTERN runs, where absence is expected).
 #
 # Benchmarks whose baseline rows carry no allocs/op column (pre-benchmem
-# baselines) skip the allocation check.
+# baselines) skip the allocation check. Names are matched without the -N
+# suffix go test adds when GOMAXPROCS is N > 1, with a warning when the
+# two files were recorded at different GOMAXPROCS.
 #
 # Environment knobs:
 #   BENCH_MAX_REGRESSION_PCT  allowed ns/op (and relative allocs/op)
@@ -67,28 +69,65 @@ awk -v maxpct="$MAXPCT" -v allocgrowth="$ALLOCGROWTH" -v minns="$MINNSOP" \
     -v allowmissing="$ALLOW_MISSING" '
     # Collect benchmark rows, locating the ns/op and allocs/op columns by
     # their unit labels (a MB/s column from b.SetBytes shifts positions).
+    # File 1 is the baseline, file 2 the fresh run.
     $1 ~ /^Benchmark/ {
+        f = (FNR == NR) ? 1 : 2
         ns = ""; allocs = ""
         for (i = 3; i <= NF; i++) {
             if ($(i) == "ns/op") ns = $(i-1)
             else if ($(i) == "allocs/op") allocs = $(i-1)
         }
-        if (FNR == NR) {
-            if (ns != "")     { base[$1] += ns; basen[$1]++ }
-            if (allocs != "") { basea[$1] += allocs; basean[$1]++ }
-        } else {
-            if (ns != "")     { cur[$1] += ns; curn[$1]++ }
-            if (allocs != "") { cura[$1] += allocs; curan[$1]++ }
-        }
+        rows[f]++
+        rname[f, rows[f]] = $1; rns[f, rows[f]] = ns; rallocs[f, rows[f]] = allocs
         next
     }
+    # go test names a benchmark Name-N when GOMAXPROCS is N > 1, so the
+    # suffix of a file is the -N that every one of its rows ends in (none
+    # when they do not all agree: a name may itself end in -digits, like
+    # NELL-2). Both files lose their suffix before names are matched.
+    function suffix(f,    i, s, m) {
+        s = ""
+        for (i = 1; i <= rows[f]; i++) {
+            if (!match(rname[f, i], /-[0-9]+$/)) return ""
+            m = substr(rname[f, i], RSTART)
+            if (i > 1 && m != s) return ""
+            s = m
+        }
+        return s
+    }
+    function collect(f, sfx,    i, name) {
+        for (i = 1; i <= rows[f]; i++) {
+            name = rname[f, i]
+            if (sfx != "") name = substr(name, 1, length(name) - length(sfx))
+            if (f == 1) {
+                if (rns[f, i] != "")     { base[name] += rns[f, i]; basen[name]++ }
+                if (rallocs[f, i] != "") { basea[name] += rallocs[f, i]; basean[name]++ }
+            } else {
+                if (rns[f, i] != "")     { cur[name] += rns[f, i]; curn[name]++ }
+                if (rallocs[f, i] != "") { cura[name] += rallocs[f, i]; curan[name]++ }
+            }
+        }
+    }
     END {
+        bsfx = suffix(1); csfx = suffix(2)
+        if (bsfx != csfx) {
+            print "##################################################################" > "/dev/stderr"
+            print "WARNING: GOMAXPROCS name suffixes differ between baseline and fresh run:" > "/dev/stderr"
+            print "  baseline: " (bsfx == "" ? "none (GOMAXPROCS=1)" : bsfx) > "/dev/stderr"
+            print "  fresh:    " (csfx == "" ? "none (GOMAXPROCS=1)" : csfx) > "/dev/stderr"
+            print "Names are matched without them; ns/op deltas compare runs on" > "/dev/stderr"
+            print "different CPU counts, not only a code change." > "/dev/stderr"
+            print "##################################################################" > "/dev/stderr"
+        }
+        collect(1, bsfx); collect(2, csfx)
         n = 0
         for (name in cur) n++
         if (n == 0) {
             print "WARNING: no benchmark rows in the fresh run (bad BENCH_PATTERN?)."
         }
-        missing = 0
+        missing = 0; matched = 0
+        for (name in cur) if (name in base) matched++
+        printf "%d benchmark(s) in both the baseline and the fresh run\n", matched
         for (name in base) {
             if (!(name in cur)) {
                 printf "MISSING    %-60s in baseline but absent from fresh run\n", name
