@@ -60,16 +60,8 @@ func FromCOO(t *sptensor.Tensor, team *parallel.Team) (*Tensor, error) {
 	}
 	perm := make([]int32, nnz)
 	parallel.ForBlocks(team, nnz, func(_, begin, end int) {
-		coord := make([]sptensor.Index, t.NModes())
+		enc.linearizeRange(t.Inds, begin, end, at.Lo, hi)
 		for x := begin; x < end; x++ {
-			for m := range coord {
-				coord[m] = t.Inds[m][x]
-			}
-			l, h := enc.Linearize(coord)
-			at.Lo[x] = l
-			if hi != nil {
-				hi[x] = h
-			}
 			perm[x] = int32(x)
 		}
 	})

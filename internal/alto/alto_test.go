@@ -303,8 +303,8 @@ func TestFromCOOTeamInvariant(t *testing.T) {
 	}
 }
 
-// TestLinearizeAllocationFree pins Encoding.Linearize at zero allocations
-// on both the native pdep path and the portable segment walk.
+// TestLinearizeAllocationFree pins Encoding.Linearize at zero
+// allocations, narrow and wide.
 func TestLinearizeAllocationFree(t *testing.T) {
 	for _, dims := range [][]int{{41086, 11, 204}, {1 << 24, 1 << 24, 1 << 24}} {
 		enc, err := NewEncoding(dims)
@@ -312,11 +312,8 @@ func TestLinearizeAllocationFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		coord := []sptensor.Index{3, 5, 7}
-		for _, native := range []bool{false, nativeBitExtract} {
-			enc.native = native
-			if allocs := testing.AllocsPerRun(100, func() { enc.Linearize(coord) }); allocs != 0 {
-				t.Errorf("%v native=%v: Linearize allocates %v times per call", dims, native, allocs)
-			}
+		if allocs := testing.AllocsPerRun(100, func() { enc.Linearize(coord) }); allocs != 0 {
+			t.Errorf("%v: Linearize allocates %v times per call", dims, allocs)
 		}
 	}
 }

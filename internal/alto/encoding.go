@@ -72,7 +72,7 @@ type Encoding struct {
 	// mirrored pdep. Always built (they also serve as the ground truth for
 	// the parity fuzz); used on the hot path only when native is true.
 	pextMasks []uint64
-	// native selects the BMI2 assembly for ExtractAll/Step/Linearize/
+	// native selects the BMI2 assembly for ExtractAll/Step/linearizeRange/
 	// DelinearizeRange and the operator's tile walker. Set from
 	// NativeExtract() at construction, overridable per encoding in tests.
 	native bool
@@ -206,19 +206,44 @@ func compress(pos []int) []segment {
 // Wide reports whether linearized indices need the second word.
 func (e *Encoding) Wide() bool { return e.TotalBits > 64 }
 
-// Linearize packs one coordinate tuple into a (lo, hi) linearized index.
+// Linearize packs one coordinate tuple into a (lo, hi) linearized index
+// by the portable segment walk; FromCOO linearizes whole tiles with
+// linearizeRange.
 func (e *Encoding) Linearize(coord []sptensor.Index) (lo, hi uint64) {
+	return e.linearizeSegs(coord)
+}
+
+// linearizeRange writes the keys of nonzeros [begin, end) of the
+// coordinate columns inds into lo[begin:end] and, for wide encodings,
+// hi[begin:end] (nil otherwise); both must be zero there. Native builds
+// deposit a delinTile of one mode's indices per pdepColumn call, passing
+// the high words only for modes with bits there. The portable body walks
+// each key's segments (linearizeSegs).
+func (e *Encoding) linearizeRange(inds [][]sptensor.Index, begin, end int, lo, hi []uint64) {
 	if e.native {
-		var buf [32]uint64
-		if len(coord) <= len(buf) {
-			cur := buf[:len(coord)]
-			for m, c := range coord {
-				cur[m] = uint64(c)
+		for tile := begin; tile < end; tile += delinTile {
+			tileEnd := min(tile+delinTile, end)
+			for m, col := range inds {
+				var hiKeys []uint64
+				if e.pextMasks[3*m+1] != 0 {
+					hiKeys = hi[tile:tileEnd]
+				}
+				pdepColumn(col[tile:tileEnd], e.pextMasks[3*m:3*m+3], lo[tile:tileEnd], hiKeys)
 			}
-			return pdepKey(cur, e.pextMasks)
+		}
+		return
+	}
+	coord := make([]sptensor.Index, len(inds))
+	for x := begin; x < end; x++ {
+		for m, col := range inds {
+			coord[m] = col[x]
+		}
+		l, h := e.linearizeSegs(coord)
+		lo[x] = l
+		if hi != nil {
+			hi[x] = h
 		}
 	}
-	return e.linearizeSegs(coord)
 }
 
 // linearizeSegs is the portable segment-walk linearization.

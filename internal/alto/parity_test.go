@@ -41,11 +41,6 @@ func TestNativeExtractAllMatchesTables(t *testing.T) {
 					coord[m] = sptensor.Index(rng.Intn(d))
 				}
 				lo, hi := e.Linearize(coord)
-				tlo, thi := tab.Linearize(coord)
-				if lo != tlo || hi != thi {
-					t.Fatalf("Linearize(%v): native (%x,%x) != portable (%x,%x)",
-						coord, hi, lo, thi, tlo)
-				}
 				e.ExtractAll(lo, hi, got)
 				tab.ExtractAll(lo, hi, want)
 				for m := 0; m < order; m++ {
@@ -56,6 +51,64 @@ func TestNativeExtractAllMatchesTables(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLinearizeRangeMatchesSegs checks the tiled column linearization,
+// native (pdepColumn) and portable, against the per-key segment walk on
+// every parity layout: orders 1-5, narrow and wide, with the range
+// starting and ending inside a tile and spanning several.
+func TestLinearizeRangeMatchesSegs(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for _, layout := range parityLayouts {
+		t.Run(layout.name, func(t *testing.T) {
+			e, err := NewEncoding(layout.dims)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const n = 3*delinTile + 41
+			inds := make([][]sptensor.Index, len(layout.dims))
+			for m, d := range layout.dims {
+				inds[m] = make([]sptensor.Index, n)
+				for x := range inds[m] {
+					inds[m][x] = sptensor.Index(rng.Intn(d))
+				}
+				inds[m][n-1] = sptensor.Index(d - 1)
+			}
+			checkLinearizeRange(t, e, inds, 37, n)
+			checkLinearizeRange(t, forceTables(e), inds, 0, n-5)
+		})
+	}
+}
+
+// checkLinearizeRange fails unless e.linearizeRange writes, for every
+// nonzero in [begin, end) of inds, the key linearizeSegs gives, and
+// leaves every other key zero.
+func checkLinearizeRange(t *testing.T, e *Encoding, inds [][]sptensor.Index, begin, end int) {
+	t.Helper()
+	n := len(inds[0])
+	lo := make([]uint64, n)
+	var hi []uint64
+	if e.Wide() {
+		hi = make([]uint64, n)
+	}
+	e.linearizeRange(inds, begin, end, lo, hi)
+	coord := make([]sptensor.Index, len(inds))
+	for x := 0; x < n; x++ {
+		var wantLo, wantHi uint64
+		if x >= begin && x < end {
+			for m := range inds {
+				coord[m] = inds[m][x]
+			}
+			wantLo, wantHi = e.linearizeSegs(coord)
+		}
+		var gotHi uint64
+		if hi != nil {
+			gotHi = hi[x]
+		}
+		if lo[x] != wantLo || gotHi != wantHi {
+			t.Fatalf("native=%v nonzero %d: key (%x,%x), segment walk (%x,%x)", e.native, x, gotHi, lo[x], wantHi, wantLo)
+		}
 	}
 }
 
@@ -190,10 +243,11 @@ func TestOperatorNativeMatchesPortableWalker(t *testing.T) {
 }
 
 // FuzzEncodingParity drives random coordinate pairs through both the
-// native and portable Linearize/ExtractAll/Step paths and requires
-// bitwise agreement on keys, extracted indices, and change masks. The
-// same keys then go through DelinearizeRange's native tiled body and its
-// byte-table body, which must both return the coordinates.
+// native and portable ExtractAll/Step paths and requires bitwise
+// agreement on extracted indices and change masks. Both bodies of
+// linearizeRange must give Linearize's keys, and the keys then go through
+// DelinearizeRange's native tiled body and its byte-table body, which
+// must both return the coordinates.
 func FuzzEncodingParity(f *testing.F) {
 	f.Add(uint16(37), uint16(19), uint16(53), int64(1))
 	f.Add(uint16(1), uint16(1), uint16(1), int64(2))
@@ -220,9 +274,6 @@ func FuzzEncodingParity(f *testing.F) {
 				coords[m] = append(coords[m], coord[m])
 			}
 			lo, hi := e.Linearize(coord)
-			if tlo, thi := tab.Linearize(coord); lo != tlo || hi != thi {
-				t.Fatalf("Linearize(%v): native (%x,%x) != portable (%x,%x)", coord, hi, lo, thi, tlo)
-			}
 			los[trial], his[trial] = lo, hi
 			if trial == 0 {
 				e.ExtractAll(lo, hi, curN)
@@ -246,6 +297,9 @@ func FuzzEncodingParity(f *testing.F) {
 		}
 		if !e.Wide() {
 			his = nil
+		}
+		for _, enc := range []*Encoding{e, tab} {
+			checkLinearizeRange(t, enc, coords, 0, trials)
 		}
 		for _, enc := range []*Encoding{e, tab} {
 			out := [][]sptensor.Index{make([]sptensor.Index, trials), make([]sptensor.Index, trials), make([]sptensor.Index, trials)}

@@ -8,8 +8,8 @@ import (
 )
 
 // The kernels only load and store through their slice arguments and keep
-// no pointer past return, hence //go:noescape: without it every native
-// Linearize call moves its coordinate buffer to the heap.
+// no pointer past return, hence //go:noescape: without it every slice
+// passed counts as escaping, and callers' stack buffers move to the heap.
 
 // nativeBitExtract gates the BMI2 kernels; SHLX rides on the same feature
 // bit as PDEP/PEXT, so one flag covers all three instructions.
@@ -42,8 +42,12 @@ func pext3Tile(keys []uint64, mT, mA, mB uint64, outT, outA, outB []uint32)
 //go:noescape
 func pextColumn(lo, hi []uint64, masks []uint64, out []sptensor.Index)
 
-// pdepKey linearizes one coordinate tuple (cur, len = order) into a
-// (lo, hi) key — the pdep mirror of pextAll. Implemented in pext_amd64.s.
+// pdepColumn deposits one mode's index of every nonzero of a tile into
+// its key: lo[i] |= pdep(col[i], masks[0]) and, when hi is not empty,
+// hi[i] |= pdep(col[i] >> masks[2], masks[1]), where masks is the mode's
+// mask triple — the mirror of pextColumn. hi is empty when the mode has no
+// bits in the high word. lo and hi (when not empty) must hold at least
+// len(col) elements. Implemented in pext_amd64.s.
 //
 //go:noescape
-func pdepKey(cur []uint64, masks []uint64) (lo, hi uint64)
+func pdepColumn(col []sptensor.Index, masks []uint64, lo, hi []uint64)

@@ -114,30 +114,40 @@ pc_wloop:
 pc_done:
 	RET
 
-// func pdepKey(cur []uint64, masks []uint64) (lo, hi uint64)
-TEXT ·pdepKey(SB), NOSPLIT, $0-64
-	MOVQ cur_base+0(FP), DI
-	MOVQ cur_len+8(FP), CX
-	MOVQ masks_base+24(FP), SI
-	XORQ R8, R8  // lo
-	XORQ R9, R9  // hi
+// func pdepColumn(col []sptensor.Index, masks []uint64, lo, hi []uint64)
+TEXT ·pdepColumn(SB), NOSPLIT, $0-96
+	MOVQ col_base+0(FP), SI
+	MOVQ col_len+8(FP), CX
+	MOVQ masks_base+24(FP), R10
+	MOVQ lo_base+48(FP), DI
+	MOVQ hi_base+72(FP), R9
+	MOVQ hi_len+80(FP), BX
+	MOVQ (R10), R8      // low mask
 	XORQ AX, AX
-pd_loop:
-	CMPQ AX, CX
-	JGE  pd_done
-	MOVQ (DI)(AX*8), R13 // mode index value
-	MOVQ (SI), R10       // low mask
-	MOVQ 8(SI), R11      // high mask
-	MOVQ 16(SI), R12     // high shift
-	PDEPQ R10, R13, R14  // deposit low bits
-	ORQ  R14, R8
-	SHRXQ R12, R13, R14  // bits above the low-word run
-	PDEPQ R11, R14, R14
-	ORQ  R14, R9
-	ADDQ $24, SI
+	TESTQ CX, CX
+	JZ   pd_done
+	TESTQ BX, BX
+	JNZ  pd_wide
+pd_narrow:
+	MOVLQZX (SI)(AX*4), DX
+	PDEPQ R8, DX, R13
+	ORQ  R13, (DI)(AX*8)
 	INCQ AX
-	JMP  pd_loop
+	CMPQ AX, CX
+	JL   pd_narrow
+	RET
+pd_wide:
+	MOVQ 8(R10), R11    // high mask
+	MOVQ 16(R10), R12   // high shift
+pd_wloop:
+	MOVLQZX (SI)(AX*4), DX
+	PDEPQ R8, DX, R13
+	ORQ  R13, (DI)(AX*8)
+	SHRXQ R12, DX, R14  // bits above the low-word run
+	PDEPQ R11, R14, R14
+	ORQ  R14, (R9)(AX*8)
+	INCQ AX
+	CMPQ AX, CX
+	JL   pd_wloop
 pd_done:
-	MOVQ R8, lo+48(FP)
-	MOVQ R9, hi+56(FP)
 	RET

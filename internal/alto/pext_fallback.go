@@ -22,6 +22,6 @@ func pextColumn(lo, hi []uint64, masks []uint64, out []sptensor.Index) {
 	panic("alto: pextColumn called without BMI2")
 }
 
-func pdepKey(cur []uint64, masks []uint64) (lo, hi uint64) {
-	panic("alto: pdepKey called without BMI2")
+func pdepColumn(col []sptensor.Index, masks []uint64, lo, hi []uint64) {
+	panic("alto: pdepColumn called without BMI2")
 }
