@@ -19,16 +19,22 @@ import (
 // Parallelization splits the linearized nonzero array into contiguous
 // per-task ranges (perfect nnz balance by construction — no slice-weight
 // partitioning needed, since there is no root mode). Every task walks its
-// range with the incremental byte-table delinearizer (Encoding.Step; the
-// order-3 narrow path inlines it over register-resident state): only the
-// modes whose key bytes changed between consecutive sorted keys are
-// re-extracted, and the returned change mask drives the reuse of the
-// Hadamard product of the non-target factor rows across nonzeros whose
-// non-target coordinates are unchanged — the linearized analogue of CSF's
-// fiber-product reuse. Run accumulation is lazy (a single-nonzero run
-// flushes with one fused multiply-add), and the accumulator flushes only
-// when the output-mode index changes, so lock traffic scales with the
-// mode's fiber-run count, not with nnz.
+// sorted keys and reuses the product of the non-target factor rows across
+// nonzeros whose non-target coordinates are unchanged — the linearized
+// analogue of CSF's fiber-product reuse. Run accumulation is lazy: equal
+// keys sum their values, a run's terms materialize in an accumulator only
+// when its non-target coordinates change under the same output row, and
+// the row flushes only when the output-mode index changes, so lock
+// traffic scales with the mode's fiber-run count, not with nnz.
+//
+// The walker depends on the tensor and the host. The generic walker
+// (runRange) re-extracts only the modes whose key bytes changed
+// (Encoding.Step). Narrow order-3 tensors inline that over three
+// registers (runRange3), or, with BMI2, extract each 512-key tile with
+// pext (runRange3Native). With AVX2+FMA too, the lock-free strategies walk
+// each tile in one assembly call (walk3Tile) that runs the whole run
+// state machine; every walker rounds the same operations in the same
+// order, so their outputs are bitwise equal.
 type Operator struct {
 	t    *Tensor
 	team *parallel.Team
@@ -40,6 +46,10 @@ type Operator struct {
 	bounds []int              // contiguous nonzero ranges, len tasks+1
 
 	kernels []taskKernel // per-task tile workspaces
+	// tile selects walk3Tile for the lock-free strategies: a narrow
+	// order-3 tensor with BMI2 keys (Enc.native) on a build whose dense
+	// kernels are the AVX2+FMA set, whose rounding walk3Tile repeats.
+	tile bool
 
 	// Staged operands of the in-flight Apply; runBody is built once so no
 	// closure is materialized per call.
@@ -63,17 +73,37 @@ type taskKernel struct {
 	priv     []float64
 	privBase int
 
-	// Tile buffers for the native (BMI2) order-3 walker: pext3Tile batch-
-	// delinearizes tileN keys per assembly call, amortizing the call
+	// Tile buffers for the native (BMI2) order-3 Go walker: pext3Tile
+	// batch-delinearizes tileN keys per assembly call, amortizing the call
 	// overhead to a fraction of a nanosecond per nonzero. Allocated only
 	// when that walker is selected.
 	idxT, idxA, idxB []uint32
+
+	walk tileWalk // walk3Tile's state, when Operator.tile
 }
 
-// tileN is the nonzeros-per-pext3Tile-call batch size of the native
-// order-3 walker: large enough to amortize the assembly call, small enough
-// that the three uint32 buffers (3×4·tileN = 6 KiB) stay L1-resident.
+// tileN is the nonzeros per assembly call of the native order-3 walkers:
+// large enough to amortize the call, small enough that pext3Tile's three
+// uint32 buffers (3×4·tileN = 6 KiB) stay L1-resident and that a
+// walk3Tile call, which the scheduler cannot preempt, stays short.
 const tileN = 512
+
+// tileWalk is one task's state of the lock-free order-3 tile walk.
+// walk3Tile (pext_amd64.s) reads and writes its fields at their go_asm.h
+// offsets. The operands are set once per Apply; the run state carries
+// from one tile call to the next.
+type tileWalk struct {
+	mT, mA, mB uint64    // pext masks: output mode, the two other modes
+	fa, fb     []float64 // factor data of the two other modes
+	out        []float64 // flat output window: row r at (r-base)·rank
+	base       int
+	rank       int
+	acc        []float64 // the output row's materialized terms, while accUsed
+
+	key     uint64  // the current run's key
+	vpend   float64 // its summed values, not yet multiplied in
+	accUsed bool    // acc holds terms of key's output row
+}
 
 // NewOperator builds an operator for the given ALTO tensor. rank is the
 // decomposition rank R; team may be nil for serial execution. Workspace
@@ -104,6 +134,7 @@ func NewOperator(t *Tensor, team *parallel.Team, rank int, opts mttkrp.Options) 
 		arena = parallel.NewArena(tasks)
 	}
 	native3 := order == 3 && t.Hi == nil && t.Enc.native
+	o.tile = native3 && dense.Native()
 	o.kernels = make([]taskKernel, tasks)
 	for tid := range o.kernels {
 		ta := arena.Task(tid)
@@ -127,6 +158,8 @@ func NewOperator(t *Tensor, team *parallel.Team, rank int, opts mttkrp.Options) 
 			k.priv, k.privBase = o.priv.Open(tid)
 		}
 		switch {
+		case o.tile && o.curStrategy != mttkrp.StrategyLock:
+			o.runRange3Tiles(tid, begin, end)
 		case native3:
 			o.runRange3Native(tid, begin, end)
 		case order == 3 && o.t.Hi == nil:
@@ -299,15 +332,7 @@ func (o *Operator) runRange3(tid, begin, end int) {
 	acc, hprod := k.acc, k.hprod
 	deltas := enc.chunkDeltas
 
-	var ma, mb int // the two non-target modes
-	switch mode {
-	case 0:
-		ma, mb = 1, 2
-	case 1:
-		ma, mb = 0, 2
-	default:
-		ma, mb = 0, 1
-	}
+	ma, mb := otherModes(mode)
 	fa, fb := factors[ma], factors[mb]
 
 	prevLo := lo[begin]
@@ -389,17 +414,19 @@ func (o *Operator) runRange3(tid, begin, end int) {
 	o.flushRun(strategy, out, k, curRow, acc, hprod, vpend, pendValid, accUsed)
 }
 
-// runRange3Native is the BMI2 variant of runRange3: instead of patching
-// walker registers from per-byte delta tables, it batch-delinearizes tileN
-// keys at a time with pext3Tile (one pext per mode per key, no tables, no
-// branches) into L1-resident index buffers, then drives the lazy-run
-// accumulation off plain value compares (equivalent to the XOR-delta flags
-// of the portable walker, both being exact). Unlike the portable walker it
-// never materializes the Hadamard product: a run's pending value flushes
-// straight from the factor rows with the fused scaled-Hadamard kernels
-// (dst (+)= v·(ra⊙rb)), saving two rank-length load/store passes per
-// coordinate change — in the dense-tensor regime where nearly every
-// nonzero starts a new run, that is per nonzero.
+// runRange3Native is the BMI2 variant of runRange3, in Go: instead of
+// patching walker registers from per-byte delta tables, it batch-
+// delinearizes tileN keys at a time with pext3Tile (one pext per mode per
+// key, no tables, no branches) into L1-resident index buffers, then drives
+// the lazy-run accumulation off plain value compares (equivalent to the
+// XOR-delta flags of the portable walker, both being exact). Unlike the
+// portable walker it never materializes the Hadamard product: a run's
+// pending value flushes straight from the factor rows with the fused
+// scaled-Hadamard kernels (dst (+)= v·(ra⊙rb)), through flushRunRows, one
+// dispatched call per nonzero on a tensor whose runs are single nonzeros.
+// It runs StrategyLock, whose flushes take pool locks, and every strategy
+// on hosts without the AVX2+FMA kernels; the lock-free strategies
+// otherwise walk the same tiles in runRange3Tiles.
 func (o *Operator) runRange3Native(tid, begin, end int) {
 	enc := o.t.Enc
 	mode := o.curMode
@@ -409,15 +436,7 @@ func (o *Operator) runRange3Native(tid, begin, end int) {
 	acc := k.acc
 	idxT, idxA, idxB := k.idxT, k.idxA, k.idxB
 
-	var ma, mb int // the two non-target modes
-	switch mode {
-	case 0:
-		ma, mb = 1, 2
-	case 1:
-		ma, mb = 0, 2
-	default:
-		ma, mb = 0, 1
-	}
+	ma, mb := otherModes(mode)
 	fa, fb := factors[ma], factors[mb]
 	// Narrow encoding: each mode's bits live entirely in the low word, so
 	// the low-word pext mask alone extracts the full index.
@@ -425,42 +444,16 @@ func (o *Operator) runRange3Native(tid, begin, end int) {
 	mA := enc.pextMasks[3*ma]
 	mB := enc.pextMasks[3*mb]
 
-	// Lock-free strategies write rank-strided rows of one flat array
-	// (task-private or the output itself), so the dominant dense-tensor
-	// step — new row on an unmaterialized single-value run — can flush with
-	// ONE fused kernel call, no flushRunRows dispatch. Under locks the
-	// flush must stay inside the pool's critical section.
-	rank := o.rank
-	var flat []float64
-	flatBase := 0 // the first row flat holds
-	switch strategy {
-	case mttkrp.StrategyPrivatize:
-		flat, flatBase = k.priv, k.privBase
-	case mttkrp.StrategyLock:
-		// flat stays nil: fused fast path disabled
-	default:
-		flat = out.Data
-	}
-
 	var curT, curA, curB uint32
-	var curRow sptensor.Index
 	var vpend float64
-	var pendValid, accUsed bool
-	first := true
-
+	accUsed := false
 	for base := begin; base < end; base += tileN {
-		n := end - base
-		if n > tileN {
-			n = tileN
-		}
+		n := min(end-base, tileN)
 		pext3Tile(lo[base:base+n], mT, mA, mB, idxT, idxA, idxB)
 		x := 0
-		if first {
+		if base == begin {
 			curT, curA, curB = idxT[0], idxA[0], idxB[0]
-			curRow = sptensor.Index(curT)
 			vpend = vals[base]
-			pendValid = true
-			first = false
 			x = 1
 		}
 		for ; x < n; x++ {
@@ -468,55 +461,89 @@ func (o *Operator) runRange3Native(tid, begin, end int) {
 			if nT == curT {
 				if nA == curA && nB == curB {
 					// Merged keys share row and Hadamard coordinates.
-					if pendValid {
-						vpend += vals[base+x]
-					} else {
-						vpend = vals[base+x]
-						pendValid = true
-					}
+					vpend += vals[base+x]
 					continue
 				}
 				// Same row, new coordinates: materialize the pending value
 				// into the accumulator under the OLD rows.
-				if pendValid {
-					ra, rb := fa.Row(int(curA)), fb.Row(int(curB))
-					if accUsed {
-						dense.VecMulAxpy(acc, ra, rb, vpend)
-					} else {
-						dense.VecMulScaleSet(acc, ra, rb, vpend)
-						accUsed = true
-					}
+				ra, rb := fa.Row(int(curA)), fb.Row(int(curB))
+				if accUsed {
+					dense.VecMulAxpy(acc, ra, rb, vpend)
+				} else {
+					dense.VecMulScaleSet(acc, ra, rb, vpend)
+					accUsed = true
 				}
 				curA, curB = nA, nB
 				vpend = vals[base+x]
-				pendValid = true
 				continue
 			}
 			// Row change: flush the finished run.
-			if flat != nil && pendValid && !accUsed {
-				id := (int(curT) - flatBase) * rank
-				dense.VecMulAxpy(flat[id:id+rank], fa.Row(int(curA)), fb.Row(int(curB)), vpend)
-			} else {
-				o.flushRunRows(strategy, out, k, curRow,
-					acc, fa.Row(int(curA)), fb.Row(int(curB)), vpend, pendValid, accUsed)
-				accUsed = false
-			}
+			o.flushRunRows(strategy, out, k, sptensor.Index(curT),
+				acc, fa.Row(int(curA)), fb.Row(int(curB)), vpend, accUsed)
+			accUsed = false
 			curT, curA, curB = nT, nA, nB
-			curRow = sptensor.Index(curT)
 			vpend = vals[base+x]
-			pendValid = true
 		}
 	}
-	o.flushRunRows(strategy, out, k, curRow,
-		acc, fa.Row(int(curA)), fb.Row(int(curB)), vpend, pendValid, accUsed)
+	o.flushRunRows(strategy, out, k, sptensor.Index(curT),
+		acc, fa.Row(int(curA)), fb.Row(int(curB)), vpend, accUsed)
 }
 
-// flushRunRows is flushRun for the hprod-free native walker: the pending
+// runRange3Tiles is runRange3Native for the lock-free strategies on hosts
+// with BMI2, AVX2 and FMA: one walk3Tile call per tile of tileN keys runs
+// the whole run state machine in assembly, writing row flushes into one
+// flat array (the task's privatized window, or the output itself under
+// StrategyNone), so a nonzero costs no Go-side branch and no dispatched
+// kernel call. It extracts no coordinates up front: a key's XOR with the
+// run's key, masked by each mode's pext mask, tells which coordinates
+// changed, and pext extracts the finished run's rows only when it
+// flushes or materializes. Every floating-point operation is the one the
+// other walkers perform with the dense kernels, in the same order, so the
+// output is bitwise theirs.
+func (o *Operator) runRange3Tiles(tid, begin, end int) {
+	enc := o.t.Enc
+	mode := o.curMode
+	ma, mb := otherModes(mode)
+	fa, fb := o.curFactors[ma], o.curFactors[mb]
+	lo, vals := o.t.Lo, o.t.Vals
+	k := &o.kernels[tid]
+	w := &k.walk
+	w.mT, w.mA, w.mB = enc.pextMasks[3*mode], enc.pextMasks[3*ma], enc.pextMasks[3*mb]
+	w.fa, w.fb, w.rank, w.acc = fa.Data, fb.Data, o.rank, k.acc
+	w.out, w.base = o.curOut.Data, 0
+	if o.curStrategy == mttkrp.StrategyPrivatize {
+		w.out, w.base = k.priv, k.privBase
+	}
+	w.key, w.vpend, w.accUsed = lo[begin], vals[begin], false
+	for base := begin + 1; base < end; base += tileN {
+		n := min(end-base, tileN)
+		walk3Tile(w, lo[base:base+n], vals[base:base+n])
+	}
+	cur := k.cur
+	enc.ExtractAll(w.key, 0, cur)
+	o.flushRunRows(o.curStrategy, o.curOut, k, sptensor.Index(cur[mode]),
+		k.acc, fa.Row(int(cur[ma])), fb.Row(int(cur[mb])), w.vpend, w.accUsed)
+	w.fa, w.fb, w.out = nil, nil, nil
+}
+
+// otherModes returns the two modes of an order-3 tensor other than mode,
+// in ascending order.
+func otherModes(mode int) (ma, mb int) {
+	switch mode {
+	case 0:
+		return 1, 2
+	case 1:
+		return 0, 2
+	}
+	return 0, 1
+}
+
+// flushRunRows is flushRun for the hprod-free native walkers: the pending
 // value flushes directly from the factor rows via the fused scaled-Hadamard
 // kernel.
 func (o *Operator) flushRunRows(strategy mttkrp.ConflictStrategy, out *dense.Matrix,
 	k *taskKernel, row sptensor.Index, acc, ra, rb []float64, vpend float64,
-	pendValid, accUsed bool) {
+	accUsed bool) {
 
 	id := int(row)
 	var target []float64
@@ -534,19 +561,16 @@ func (o *Operator) flushRunRows(strategy mttkrp.ConflictStrategy, out *dense.Mat
 	if accUsed {
 		dense.VecAdd(target, acc)
 	}
-	if pendValid {
-		dense.VecMulAxpy(target, ra, rb, vpend)
-	}
+	dense.VecMulAxpy(target, ra, rb, vpend)
 	if locked {
 		o.pool.Unlock(id)
-	}
-	if accUsed {
-		dense.VecZero(acc)
 	}
 }
 
 // flushRun commits one output row's run: the materialized accumulator (if
-// any) plus the pending value under the current Hadamard product.
+// any) plus the pending value under the current Hadamard product. The
+// order-3 walkers leave acc as it is: with accUsed false their next
+// materialization overwrites it.
 func (o *Operator) flushRun(strategy mttkrp.ConflictStrategy, out *dense.Matrix,
 	k *taskKernel, row sptensor.Index, acc, hprod []float64, vpend float64,
 	pendValid, accUsed bool) {
@@ -572,9 +596,6 @@ func (o *Operator) flushRun(strategy mttkrp.ConflictStrategy, out *dense.Matrix,
 	}
 	if locked {
 		o.pool.Unlock(id)
-	}
-	if accUsed {
-		dense.VecZero(acc)
 	}
 }
 

@@ -1,11 +1,16 @@
 package alto
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
+	"os/exec"
 	"testing"
 
 	"repro/internal/dense"
+	"repro/internal/locks"
 	"repro/internal/mttkrp"
+	"repro/internal/parallel"
 	"repro/internal/sptensor"
 )
 
@@ -188,58 +193,239 @@ func TestPext3TileMatchesExtract(t *testing.T) {
 }
 
 // TestOperatorNativeMatchesPortableWalker runs the same MTTKRP through the
-// native tile walker and the portable byte-patch walker. Both execute the
-// identical sequence of run flushes and Hadamard recomputes, so the
-// outputs must agree bitwise, not just within tolerance.
+// native walkers (the walk3Tile assembly for the lock-free strategies, the
+// pext3Tile Go loop under locks) and the portable byte-patch walker. Both
+// execute the identical sequence of run flushes and Hadamard recomputes,
+// so without locks the outputs must agree bitwise, not just within
+// tolerance, at every rank tail (8, 4 and 1 lanes), at teams of 1-3 tasks
+// and under automatic and forced privatization. Under StrategyLock the
+// order in which tasks take a shared row's lock varies between runs, so
+// that comparison is within tolerance only.
 func TestOperatorNativeMatchesPortableWalker(t *testing.T) {
 	if !NativeExtract() {
 		t.Skip("no native bit extraction on this build")
 	}
 	rng := rand.New(rand.NewSource(41))
-	tensor := sptensor.New([]int{43, 29, 61}, 0)
+	random := sptensor.New([]int{43, 29, 61}, 0)
 	seen := map[[3]int]bool{}
-	for len(tensor.Vals) < 1500 {
+	for len(random.Vals) < 1500 {
 		c := [3]int{rng.Intn(43), rng.Intn(29), rng.Intn(61)}
 		if seen[c] {
 			continue
 		}
 		seen[c] = true
 		for m := 0; m < 3; m++ {
-			tensor.Inds[m] = append(tensor.Inds[m], sptensor.Index(c[m]))
+			random.Inds[m] = append(random.Inds[m], sptensor.Index(c[m]))
 		}
-		tensor.Vals = append(tensor.Vals, rng.NormFloat64())
+		random.Vals = append(random.Vals, rng.NormFloat64())
 	}
-	atNative, err := FromCOO(tensor, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	atPortable, err := FromCOO(tensor, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	atPortable.Enc = forceTables(atPortable.Enc)
-
-	const rank = 9
-	factors := make([]*dense.Matrix, 3)
-	for m, d := range tensor.Dims {
-		factors[m] = dense.NewMatrix(d, rank)
-		for i := range factors[m].Data {
-			factors[m].Data[i] = rng.NormFloat64()
+	tensors := map[string]*sptensor.Tensor{"random": random, "runs": runsTensor(t)}
+	strategies := []mttkrp.ConflictStrategy{mttkrp.StrategyAuto, mttkrp.StrategyPrivatize, mttkrp.StrategyLock}
+	for name, tensor := range tensors {
+		atNative, err := FromCOO(tensor, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	opN := NewOperator(atNative, nil, rank, mttkrp.DefaultOptions())
-	opP := NewOperator(atPortable, nil, rank, mttkrp.DefaultOptions())
-	for mode := 0; mode < 3; mode++ {
-		outN := dense.NewMatrix(tensor.Dims[mode], rank)
-		outP := dense.NewMatrix(tensor.Dims[mode], rank)
-		opN.Apply(mode, factors, outN)
-		opP.Apply(mode, factors, outP)
-		for i, v := range outN.Data {
-			if v != outP.Data[i] {
-				t.Fatalf("mode %d elem %d: native %v != portable %v", mode, i, v, outP.Data[i])
+		atPortable := *atNative
+		atPortable.Enc = forceTables(atNative.Enc)
+		for _, rank := range []int{1, 3, 4, 5, 8, 9, 16, 35} {
+			factors := randomFactors(tensor.Dims, rank, int64(rank))
+			for tasks := 1; tasks <= 3; tasks++ {
+				team := parallel.NewTeam(tasks)
+				for _, strategy := range strategies {
+					opts := mttkrp.Options{Strategy: strategy, LockKind: locks.Spin}
+					opN := NewOperator(atNative, team, rank, opts)
+					opP := NewOperator(&atPortable, team, rank, opts)
+					if opN.tile != dense.Native() || opP.tile {
+						t.Fatalf("tile walk selected %v (portable %v), want %v", opN.tile, opP.tile, dense.Native())
+					}
+					for mode, rows := range tensor.Dims {
+						outN := dense.NewMatrix(rows, rank)
+						outP := dense.NewMatrix(rows, rank)
+						opN.Apply(mode, factors, outN)
+						opP.Apply(mode, factors, outP)
+						where := fmt.Sprintf("%s rank %d tasks %d %v mode %d", name, rank, tasks, opN.LastStrategy(), mode)
+						if opN.LastStrategy() == mttkrp.StrategyLock {
+							if d := outN.MaxAbsDiff(outP); d > 1e-9 {
+								t.Fatalf("%s: native deviates from portable by %g", where, d)
+							}
+							continue
+						}
+						for i, v := range outN.Data {
+							if v != outP.Data[i] {
+								t.Fatalf("%s elem %d: native %v != portable %v", where, i, v, outP.Data[i])
+							}
+						}
+					}
+				}
+				team.Close()
 			}
 		}
 	}
+}
+
+// runsTensor builds an order-3 tensor, 6×37×29, whose sorted keys hold
+// long runs across the walkers' 512-key tile boundaries. Its bits
+// interleave as m0 m1 m2 | m0 m1 m2 | m0 m1 m2 | m1 m2 | m1 m2 | m1 from
+// bit 0 up, so keys with i1, i2 < 16 sort first and keys with i1 ≥ 32,
+// i2 < 16 last. The first region is 700 nonzeros all at i0 = 2 (one
+// mode-0 run whose (i1, i2) changes materialize the accumulator), the
+// last 600 all at i1 = 33 (one mode-1 run), and between them 800 random
+// nonzeros with 16 ≤ i1 < 32 and one coordinate repeated 600 times. The
+// two runs repeat their 256 and 96 coordinates, so both hold duplicate
+// keys.
+func runsTensor(t *testing.T) *sptensor.Tensor {
+	t.Helper()
+	rng := rand.New(rand.NewSource(59))
+	tensor := sptensor.New([]int{6, 37, 29}, 0)
+	add := func(i0, i1, i2 int) {
+		for m, i := range []int{i0, i1, i2} {
+			tensor.Inds[m] = append(tensor.Inds[m], sptensor.Index(i))
+		}
+		tensor.Vals = append(tensor.Vals, rng.NormFloat64())
+	}
+	for x := 0; x < 700; x++ {
+		add(2, rng.Intn(16), rng.Intn(16))
+	}
+	for x := 0; x < 800; x++ {
+		add(rng.Intn(6), 16+rng.Intn(16), rng.Intn(29))
+	}
+	for x := 0; x < 600; x++ {
+		add(4, 20, 7)
+		add(rng.Intn(6), 33, rng.Intn(16))
+	}
+	at, err := FromCOO(tensor, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The one-task walk3Tile tiles start at keys 1, 513, 1025, …: the
+	// mode-0 run (its accumulator in use), the mode-1 run and a duplicate
+	// key must each cross one of those boundaries.
+	coord := func(x, m int) sptensor.Index { return at.Enc.Extract(at.Lo[x], 0, m) }
+	crossed := [3]bool{}
+	for b := 1 + tileN; b < at.NNZ(); b += tileN {
+		crossed[0] = crossed[0] || coord(b, 0) == 2 && coord(b-1, 0) == 2
+		crossed[1] = crossed[1] || coord(b, 1) == 33 && coord(b-1, 1) == 33
+		crossed[2] = crossed[2] || at.Lo[b] == at.Lo[b-1]
+	}
+	if crossed != [3]bool{true, true, true} {
+		t.Fatalf("mode-0 run, mode-1 run, duplicate key across a tile boundary: %v", crossed)
+	}
+	return tensor
+}
+
+// TestTileWalkNeedsDenseKernels checks that walk3Tile runs only where
+// the dense kernels are the native AVX2+FMA set: it repeats their fused
+// rounding, which the generic bodies do not share. On a BMI2 host the
+// test re-runs itself with SPLATT_DISABLE_SIMD=1 (dense.Native() false)
+// and BMI2 keys forced on, as on a host whose AVX is masked; there the
+// Go walker must run instead, bitwise equal to the byte-table walker.
+func TestTileWalkNeedsDenseKernels(t *testing.T) {
+	child := os.Getenv("ALTO_TILE_WALK_CHILD") == "1"
+	at, err := FromCOO(runsTensor(t), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if child {
+		if dense.Native() {
+			t.Fatal("SPLATT_DISABLE_SIMD=1 left the dense kernels native")
+		}
+		at.Enc.native = true // the parent process saw BMI2
+	}
+	const rank = 11
+	op := NewOperator(at, nil, rank, mttkrp.DefaultOptions())
+	if want := at.Enc.native && dense.Native(); op.tile != want {
+		t.Fatalf("tile walk selected %v with BMI2 keys %v and dense.Native() %v", op.tile, at.Enc.native, dense.Native())
+	}
+	if child {
+		portable := *at
+		portable.Enc = forceTables(at.Enc)
+		opP := NewOperator(&portable, nil, rank, mttkrp.DefaultOptions())
+		factors := randomFactors(at.Enc.Dims, rank, 7)
+		for mode, rows := range at.Enc.Dims {
+			got, want := dense.NewMatrix(rows, rank), dense.NewMatrix(rows, rank)
+			op.Apply(mode, factors, got)
+			opP.Apply(mode, factors, want)
+			for i, v := range got.Data {
+				if v != want.Data[i] {
+					t.Fatalf("mode %d elem %d: BMI2 Go walker %v != portable %v", mode, i, v, want.Data[i])
+				}
+			}
+		}
+		return
+	}
+	if !NativeExtract() {
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestTileWalkNeedsDenseKernels$", "-test.count=1")
+	cmd.Env = append(os.Environ(), "SPLATT_DISABLE_SIMD=1", "ALTO_TILE_WALK_CHILD=1")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("run with SPLATT_DISABLE_SIMD=1: %v\n%s", err, out)
+	}
+}
+
+// FuzzOperatorNativeMatchesPortable runs random order-3 tensors, with
+// duplicate keys, through the native and the portable walkers at a random
+// rank, team of 1-3 tasks and strategy. Without locks the outputs must be
+// bitwise equal; under StrategyLock within tolerance.
+func FuzzOperatorNativeMatchesPortable(f *testing.F) {
+	f.Add(uint8(9), uint8(7), uint8(5), uint16(200), uint8(9), uint8(0), uint8(0), uint8(10), int64(1))
+	f.Add(uint8(40), uint8(1), uint8(3), uint16(1500), uint8(35), uint8(1), uint8(1), uint8(50), int64(2))
+	f.Add(uint8(2), uint8(2), uint8(2), uint16(3), uint8(1), uint8(2), uint8(2), uint8(0), int64(3))
+	f.Add(uint8(200), uint8(150), uint8(90), uint16(2500), uint8(16), uint8(1), uint8(0), uint8(5), int64(4))
+	f.Fuzz(func(t *testing.T, d0, d1, d2 uint8, nnz uint16, rank, tasks, strat, dupPct uint8, seed int64) {
+		if !NativeExtract() {
+			t.Skip("no native bit extraction on this build")
+		}
+		dims := []int{int(d0) + 1, int(d1) + 1, int(d2) + 1}
+		rng := rand.New(rand.NewSource(seed))
+		tensor := sptensor.New(dims, 0)
+		for x := 0; x < int(nnz%3000)+1; x++ {
+			src := -1 // repeat an earlier nonzero's coordinates dupPct% of the time
+			if x > 0 && rng.Intn(100) < int(dupPct%101) {
+				src = rng.Intn(x)
+			}
+			for m, d := range dims {
+				i := sptensor.Index(rng.Intn(d))
+				if src >= 0 {
+					i = tensor.Inds[m][src]
+				}
+				tensor.Inds[m] = append(tensor.Inds[m], i)
+			}
+			tensor.Vals = append(tensor.Vals, rng.NormFloat64())
+		}
+		at, err := FromCOO(tensor, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		portable := *at
+		portable.Enc = forceTables(at.Enc)
+		r := int(rank%40) + 1
+		factors := randomFactors(dims, r, seed)
+		team := parallel.NewTeam(int(tasks%3) + 1)
+		defer team.Close()
+		strategies := []mttkrp.ConflictStrategy{mttkrp.StrategyAuto, mttkrp.StrategyPrivatize, mttkrp.StrategyLock}
+		opts := mttkrp.Options{Strategy: strategies[int(strat)%len(strategies)], LockKind: locks.Spin}
+		opN := NewOperator(at, team, r, opts)
+		opP := NewOperator(&portable, team, r, opts)
+		for mode, rows := range dims {
+			outN, outP := dense.NewMatrix(rows, r), dense.NewMatrix(rows, r)
+			opN.Apply(mode, factors, outN)
+			opP.Apply(mode, factors, outP)
+			if opN.LastStrategy() == mttkrp.StrategyLock {
+				if d := outN.MaxAbsDiff(outP); d > 1e-9 {
+					t.Fatalf("dims %v rank %d tasks %d lock mode %d: deviates by %g", dims, r, team.N(), mode, d)
+				}
+				continue
+			}
+			for i, v := range outN.Data {
+				if v != outP.Data[i] {
+					t.Fatalf("dims %v rank %d tasks %d %v mode %d elem %d: native %v != portable %v",
+						dims, r, team.N(), opN.LastStrategy(), mode, i, v, outP.Data[i])
+				}
+			}
+		}
+	})
 }
 
 // FuzzEncodingParity drives random coordinate pairs through both the

@@ -51,3 +51,11 @@ func pextColumn(lo, hi []uint64, masks []uint64, out []sptensor.Index)
 //
 //go:noescape
 func pdepColumn(col []sptensor.Index, masks []uint64, lo, hi []uint64)
+
+// walk3Tile runs the lock-free order-3 MTTKRP walk (runRange3Tiles) over
+// one tile: keys and vals are the tile's keys and values (equal lengths),
+// and w carries the run state in and out. Needs BMI2, AVX2 and FMA.
+// Implemented in pext_amd64.s.
+//
+//go:noescape
+func walk3Tile(w *tileWalk, keys []uint64, vals []float64)

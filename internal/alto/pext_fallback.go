@@ -25,3 +25,7 @@ func pextColumn(lo, hi []uint64, masks []uint64, out []sptensor.Index) {
 func pdepColumn(col []sptensor.Index, masks []uint64, lo, hi []uint64) {
 	panic("alto: pdepColumn called without BMI2")
 }
+
+func walk3Tile(w *tileWalk, keys []uint64, vals []float64) {
+	panic("alto: walk3Tile called without BMI2")
+}

@@ -104,9 +104,19 @@ func WriteTNS(w io.Writer, t *Tensor) error {
 // byte scan does not fully accept (any byte >= 0x80, a sign, a wrong field
 // count, ...) goes through the rules of slowLine, which define the
 // accepted language; a line of tnsMaxLine bytes or more is
-// bufio.ErrTooLong.
+// bufio.ErrTooLong. When r reports its length (as a bytes.Buffer,
+// bytes.Reader or strings.Reader does), the first block is sized by it.
 func ReadTNS(r io.Reader) (*Tensor, error) {
-	return readTNS(r, runtime.GOMAXPROCS(0))
+	return readTNS(r, runtime.GOMAXPROCS(0), inputLen(r))
+}
+
+// inputLen is the number of unread bytes r reports through a Len method,
+// or 0 if it has none.
+func inputLen(r io.Reader) int {
+	if l, ok := r.(interface{ Len() int }); ok {
+		return l.Len()
+	}
+	return 0
 }
 
 const (
@@ -123,9 +133,10 @@ const (
 // errTooMany marks the line past the reader's nonzero bound.
 var errTooMany = errors.New("too many nonzeros")
 
-// readTNS is ReadTNS with a team of tasks.
-func readTNS(r io.Reader, tasks int) (*Tensor, error) {
-	tr := &tnsReader{tasks: tasks, maxNNZ: MaxNNZ, block: tnsBlock, teamMin: tnsTeamMin}
+// readTNS is ReadTNS with a team of tasks, for an input of size bytes
+// (0 if unknown).
+func readTNS(r io.Reader, tasks, size int) (*Tensor, error) {
+	tr := &tnsReader{tasks: tasks, maxNNZ: MaxNNZ, block: tnsBlock, teamMin: tnsTeamMin, size: size}
 	return tr.read(r)
 }
 
@@ -135,6 +146,7 @@ func readTNS(r io.Reader, tasks int) (*Tensor, error) {
 type tnsReader struct {
 	tasks, maxNNZ  int
 	block, teamMin int
+	size           int // the input's bytes, if known (> 0)
 	team           *parallel.Team
 	order          int        // 0 until the first data line
 	parts          []*tnsPart // the nonzeros so far, in input order
@@ -147,7 +159,13 @@ func (tr *tnsReader) read(r io.Reader) (*Tensor, error) {
 			tr.team.Close()
 		}
 	}()
-	buf := make([]byte, min(tr.teamMin, tr.block))
+	// The first read asks for one byte more than a known size, so that
+	// it sees the end of the input instead of a full buffer.
+	first := min(tr.teamMin, tr.block)
+	if tr.size > 0 {
+		first = min(tr.size+1, tr.block)
+	}
+	buf := make([]byte, first)
 	n := 0 // bytes of buf holding input
 	for {
 		k, rerr := io.ReadFull(r, buf[n:])
@@ -184,8 +202,12 @@ func (tr *tnsReader) read(r io.Reader) (*Tensor, error) {
 	if tr.order == 0 {
 		return nil, fmt.Errorf("sptensor: no nonzeros in input")
 	}
-	t := tr.join()
-	return t, t.Validate()
+	// The tensor passes Validate without a pass over it: every line has
+	// order indices, each in [1, 2^31-1] (scan's digit runs, slowLine's
+	// ParseInt and its < 1 check), so each column gets one index per
+	// value (tnsPart.add), dims are the largest index + 1, and both scan
+	// and slowLine reject a non-finite value.
+	return tr.join(), nil
 }
 
 // parseBlock parses whole lines. A block under teamMin, or any block with
@@ -625,13 +647,18 @@ func ReadBinary(r io.Reader) (*Tensor, error) {
 // be duplicate-free; see MergeDuplicates). It is the streaming core of
 // LoadFile and the ingest path of the serve subsystem (no temp files).
 func LoadTensorReader(r io.Reader) (*Tensor, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	peek, err := br.Peek(len(binaryMagic))
+	size := inputLen(r)
+	var magic [len(binaryMagic)]byte
+	n, err := io.ReadFull(r, magic[:])
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return nil, err
+	}
+	rest := io.MultiReader(bytes.NewReader(magic[:n]), r)
 	var t *Tensor
-	if err == nil && string(peek) == binaryMagic {
-		t, err = ReadBinary(br)
+	if string(magic[:n]) == binaryMagic {
+		t, err = ReadBinary(rest)
 	} else {
-		t, err = ReadTNS(br)
+		t, err = readTNS(rest, runtime.GOMAXPROCS(0), size)
 	}
 	if err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -14,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // TestReadTNSErrors covers the malformed-text surface: server uploads are
@@ -151,6 +153,60 @@ func TestLoadTensorReaderRoundTrip(t *testing.T) {
 					t.Fatalf("%v: index (%d,%d) mismatch", format, m, x)
 				}
 			}
+		}
+	}
+}
+
+// TestLoadTensorReaderPeek checks the format peek on inputs shorter than
+// the binary magic, read a byte at a time, and failing to read.
+func TestLoadTensorReaderPeek(t *testing.T) {
+	for _, in := range []string{"1 2 3\n", "1 2 3", "2 2 1.5\n1 1 1 \n# end\n"} {
+		want, err := readTNSRef(strings.NewReader(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []io.Reader{strings.NewReader(in), iotest.OneByteReader(strings.NewReader(in))} {
+			got, err := LoadTensorReader(r)
+			if err != nil {
+				t.Fatalf("%q: %v", in, err)
+			}
+			if diff := sameTNS(got, want); diff != "" {
+				t.Fatalf("%q: %s", in, diff)
+			}
+		}
+	}
+	errRead := errors.New("read failed")
+	if _, err := LoadTensorReader(iotest.ErrReader(errRead)); !errors.Is(err, errRead) {
+		t.Fatalf("failing reader: %v, want %v", err, errRead)
+	}
+}
+
+// TestLoadTensorReaderSmallInputAllocs pins what a small .tns input costs
+// through LoadTensorReader read from a bytes.Buffer, as the service reads
+// an upload or a PATCH batch: the format peek holds no buffer of its own
+// and the first block is the input's size, not 256 KiB. A 2,350-line
+// batch (stream-yelp's PATCH size) may allocate 256 KiB and 20 lines
+// 32 KiB, merge included.
+func TestLoadTensorReaderSmallInputAllocs(t *testing.T) {
+	for _, tc := range []struct{ lines, limit int }{{20, 32 << 10}, {2350, 256 << 10}} {
+		var buf bytes.Buffer
+		if err := WriteTNS(&buf, Random([]int{2563, 688, 4688}, tc.lines, 11)); err != nil {
+			t.Fatal(err)
+		}
+		in := buf.Bytes()
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			if _, err := LoadTensorReader(bytes.NewBuffer(in)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		per := int((after.TotalAlloc - before.TotalAlloc) / runs)
+		t.Logf("%d lines (%d B): %d B allocated per read", tc.lines, len(in), per)
+		if per > tc.limit {
+			t.Errorf("%d lines (%d B): %d B allocated per read, want at most %d", tc.lines, len(in), per, tc.limit)
 		}
 	}
 }
@@ -412,6 +468,12 @@ func realBlocks(tasks int) *tnsReader {
 	return &tnsReader{tasks: tasks, maxNNZ: MaxNNZ, block: tnsBlock, teamMin: tnsTeamMin}
 }
 
+// sized returns tr told that its input holds size bytes.
+func sized(tr *tnsReader, size int) *tnsReader {
+	tr.size = size
+	return tr
+}
+
 // plant returns a copy of in whose data line holding or preceding byte pos
 // is overwritten with bad, padded with spaces to the line's length, so no
 // block boundary moves.
@@ -501,6 +563,8 @@ func TestReadTNSMatchesReference(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			checkMatchesRef(t, tc.in, smallBlocks(1), smallBlocks(2), smallBlocks(3), smallBlocks(7))
+			// A first block sized by the input, or by a size too small.
+			checkMatchesRef(t, tc.in, sized(realBlocks(2), len(tc.in)), sized(realBlocks(1), len(tc.in)/3))
 			if strings.HasSuffix(tc.name, "long-line") {
 				// The long line whole inside one real-sized block.
 				checkMatchesRef(t, tc.in, realBlocks(1), realBlocks(2), realBlocks(7))
@@ -573,7 +637,7 @@ func TestReadTNSReserveBoundedByBytes(t *testing.T) {
 	for _, tasks := range []int{1, 2} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		tt, err := readTNS(bytes.NewReader(in), tasks)
+		tt, err := readTNS(bytes.NewReader(in), tasks, len(in))
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -638,7 +702,7 @@ func TestReadTNSAllocsIndependentOfLines(t *testing.T) {
 		}
 		in := buf.Bytes()
 		return testing.AllocsPerRun(2, func() {
-			if _, err := readTNS(bytes.NewReader(in), tasks); err != nil {
+			if _, err := readTNS(bytes.NewReader(in), tasks, len(in)); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -669,6 +733,7 @@ func FuzzReadTNSMatchesReference(f *testing.F) {
 		for _, tasks := range []int{1, 2, 3} {
 			readers = append(readers, &tnsReader{tasks: tasks, maxNNZ: MaxNNZ, block: 64, teamMin: 16})
 		}
+		readers = append(readers, &tnsReader{tasks: 2, maxNNZ: MaxNNZ, block: 64, teamMin: 16, size: len(data)})
 		checkMatchesRef(t, data, readers...)
 	})
 }
@@ -690,7 +755,7 @@ func BenchmarkReadTNS(b *testing.B) {
 			b.SetBytes(int64(len(in)))
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := readTNS(bytes.NewReader(in), tasks); err != nil {
+				if _, err := readTNS(bytes.NewReader(in), tasks, len(in)); err != nil {
 					b.Fatal(err)
 				}
 			}
