@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/obs"
+	"repro/internal/sketch"
 	"repro/internal/sptensor"
 )
 
@@ -32,6 +34,39 @@ func TestCPDCancelled(t *testing.T) {
 	}
 	if report.Iterations != 0 {
 		t.Fatalf("iterations = %d, want 0 for pre-cancelled context", report.Iterations)
+	}
+
+	// Cancelled mid-run, from the trace sink after iteration 3: the run
+	// stops at the next mode boundary, before iteration 4 completes.
+	for _, tasks := range []int{1, 2} {
+		for _, solver := range []sketch.Solver{sketch.ALS, sketch.ARLS} {
+			ctx, cancel := context.WithCancel(context.Background())
+			opts.Tasks = tasks
+			opts.Solver = solver
+			opts.Ctx = ctx
+			opts.Trace = cancelAfter{iteration: 3, cancel: cancel}
+			k, report, err := CPD(tensor, opts)
+			cancel()
+			if !errors.Is(err, context.Canceled) || k == nil || report == nil || !report.Cancelled {
+				t.Fatalf("tasks=%d %v: err %v, cancelled report %v", tasks, solver, err, report != nil && report.Cancelled)
+			}
+			if report.Iterations != 3 {
+				t.Errorf("tasks=%d %v: %d iterations, want 3", tasks, solver, report.Iterations)
+			}
+		}
+	}
+}
+
+// cancelAfter is a trace sink that cancels a run's context once the given
+// iteration completes.
+type cancelAfter struct {
+	iteration int
+	cancel    context.CancelFunc
+}
+
+func (c cancelAfter) RecordIteration(ev obs.IterEvent) {
+	if ev.Iteration == c.iteration {
+		c.cancel()
 	}
 }
 

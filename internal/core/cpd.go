@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/csf"
@@ -29,37 +31,29 @@ func CPD(t *sptensor.Tensor, opts Options) (*KruskalTensor, *Report, error) {
 	if err := t.Validate(); err != nil {
 		return nil, nil, err
 	}
-	tasks := opts.Tasks
-	if tasks < 1 {
-		tasks = 1
-	}
-	team := parallel.NewTeam(tasks)
-	defer team.Close()
-
-	d, err := buildDecomposer(t, team, tasks, opts)
+	p, err := NewParticipant(Shard{Tensor: t}, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	k, report := d.run()
+	k, report := p.Run()
 	if report.Cancelled {
 		return k, report, opts.Ctx.Err()
 	}
 	return k, report, nil
 }
 
-// buildDecomposer assembles the per-run arena, storage backend, and
-// decomposer state shared by CPD and Session.
-func buildDecomposer(t *sptensor.Tensor, team *parallel.Team, tasks int,
-	opts Options) (*decomposer, error) {
-
+// buildDecomposer assembles shard s's arena, storage backend, and
+// decomposer state.
+func buildDecomposer(s Shard, team *parallel.Team, tasks int, opts Options) (*decomposer, error) {
+	t := s.Tensor
 	// Spans are the run's only clock. Without a caller profiler the run
 	// records into a private aggregates-only one; either way the run's
-	// routine times are recorder 0's delta from this reading on.
+	// routine times are recorder ID's delta from this reading on.
 	spans := opts.Spans
 	if spans == nil {
 		spans = obs.NewProfiler(1, 0)
 	}
-	rec := spans.Recorder(0)
+	rec := spans.Recorder(s.ID)
 	base := rec.Nanos()
 
 	// One arena serves the whole run: the backend's kernel workspaces, the
@@ -97,26 +91,34 @@ func buildDecomposer(t *sptensor.Tensor, team *parallel.Team, tasks int,
 	if err != nil {
 		return nil, err
 	}
-	return newDecomposer(t, backend, team, arena, opts, rec, base), nil
+	return newDecomposer(s, backend, team, arena, opts, rec, base)
 }
 
-// decomposer holds the state of one CP-ALS run.
+// decomposer holds the state of one participant's CP-ALS run.
 type decomposer struct {
-	t       *sptensor.Tensor
+	t       *sptensor.Tensor // the shard's nonzeros
 	backend format.Backend
 	team    *parallel.Team
 	arena   *parallel.Arena
 	ws      *dense.Workspace
 	opts    Options
 
-	k     *KruskalTensor
-	grams []*dense.Matrix // A(m)ᵀA(m), maintained per mode
-	v     *dense.Matrix   // Hadamard product of the other modes' grams
-	gbuf  *dense.Matrix   // model-norm scratch for the fit evaluation
-	mbuf  *dense.Matrix   // MTTKRP output backing (maxDim rows used per mode)
-	mrows []*dense.Matrix // per-mode views into mbuf, built once
-	blas  *dense.BLASPool
-	normX float64
+	// coll combines partial results with the other participants'; single
+	// marks a run with no others, which polls Ctx at every mode boundary.
+	// id salts the sampled fit estimate.
+	coll   Collective
+	single bool
+	id     int
+
+	k       *KruskalTensor  // the whole model, replicated on every participant
+	factors []*dense.Matrix // the rows updated here: mode 0's owned rows, every other mode whole
+	grams   []*dense.Matrix // A(m)ᵀA(m), maintained per mode
+	v       *dense.Matrix   // Hadamard product of the other modes' grams
+	gbuf    *dense.Matrix   // model-norm scratch for the fit evaluation
+	mbuf    *dense.Matrix   // MTTKRP output backing (maxDim rows used per mode)
+	mrows   []*dense.Matrix // per-mode views into mbuf, built once
+	blas    *dense.BLASPool
+	normX   float64
 
 	// rec is the run's span recorder and base its per-phase reading
 	// before the backend build: Report.Times and the trace's routine
@@ -141,37 +143,37 @@ type decomposer struct {
 	sampledIters int
 }
 
-func newDecomposer(t *sptensor.Tensor, backend format.Backend, team *parallel.Team,
-	arena *parallel.Arena, opts Options, rec *obs.SpanRecorder, base [obs.NumPhases]int64) *decomposer {
+func newDecomposer(s Shard, backend format.Backend, team *parallel.Team,
+	arena *parallel.Arena, opts Options, rec *obs.SpanRecorder, base [obs.NumPhases]int64) (*decomposer, error) {
 
+	t := s.Tensor
 	r := opts.Rank
-	if arena == nil {
-		arena = parallel.NewArena(team.N())
-	}
-	// Warm start clones the seed model (never mutating the caller's copy);
-	// cold start keeps SPLATT's random initialization.
+	// Each participant updates its own clone of the seed model (never the
+	// caller's copy); without one, SPLATT's random initialization.
 	var k *KruskalTensor
-	if opts.Init != nil {
-		k = opts.Init.Clone()
+	if seed := cmp.Or(s.Model, opts.Init); seed != nil {
+		k = seed.Clone()
 	} else {
 		k = NewRandomKruskal(t.Dims, r, opts.Seed)
 	}
+	coll := s.Collective
+	if coll == nil {
+		coll = sharedMemory{}
+	}
 	d := &decomposer{
 		t: t, backend: backend, team: team, arena: arena, opts: opts, rec: rec, base: base,
-		k:     k,
-		grams: make([]*dense.Matrix, t.NModes()),
-		v:     dense.NewMatrix(r, r),
-		gbuf:  dense.NewMatrix(r, r),
-		normX: t.NormSquared(),
+		coll:    coll,
+		single:  s.Collective == nil,
+		id:      s.ID,
+		k:       k,
+		factors: append([]*dense.Matrix(nil), k.Factors...),
+		grams:   make([]*dense.Matrix, t.NModes()),
+		v:       dense.NewMatrix(r, r),
+		gbuf:    dense.NewMatrix(r, r),
 	}
+	d.factors[0] = dense.NewMatrixFrom(t.Dims[0], r, k.Factors[0].Data[s.Lo*r:(s.Lo+t.Dims[0])*r])
 	d.ws = dense.NewWorkspace(team, arena, r)
-	maxDim := 0
-	for _, dim := range t.Dims {
-		if dim > maxDim {
-			maxDim = dim
-		}
-	}
-	d.mbuf = dense.NewMatrix(maxDim, r)
+	d.mbuf = dense.NewMatrix(slices.Max(t.Dims), r)
 	d.mrows = make([]*dense.Matrix, t.NModes())
 	for m, dim := range t.Dims {
 		d.mrows[m] = dense.NewMatrixFrom(dim, r, d.mbuf.Data[:dim*r])
@@ -199,46 +201,52 @@ func newDecomposer(t *sptensor.Tensor, backend format.Backend, team *parallel.Te
 		d.fitPartials[tid] = acc
 	}
 
-	d.resolveSolver()
-	return d
+	d.solver = ResolveSolver(t, opts)
+	if d.solver == sketch.ARLS {
+		// The sampler works in global coordinates: mode 0's offset puts
+		// every participant's nonzeros in one index space, so all draw the
+		// same samples and key fibers alike.
+		offsets := make([]int, t.NModes())
+		offsets[0] = s.Lo
+		span := d.rec.Start()
+		sampler, err := sketch.NewSampler(backend, k.Dims(), sketch.Config{
+			Rank:    r,
+			Samples: opts.Samples,
+			Seed:    opts.Seed,
+			Offsets: offsets,
+			Team:    team,
+		})
+		d.rec.End(obs.PhaseSketchBuild, span)
+		if err != nil {
+			return nil, fmt.Errorf("core: sampler: %w", err)
+		}
+		d.sampler = sampler
+		d.sampler.SetSpans(d.rec)
+		d.vs = dense.NewMatrix(r, r)
+	}
+	return d, nil
 }
 
-// resolveSolver fixes the factor-update algorithm before the loop starts:
-// Auto picks per tensor, and an ARLS request builds the sampler through
-// the backend's nonzero access path (falling back to exact ALS when the
-// tensor cannot be sampled, e.g. a complement index space beyond 64 bits).
-func (d *decomposer) resolveSolver() {
-	solver := d.opts.Solver
+// ResolveSolver fixes the factor-update algorithm of a run on t before
+// its loop starts: Auto picks per tensor, and an ARLS request runs exact
+// ALS when the refinement pass consumes the whole iteration budget or the
+// tensor cannot be sampled (a complement index space beyond 64 bits, or
+// more nonzeros than a fiber index addresses). A run split across
+// participants resolves once, on the whole tensor.
+func ResolveSolver(t *sptensor.Tensor, opts Options) sketch.Solver {
+	solver := opts.Solver
 	if solver == sketch.Auto {
-		solver, _ = sketch.Choose(d.t.NNZ(), d.t.Dims, d.opts.Rank)
+		solver, _ = sketch.Choose(t.NNZ(), t.Dims, opts.Rank)
 	}
-	if solver != sketch.ARLS {
-		d.solver = sketch.ALS
-		return
+	if solver != sketch.ARLS || sketch.SampledIters(opts.MaxIters, opts.RefineIters) == 0 ||
+		t.NNZ() > sptensor.MaxNNZ {
+		return sketch.ALS
 	}
-	// A budget the refinement pass fully consumes runs exact everywhere;
-	// skip the sampler build (O(nnz) copy + leverage maintenance) and
-	// report the run as what it is.
-	if sketch.SampledIters(d.opts.MaxIters, d.opts.RefineIters) == 0 {
-		d.solver = sketch.ALS
-		return
+	// A sampler without a source runs only the shape checks.
+	if _, err := sketch.NewSampler(nil, t.Dims, sketch.Config{Rank: opts.Rank}); err != nil {
+		return sketch.ALS
 	}
-	span := d.rec.Start()
-	sampler, err := sketch.NewSampler(d.backend, d.t.Dims, sketch.Config{
-		Rank:    d.opts.Rank,
-		Samples: d.opts.Samples,
-		Seed:    d.opts.Seed,
-		Team:    d.team,
-	})
-	d.rec.End(obs.PhaseSketchBuild, span)
-	if err != nil {
-		d.solver = sketch.ALS
-		return
-	}
-	d.solver = sketch.ARLS
-	d.sampler = sampler
-	d.sampler.SetSpans(d.rec)
-	d.vs = dense.NewMatrix(d.opts.Rank, d.opts.Rank)
+	return sketch.ARLS
 }
 
 // newReport assembles the report skeleton for this run.
@@ -253,15 +261,18 @@ func (d *decomposer) newReport() *Report {
 	}
 }
 
-// prepare computes the initial Grams (line 2 setup of Algorithm 1) and the
-// sampled-phase budget.
+// prepare computes the tensor's norm, the initial Grams (line 2 setup of
+// Algorithm 1) and the sampled-phase budget. These are the run's first
+// collectives.
 func (d *decomposer) prepare() {
 	order := d.t.NModes()
+	d.normX = d.coll.ReduceScalar(d.t.NormSquared())
 	span := d.rec.Start()
 	for m := 0; m < order; m++ {
-		d.ws.Syrk(d.k.Factors[m], d.grams[m])
+		d.ws.Syrk(d.factors[m], d.grams[m])
 	}
 	d.rec.End(obs.PhaseGram, span)
+	d.coll.ReduceGram(d.grams[0])
 
 	// Sampled phase budget: the last RefineIters iterations always run
 	// exact, restoring exact-MTTKRP fit semantics before reporting.
@@ -278,14 +289,13 @@ func (d *decomposer) prepare() {
 
 // iterate runs ALS iteration `it` (all modes plus the fit evaluation),
 // returning stop=true when the run should end (convergence or
-// cancellation). Cancellation is polled at mode boundaries, so it takes
-// effect within one iteration.
+// cancellation, see cancelled).
 func (d *decomposer) iterate(it int, report *Report) (stop bool) {
 	order := d.t.NModes()
 	sampled := d.sampledLeft > 0
 	iterSpan := d.rec.Start()
 	for m := 0; m < order; m++ {
-		if d.cancelled() {
+		if d.cancelled(m) {
 			report.Cancelled = true
 			return true
 		}
@@ -377,9 +387,20 @@ func (d *decomposer) refreshLeverage(m int) {
 	d.rec.EndMode(obs.PhaseLeverage, span, m)
 }
 
-// cancelled reports whether the run's context has been cancelled.
-func (d *decomposer) cancelled() bool {
-	return d.opts.Ctx != nil && d.opts.Ctx.Err() != nil
+// cancelled reports whether the run stops before updating mode m. A
+// single participant polls Ctx at every mode boundary. The participants of
+// a split run agree once per iteration, before mode 0: each adds its view
+// of Ctx to one flag reduction, so all stop at the same boundary even when
+// they see the cancellation at different times.
+func (d *decomposer) cancelled(m int) bool {
+	if d.opts.Ctx == nil || (m > 0 && !d.single) {
+		return false
+	}
+	flag := 0.0
+	if d.opts.Ctx.Err() != nil {
+		flag = 1
+	}
+	return d.coll.ReduceScalar(flag) > 0
 }
 
 // updateMode performs one least-squares factor update (one of lines 4-6,
@@ -387,9 +408,15 @@ func (d *decomposer) cancelled() bool {
 // exact MTTKRP and the Hadamard-of-Grams normal matrix with their
 // leverage-score-sampled counterparts (CP-ARLS-LEV); everything after the
 // solve (clamp, normalize, Gram refresh) is identical.
+//
+// Split across participants, mode 0 updates only the owned rows: its
+// column norms and Gram are reduced from the participants' partials and
+// its rows gathered, so no nonzero leaves its participant. A replicated
+// mode reduces the partial M, then solves, normalizes and refreshes its
+// Gram redundantly on identical inputs.
 func (d *decomposer) updateMode(m, iter int, sampled bool, report *Report) {
 	r := d.opts.Rank
-	factor := d.k.Factors[m]
+	factor := d.factors[m]
 	mrows := d.mrows[m]
 
 	v := d.v
@@ -415,9 +442,12 @@ func (d *decomposer) updateMode(m, iter int, sampled bool, report *Report) {
 
 		// M ← X(m) · (⊙_{n≠m} A(n)), the MTTKRP.
 		mttkrpSpan := d.rec.Start()
-		d.backend.MTTKRP(m, d.k.Factors, mrows)
+		d.backend.MTTKRP(m, d.factors, mrows)
 		d.rec.EndMode(obs.PhaseMTTKRP, mttkrpSpan, m)
 		report.Strategies[m] = d.backend.LastStrategy()
+	}
+	if m > 0 {
+		d.coll.ReduceMTTKRP(mrows)
 	}
 
 	// A(m) ← M · V†.
@@ -441,13 +471,21 @@ func (d *decomposer) updateMode(m, iter int, sampled bool, report *Report) {
 	if iter == 0 {
 		kind = dense.Norm2
 	}
-	d.ws.NormalizeColumns(factor, d.k.Lambda, kind)
+	var across dense.NormReducer
+	if m == 0 {
+		across = d.coll
+	}
+	d.ws.NormalizeColumns(factor, d.k.Lambda, kind, across)
 	d.rec.EndMode(obs.PhaseNormalize, normSpan, m)
 
 	// Refresh this mode's Gram for subsequent V products.
 	gramSpan := d.rec.Start()
 	d.ws.Syrk(factor, d.grams[m])
 	d.rec.EndMode(obs.PhaseGram, gramSpan, m)
+	if m == 0 {
+		d.coll.ReduceGram(d.grams[0])
+		d.coll.GatherRows(d.k.Factors[0])
+	}
 
 	// The sampled solver keeps mode m's leverage scores in sync with the
 	// factor it just rewrote.
@@ -462,7 +500,7 @@ func (d *decomposer) updateMode(m, iter int, sampled bool, report *Report) {
 // the exact last-mode MTTKRP, which sampled iterations never compute.
 func (d *decomposer) estimateFit(iter int) float64 {
 	span := d.rec.Start()
-	inner := d.sampler.EstimateInner(iter, 0, d.k.Lambda, d.k.Factors)
+	inner := d.coll.ReduceScalar(d.sampler.EstimateInner(iter, uint64(d.id), d.k.Lambda, d.k.Factors))
 	modelNorm2 := d.modelNormSquared()
 	residual2 := d.normX + modelNorm2 - 2*inner
 	if residual2 < 0 {
@@ -479,7 +517,9 @@ func (d *decomposer) estimateFit(iter int) float64 {
 // computeFit evaluates the fit via SPLATT's cheap inner-product identity:
 // ⟨X, model⟩ = Σ_{i,r} M_last[i,r] · λ_r · A_last[i,r], where M_last is
 // the final mode's MTTKRP output (still resident in mbuf) and A_last its
-// updated, normalized factor. No pass over the nonzeros is needed.
+// updated, normalized factor. No pass over the nonzeros is needed. In a
+// split run the final mode is replicated, so every participant computes
+// the same value with no reduction.
 func (d *decomposer) computeFit() float64 {
 	span := d.rec.Start()
 	last := d.t.NModes() - 1

@@ -147,10 +147,13 @@ type Options struct {
 	// 0 allocs/op.
 	Spans *obs.Profiler
 
-	// Ctx, when non-nil, is polled between factor updates: once it is
-	// cancelled, CPD stops at the next mode boundary (within one ALS
+	// Ctx, when non-nil, is polled at every mode boundary: once it is
+	// cancelled, CPD stops before the next factor update (within one ALS
 	// iteration), marks Report.Cancelled, and returns the partial model
-	// together with ctx.Err(). A nil Ctx never cancels.
+	// together with ctx.Err(); Fit and FitHistory cover the completed
+	// iterations. A nil Ctx never cancels. The participants of a split
+	// run (NewParticipant) poll it once per iteration instead, through
+	// one flag reduction, so that all stop at the same boundary.
 	Ctx context.Context
 }
 

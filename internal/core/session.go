@@ -30,18 +30,12 @@ func NewSession(t *sptensor.Tensor, opts Options) (*Session, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	tasks := opts.Tasks
-	if tasks < 1 {
-		tasks = 1
-	}
-	team := parallel.NewTeam(tasks)
-	d, err := buildDecomposer(t, team, tasks, opts)
+	p, err := NewParticipant(Shard{Tensor: t}, opts)
 	if err != nil {
-		team.Close()
 		return nil, err
 	}
-	s := &Session{team: team, d: d, report: d.newReport()}
-	d.prepare()
+	s := &Session{team: p.team, d: p.d, report: p.d.newReport()}
+	p.d.prepare()
 	return s, nil
 }
 

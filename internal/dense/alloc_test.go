@@ -1,6 +1,7 @@
 package dense
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/parallel"
@@ -49,8 +50,8 @@ func TestWorkspaceNormalizeColumnsAllocationFree(t *testing.T) {
 		for _, kind := range []NormKind{Norm2, NormMax} {
 			_, ws, _, a := workspaceFixture(t, tasks, 500, 16)
 			lambda := make([]float64, 16)
-			ws.NormalizeColumns(a, lambda, kind) // warm-up
-			if n := testing.AllocsPerRun(10, func() { ws.NormalizeColumns(a, lambda, kind) }); n != 0 {
+			ws.NormalizeColumns(a, lambda, kind, nil) // warm-up
+			if n := testing.AllocsPerRun(10, func() { ws.NormalizeColumns(a, lambda, kind, nil) }); n != 0 {
 				t.Errorf("tasks=%d kind=%v: NormalizeColumns allocates %.1f per call, want 0",
 					tasks, kind, n)
 			}
@@ -63,7 +64,7 @@ func TestWorkspaceNormalizeColumnsMatchesPackageLevel(t *testing.T) {
 	b := a.Clone()
 	lws := make([]float64, 16)
 	lpkg := make([]float64, 16)
-	ws.NormalizeColumns(a, lws, Norm2)
+	ws.NormalizeColumns(a, lws, Norm2, nil)
 	NormalizeColumns(nil, b, lpkg, Norm2)
 	if !a.Equal(b, 1e-9) {
 		t.Fatal("normalized matrices diverge")
@@ -73,6 +74,48 @@ func TestWorkspaceNormalizeColumnsMatchesPackageLevel(t *testing.T) {
 			t.Fatalf("lambda[%d]: workspace %g vs package %g", j, lws[j], lpkg[j])
 		}
 	}
+}
+
+// TestWorkspaceNormalizeColumnsAcrossBlocks splits a matrix into two row
+// blocks and normalizes each through its own workspace, with a reducer
+// that folds in the other block's norm partials, as a distributed run's
+// locales do: every block must end up scaled by its whole column's norm.
+func TestWorkspaceNormalizeColumnsAcrossBlocks(t *testing.T) {
+	const rows, split, rank = 300, 110, 8
+	for _, kind := range []NormKind{Norm2, NormMax} {
+		whole := randMatrix(rows, rank, 5)
+		top := NewMatrixFrom(split, rank, append([]float64(nil), whole.Data[:split*rank]...))
+		bottom := NewMatrixFrom(rows-split, rank, append([]float64(nil), whole.Data[split*rank:]...))
+		partTop, partBottom := make([]float64, rank), make([]float64, rank)
+		normBlock(top, partTop, kind, 0, top.Rows)
+		normBlock(bottom, partBottom, kind, 0, bottom.Rows)
+		want := make([]float64, rank)
+		NormalizeColumns(nil, whole, want, kind)
+		for _, b := range []struct {
+			block *Matrix
+			other foldIn
+			lo    int
+		}{{top, partBottom, 0}, {bottom, partTop, split}} {
+			lambda := make([]float64, rank)
+			NewWorkspace(nil, nil, rank).NormalizeColumns(b.block, lambda, kind, b.other)
+			for j := range lambda {
+				if math.Abs(lambda[j]-want[j]) > 1e-12*want[j] {
+					t.Errorf("kind=%v rows from %d: lambda[%d] = %g, whole matrix %g", kind, b.lo, j, lambda[j], want[j])
+				}
+			}
+			if !b.block.Equal(NewMatrixFrom(b.block.Rows, rank, whole.Data[b.lo*rank:(b.lo+b.block.Rows)*rank]), 1e-12) {
+				t.Errorf("kind=%v rows from %d: block scaled unlike the whole matrix", kind, b.lo)
+			}
+		}
+	}
+}
+
+// foldIn is a NormReducer standing in for one other row block: it folds
+// that block's norm partials into the caller's.
+type foldIn []float64
+
+func (f foldIn) ReduceNorms(part []float64, kind NormKind) {
+	foldNorms([][]float64{part, f}, part, kind)
 }
 
 func TestWorkspaceSolveNormalsAllocationFree(t *testing.T) {

@@ -158,7 +158,8 @@ func NormalizeColumns(team *parallel.Team, a *Matrix, lambda []float64, kind Nor
 			partials[tid] = make([]float64, r) // block with no rows
 		}
 	}
-	reduceNorms(partials, lambda, kind)
+	foldNorms(partials, lambda, kind)
+	finishNorms(lambda, kind)
 	inv := make([]float64, r)
 	for j, l := range lambda {
 		if l > 0 {

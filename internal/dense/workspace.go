@@ -170,9 +170,20 @@ func (w *Workspace) Syrk(a, c *Matrix) {
 	w.curA = nil
 }
 
+// NormReducer combines column-norm partials with those of row blocks held
+// elsewhere, such as the other locales' blocks of a distributed factor:
+// Norm2 partials are sums of squares to add, NormMax partials are maxima
+// to take.
+type NormReducer interface {
+	ReduceNorms(part []float64, kind NormKind)
+}
+
 // NormalizeColumns scales each column of a to unit norm with the norms in
 // lambda — the workspace variant of the package-level NormalizeColumns.
-func (w *Workspace) NormalizeColumns(a *Matrix, lambda []float64, kind NormKind) {
+// A non-nil across combines the tasks' folded partials with the other row
+// blocks' before the square root or the max-norm clamp, so every block is
+// scaled by its whole column's norm.
+func (w *Workspace) NormalizeColumns(a *Matrix, lambda []float64, kind NormKind, across NormReducer) {
 	r := w.rank
 	if a.Cols != r || len(lambda) != r {
 		panic(fmt.Sprintf("dense: Workspace.NormalizeColumns cols %d lambda %d rank %d",
@@ -180,7 +191,11 @@ func (w *Workspace) NormalizeColumns(a *Matrix, lambda []float64, kind NormKind)
 	}
 	w.curA, w.curKind = a, kind
 	w.run(w.normPartBody)
-	reduceNorms(w.partNorm[:w.tasks], lambda, kind)
+	foldNorms(w.partNorm[:w.tasks], lambda, kind)
+	if across != nil {
+		across.ReduceNorms(lambda, kind)
+	}
+	finishNorms(lambda, kind)
 	for j, l := range lambda {
 		w.inv[j] = 0
 		if l > 0 {
@@ -191,28 +206,30 @@ func (w *Workspace) NormalizeColumns(a *Matrix, lambda []float64, kind NormKind)
 	w.curA = nil
 }
 
-// reduceNorms folds per-task norm partials into lambda under the norm kind
-// (including SPLATT's max-norm clamp at 1).
-func reduceNorms(parts [][]float64, lambda []float64, kind NormKind) {
+// foldNorms folds per-task norm partials into lambda: their sum (Norm2)
+// or their maximum (NormMax).
+func foldNorms(parts [][]float64, lambda []float64, kind NormKind) {
 	for j := range lambda {
-		switch kind {
-		case Norm2:
-			ss := 0.0
-			for _, part := range parts {
-				ss += part[j]
+		acc := 0.0
+		for _, part := range parts {
+			if kind == Norm2 {
+				acc += part[j]
+			} else if part[j] > acc {
+				acc = part[j]
 			}
-			lambda[j] = math.Sqrt(ss)
-		case NormMax:
-			m := 0.0
-			for _, part := range parts {
-				if part[j] > m {
-					m = part[j]
-				}
-			}
-			if m < 1 {
-				m = 1 // SPLATT's max-norm clamp
-			}
-			lambda[j] = m
+		}
+		lambda[j] = acc
+	}
+}
+
+// finishNorms turns folded partials into norms: the square root (Norm2),
+// or SPLATT's max-norm clamp at 1 (NormMax).
+func finishNorms(lambda []float64, kind NormKind) {
+	for j, l := range lambda {
+		if kind == Norm2 {
+			lambda[j] = math.Sqrt(l)
+		} else if l < 1 {
+			lambda[j] = 1
 		}
 	}
 }

@@ -3,6 +3,7 @@ package dist
 import (
 	"math"
 
+	"repro/internal/dense"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 )
@@ -185,6 +186,32 @@ func (c *comm) AllgatherRows(lid, lo, hi, rowLen int, full []float64) {
 	copy(full, c.gather[:len(full)])
 	c.barrier.Wait()
 	c.charge(lid, opAllgather, span, int64((c.locales-1)*(hi-lo)*rowLen)*8)
+}
+
+// locale binds the fabric to one locale: the core.Collective its
+// decomposer runs through. Its slab is its block of mode 0's rows.
+type locale struct {
+	c    *comm
+	lid  int
+	slab Slab
+}
+
+func (l *locale) ReduceMTTKRP(m *dense.Matrix) { l.c.AllreduceSum(l.lid, m.Data) }
+
+func (l *locale) ReduceGram(g *dense.Matrix) { l.c.AllreduceSum(l.lid, g.Data) }
+
+func (l *locale) ReduceNorms(part []float64, kind dense.NormKind) {
+	if kind == dense.NormMax {
+		l.c.AllreduceMax(l.lid, part)
+		return
+	}
+	l.c.AllreduceSum(l.lid, part)
+}
+
+func (l *locale) ReduceScalar(v float64) float64 { return l.c.AllreduceScalar(l.lid, v) }
+
+func (l *locale) GatherRows(a *dense.Matrix) {
+	l.c.AllgatherRows(l.lid, l.slab.Lo, l.slab.Hi, a.Cols, a.Data)
 }
 
 // fill derives the Report's communication ledger from the per-locale

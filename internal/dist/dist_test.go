@@ -1,11 +1,14 @@
 package dist
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/format"
 	"repro/internal/obs"
 	"repro/internal/sketch"
 	"repro/internal/sptensor"
@@ -27,20 +30,39 @@ func distOptions(locales int) Options {
 }
 
 // TestMatchesSharedMemory is the core acceptance property: distributed
-// CP-ALS agrees with shared-memory core.CPD within 1e-8 fit tolerance at
-// every world size, and moves nonzero communication for locales >= 2.
+// CP-ALS agrees with shared-memory core.CPD within 1e-8 at every world
+// size, on both storage formats, with both solvers and with one- and
+// two-task locales, and moves nonzero communication for locales >= 2.
 func TestMatchesSharedMemory(t *testing.T) {
 	tensor := testTensor()
+	for _, spec := range []format.Spec{format.CSF, format.ALTO} {
+		for _, solver := range []sketch.Solver{sketch.ALS, sketch.ARLS} {
+			for _, tasks := range []int{1, 2} {
+				t.Run(fmt.Sprintf("%v/%v/tasks=%d", spec, solver, tasks), func(t *testing.T) {
+					matchesSharedMemory(t, tensor, spec, solver, tasks)
+				})
+			}
+		}
+	}
+}
+
+func matchesSharedMemory(t *testing.T, tensor *sptensor.Tensor, spec format.Spec, solver sketch.Solver, tasks int) {
 	co := core.DefaultOptions()
 	co.Rank = 8
 	co.MaxIters = 15
 	co.Seed = 3
+	co.Format = spec
+	co.Solver = solver
 	kc, rc, err := core.CPD(tensor, co)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, locales := range []int{1, 2, 4} {
-		kd, rd, err := CPD(tensor, distOptions(locales))
+	for _, locales := range []int{1, 2, 3, 4} {
+		o := distOptions(locales)
+		o.Format = spec
+		o.Solver = solver
+		o.TasksPerLocale = tasks
+		kd, rd, err := CPD(tensor, o)
 		if err != nil {
 			t.Fatalf("locales=%d: %v", locales, err)
 		}
@@ -61,6 +83,10 @@ func TestMatchesSharedMemory(t *testing.T) {
 		if rd.Iterations != rc.Iterations {
 			t.Errorf("locales=%d: %d iterations, shared-memory %d",
 				locales, rd.Iterations, rc.Iterations)
+		}
+		if rd.SampledIters != rc.SampledIters || rd.Format != rc.Format {
+			t.Errorf("locales=%d: %d sampled iterations on %s, shared-memory %d on %s",
+				locales, rd.SampledIters, rd.Format, rc.SampledIters, rc.Format)
 		}
 	}
 }
@@ -355,6 +381,68 @@ func TestCollectives(t *testing.T) {
 	}
 	if r.CommBytes != wantReduce+wantGather {
 		t.Errorf("CommBytes = %d, want %d", r.CommBytes, wantReduce+wantGather)
+	}
+}
+
+// TestCommLedgerClosedForm pins the traffic of a 3-locale run to its
+// closed form, for exact ALS, sampled ARLS and a run with a context. With
+// T iterations, S of them sampled, c = 1 when Ctx is set, order N, L
+// locales and rank R, the run makes T allgathers of mode 0's rows and
+// 2 + T·(c + N + 1) + S allreduces: the tensor norm and the first mode-0
+// Gram, then per iteration the cancel flag, N − 1 replicated-mode MTTKRP
+// partials, the mode-0 norms and Gram, and per sampled iteration the fit
+// estimate. Each allreduce of n floats moves L(L−1)·8·n bytes, and no
+// standalone barrier runs.
+func TestCommLedgerClosedForm(t *testing.T) {
+	tensor := testTensor()
+	const L = 3
+	cases := []struct {
+		name   string
+		solver sketch.Solver
+		ctx    context.Context
+	}{
+		{"als", sketch.ALS, nil},
+		{"arls", sketch.ARLS, nil},
+		{"als-ctx", sketch.ALS, context.Background()},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			o := distOptions(L)
+			o.Solver = tc.solver
+			o.Ctx = tc.ctx
+			_, rd, err := CPD(tensor, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			T, S, R, N := int64(rd.Iterations), int64(rd.SampledIters), int64(o.Rank), int64(tensor.NModes())
+			c := int64(0)
+			if tc.ctx != nil {
+				c = 1
+			}
+			replicated := int64(0)
+			for _, d := range tensor.Dims[1:] {
+				replicated += int64(d)
+			}
+			if tc.solver == sketch.ARLS && S == 0 {
+				t.Fatal("ARLS run sampled no iteration")
+			}
+			wantReduceCalls := 2 + T*(c+N+1) + S
+			wantReduceBytes := L * (L - 1) * 8 * (1 + R*R + T*(c+R+R*R+R*replicated) + S)
+			wantGatherBytes := T * (L - 1) * int64(tensor.Dims[0]) * R * 8
+			if int64(rd.AllreduceCalls) != wantReduceCalls || rd.AllreduceBytes != wantReduceBytes {
+				t.Errorf("allreduce: %d calls, %d bytes; want %d calls, %d bytes",
+					rd.AllreduceCalls, rd.AllreduceBytes, wantReduceCalls, wantReduceBytes)
+			}
+			if int64(rd.AllgatherCalls) != T || rd.AllgatherBytes != wantGatherBytes {
+				t.Errorf("allgather: %d calls, %d bytes; want %d calls, %d bytes",
+					rd.AllgatherCalls, rd.AllgatherBytes, T, wantGatherBytes)
+			}
+			for _, op := range rd.CommOps {
+				if op.Op == "barrier" && (op.Calls != 0 || op.Bytes != 0) {
+					t.Errorf("%d standalone barrier calls (%d bytes), want none", op.Calls, op.Bytes)
+				}
+			}
+		})
 	}
 }
 

@@ -59,8 +59,8 @@ type Config struct {
 	// Seed drives every deterministic draw (samples and fit estimation).
 	Seed int64
 	// Offsets translate the source's local coordinates into global ones
-	// (per mode; nil = zero). The distributed engine passes its slab
-	// offset so every locale samples in the same global coordinate space.
+	// (per mode; nil = zero). A distributed locale passes its slab offset
+	// so every locale samples in the same global coordinate space.
 	Offsets []int
 	// Team parallelizes the sampled accumulation (nil = serial).
 	Team *parallel.Team
@@ -634,8 +634,8 @@ func (s *Sampler) accumulateSample(mode int, key uint64, count int,
 
 // EstimateInner estimates ⟨X, model⟩ from a seeded uniform subset of the
 // local nonzeros: (nnz/P)·Σ_sample x·model(coord). salt decorrelates
-// parallel estimators (the distributed engine passes its locale id, then
-// sums the per-shard estimates). Returns 0 for an empty shard.
+// parallel estimators (a distributed locale passes its id, and the
+// per-shard estimates are summed). Returns 0 for an empty shard.
 func (s *Sampler) EstimateInner(iter int, salt uint64, lambda []float64, factors []*dense.Matrix) float64 {
 	if s.nnz == 0 {
 		return 0

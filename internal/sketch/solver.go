@@ -8,8 +8,9 @@
 // enumeration path, and supports shard-offset coordinates so the
 // distributed engine can sample consistently across locales.
 //
-// The package is engine-agnostic: core and dist own the ALS loops and call
-// into Sampler for the sampled update; sketch never imports them.
+// The package is engine-agnostic: core owns the ALS loop, for shared
+// memory and for each distributed locale, and calls into Sampler for the
+// sampled update; sketch never imports it.
 package sketch
 
 import (

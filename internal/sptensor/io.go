@@ -563,7 +563,7 @@ func WriteBinary(w io.Writer, t *Tensor) error {
 // readChunked reads n little-endian elements in bounded chunks, so a
 // stream whose header promises more data than it carries errors out
 // without first allocating the full claimed size.
-func readChunked[E Index | float64](br io.Reader, n int) ([]E, error) {
+func readChunked[E Index | float64](r io.Reader, n int) ([]E, error) {
 	first := n
 	if first > binReadChunk {
 		first = binReadChunk
@@ -575,7 +575,7 @@ func readChunked[E Index | float64](br io.Reader, n int) ([]E, error) {
 			c = binReadChunk
 		}
 		chunk := make([]E, c)
-		if err := binary.Read(br, binary.LittleEndian, chunk); err != nil {
+		if err := binary.Read(r, binary.LittleEndian, chunk); err != nil {
 			return nil, err
 		}
 		out = append(out, chunk...)
@@ -585,16 +585,15 @@ func readChunked[E Index | float64](br io.Reader, n int) ([]E, error) {
 
 // ReadBinary reads a tensor written by WriteBinary.
 func ReadBinary(r io.Reader) (*Tensor, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
 	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
+	if _, err := io.ReadFull(r, magic); err != nil {
 		return nil, fmt.Errorf("sptensor: reading magic: %w", err)
 	}
 	if string(magic) != binaryMagic {
 		return nil, fmt.Errorf("sptensor: bad magic %q", magic)
 	}
 	var head [2]uint64
-	if err := binary.Read(br, binary.LittleEndian, head[:]); err != nil {
+	if err := binary.Read(r, binary.LittleEndian, head[:]); err != nil {
 		return nil, fmt.Errorf("sptensor: reading header: %w", err)
 	}
 	// Bounds-check the raw uint64 header words before any int conversion,
@@ -610,7 +609,7 @@ func ReadBinary(r io.Reader) (*Tensor, error) {
 	}
 	order, nnz := int(head[0]), int(head[1])
 	dims64 := make([]uint64, order)
-	if err := binary.Read(br, binary.LittleEndian, dims64); err != nil {
+	if err := binary.Read(r, binary.LittleEndian, dims64); err != nil {
 		return nil, fmt.Errorf("sptensor: reading dims: %w", err)
 	}
 	dims := make([]int, order)
@@ -622,13 +621,13 @@ func ReadBinary(r io.Reader) (*Tensor, error) {
 	}
 	t := &Tensor{Dims: dims, Inds: make([][]Index, order)}
 	for m := 0; m < order; m++ {
-		inds, err := readChunked[Index](br, nnz)
+		inds, err := readChunked[Index](r, nnz)
 		if err != nil {
 			return nil, fmt.Errorf("sptensor: reading mode %d indices: %w", m, err)
 		}
 		t.Inds[m] = inds
 	}
-	vals, err := readChunked[float64](br, nnz)
+	vals, err := readChunked[float64](r, nnz)
 	if err != nil {
 		return nil, fmt.Errorf("sptensor: reading values: %w", err)
 	}

@@ -181,32 +181,40 @@ func TestLoadTensorReaderPeek(t *testing.T) {
 	}
 }
 
-// TestLoadTensorReaderSmallInputAllocs pins what a small .tns input costs
+// TestLoadTensorReaderSmallInputAllocs pins what a small input costs
 // through LoadTensorReader read from a bytes.Buffer, as the service reads
-// an upload or a PATCH batch: the format peek holds no buffer of its own
-// and the first block is the input's size, not 256 KiB. A 2,350-line
-// batch (stream-yelp's PATCH size) may allocate 256 KiB and 20 lines
-// 32 KiB, merge included.
+// an upload or a PATCH batch, in both encodings: the format peek holds no
+// buffer of its own, the first .tns block is the input's size, not
+// 256 KiB, and the binary reader reads in its bounded chunks without a
+// buffer of its own. A 2,350-nonzero batch (stream-yelp's PATCH size) may
+// allocate 256 KiB and 20 nonzeros 32 KiB, merge included.
 func TestLoadTensorReaderSmallInputAllocs(t *testing.T) {
-	for _, tc := range []struct{ lines, limit int }{{20, 32 << 10}, {2350, 256 << 10}} {
-		var buf bytes.Buffer
-		if err := WriteTNS(&buf, Random([]int{2563, 688, 4688}, tc.lines, 11)); err != nil {
-			t.Fatal(err)
-		}
-		in := buf.Bytes()
-		const runs = 10
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for range runs {
-			if _, err := LoadTensorReader(bytes.NewBuffer(in)); err != nil {
+	encodings := []struct {
+		name  string
+		write func(io.Writer, *Tensor) error
+	}{{"tns", WriteTNS}, {"binary", WriteBinary}}
+	for _, enc := range encodings {
+		for _, tc := range []struct{ lines, limit int }{{20, 32 << 10}, {2350, 256 << 10}} {
+			var buf bytes.Buffer
+			if err := enc.write(&buf, Random([]int{2563, 688, 4688}, tc.lines, 11)); err != nil {
 				t.Fatal(err)
 			}
-		}
-		runtime.ReadMemStats(&after)
-		per := int((after.TotalAlloc - before.TotalAlloc) / runs)
-		t.Logf("%d lines (%d B): %d B allocated per read", tc.lines, len(in), per)
-		if per > tc.limit {
-			t.Errorf("%d lines (%d B): %d B allocated per read, want at most %d", tc.lines, len(in), per, tc.limit)
+			in := buf.Bytes()
+			const runs = 10
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				if _, err := LoadTensorReader(bytes.NewBuffer(in)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			per := int((after.TotalAlloc - before.TotalAlloc) / runs)
+			t.Logf("%s, %d nonzeros (%d B): %d B allocated per read", enc.name, tc.lines, len(in), per)
+			if per > tc.limit {
+				t.Errorf("%s, %d nonzeros (%d B): %d B allocated per read, want at most %d",
+					enc.name, tc.lines, len(in), per, tc.limit)
+			}
 		}
 	}
 }

@@ -213,7 +213,8 @@ func DefaultDistOptions() DistOptions { return dist.DefaultOptions() }
 // CPDDistributed runs coarse-grained distributed CP-ALS over simulated
 // locales (SPMD goroutines with explicit allreduce communication) — the
 // paper's §VII future-work item, built on the algorithm of its reference
-// [16]. Results match CPD up to floating-point reassociation.
+// [16]. Every locale runs CPD's iteration over its slab. Results match
+// CPD up to floating-point reassociation.
 func CPDDistributed(t *Tensor, opts DistOptions) (*KruskalTensor, *DistReport, error) {
 	return dist.CPD(t, opts)
 }
