@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/csf"
+	"repro/internal/format"
 	"repro/internal/locks"
 	"repro/internal/mttkrp"
+	"repro/internal/sketch"
 	"repro/internal/sptensor"
 	"repro/internal/tsort"
 )
@@ -81,6 +83,55 @@ func TestCPDDeterministicAcrossTasks(t *testing.T) {
 		for m := range kSerial.Factors {
 			if d := kSerial.Factors[m].MaxAbsDiff(kPar.Factors[m]); d > 1e-6 {
 				t.Errorf("tasks=%d factor %d deviates from serial by %g", tasks, m, d)
+			}
+		}
+	}
+}
+
+// TestCPDRepeatsBitwiseWhenPrivatized pins README's Determinism claim:
+// when no mode runs StrategyLock, the same seed and task count repeat a
+// run bit for bit (factors, λ and fit history) on both formats and both
+// solvers. A locked mode adds rows in the order tasks take the lock, so
+// StrategyAuto, which may lock, is not part of the claim.
+func TestCPDRepeatsBitwiseWhenPrivatized(t *testing.T) {
+	tt := sptensor.Random([]int{30, 40, 50}, 2000, 7)
+	for _, spec := range []format.Spec{format.CSF, format.ALTO} {
+		for _, solver := range []sketch.Solver{sketch.ALS, sketch.ARLS} {
+			opts := DefaultOptions()
+			opts.Rank, opts.MaxIters, opts.Seed, opts.Tasks = 8, 12, 3, 2
+			opts.Strategy, opts.Format, opts.Solver = mttkrp.StrategyPrivatize, spec, solver
+			k1, r1, err := CPD(tt, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k2, r2, err := CPD(tt, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if solver == sketch.ARLS && r1.SampledIters == 0 {
+				t.Fatalf("%v %v: no sampled iteration ran", spec, solver)
+			}
+			same := func(a, b []float64) bool {
+				if len(a) != len(b) {
+					return false
+				}
+				for i := range a {
+					if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+						return false
+					}
+				}
+				return true
+			}
+			if !same(r1.FitHistory, r2.FitHistory) {
+				t.Errorf("%v %v: fit histories differ: %v vs %v", spec, solver, r1.FitHistory, r2.FitHistory)
+			}
+			if !same(k1.Lambda, k2.Lambda) {
+				t.Errorf("%v %v: λ differs", spec, solver)
+			}
+			for m := range k1.Factors {
+				if !same(k1.Factors[m].Data, k2.Factors[m].Data) {
+					t.Errorf("%v %v: factor %d differs", spec, solver, m)
+				}
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package format
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -175,47 +176,82 @@ func TestBuildBackendsAgree(t *testing.T) {
 	}
 }
 
-// TestForcedNoneFallsBackToLock pins what a forced StrategyNone does at
-// tasks > 1 on both operators: direct writes stay only on CSF root
-// kernels, which own their output rows; every scattering mode runs, and
-// reports, the mutex pool and still matches COO. Under -race (make race)
-// an unsynchronized write here fails the test.
-func TestForcedNoneFallsBackToLock(t *testing.T) {
-	const rank, tasks = 5, 3
-	tt := sptensor.Random([]int{30, 20, 40}, 1500, 19)
-	team := parallel.NewTeam(tasks)
-	defer team.Close()
+// TestStrategyRule pins the output-conflict rule both operators apply,
+// over every forced strategy × tasks {1, 3} × order {3, 4}. One task, or
+// a CSF root mode (whose task owns its rows), writes directly; a forced
+// none locks, since every other mode's rows scatter across tasks; a forced
+// tile runs tiles only on a non-root mode of an order-3 CSF tensor and
+// locks elsewhere; forced lock and privatize are kept; auto is Decide of
+// the operator's privatized rows and flushes (I_m × tasks against nnz for
+// CSF, the row windows against runs for ALTO). Every output matches COO
+// and LastStrategy reports StrategyFor. Under -race (make race) an
+// unsynchronized write fails the test.
+func TestStrategyRule(t *testing.T) {
+	const rank = 5
 	rng := rand.New(rand.NewSource(29))
-	factors := make([]*dense.Matrix, tt.NModes())
-	for m, d := range tt.Dims {
-		factors[m] = dense.NewRandomMatrix(d, rank, rng)
-	}
-	cfg := Config{Team: team, Rank: rank, Alloc: csf.AllocOne,
-		Kernel: mttkrp.Options{Strategy: mttkrp.StrategyNone, LockKind: locks.Spin}}
-	for _, spec := range []Spec{CSF, ALTO} {
-		b, err := Build(tt, spec, cfg)
-		if err != nil {
-			t.Fatal(err)
+	// The order-3 tensor is dense enough that auto privatizes some modes
+	// and locks others at 3 tasks.
+	for _, tt := range []*sptensor.Tensor{
+		sptensor.Random([]int{30, 8, 40}, 3000, 19),
+		sptensor.Random([]int{12, 9, 15, 7}, 1500, 23),
+	} {
+		factors := make([]*dense.Matrix, tt.NModes())
+		for m, d := range tt.Dims {
+			factors[m] = dense.NewRandomMatrix(d, rank, rng)
 		}
-		for mode := 0; mode < tt.NModes(); mode++ {
-			want := dense.NewMatrix(tt.Dims[mode], rank)
-			mttkrp.COO(tt, factors, mode, want)
-			got := dense.NewMatrix(tt.Dims[mode], rank)
-			b.MTTKRP(mode, factors, got)
-			if d := got.MaxAbsDiff(want); d > 1e-9 {
-				t.Errorf("%v mode %d: forced none deviates from COO by %g", spec, mode, d)
-			}
-			wantStrat := mttkrp.StrategyLock
-			if set := CSFSet(b); set != nil {
-				if _, level := set.For(mode); level == 0 {
-					wantStrat = mttkrp.StrategyNone
+		for _, tasks := range []int{1, 3} {
+			team := parallel.NewTeam(tasks)
+			for _, forced := range []mttkrp.ConflictStrategy{mttkrp.StrategyAuto, mttkrp.StrategyNone,
+				mttkrp.StrategyLock, mttkrp.StrategyPrivatize, mttkrp.StrategyTile} {
+				cfg := Config{Team: team, Rank: rank, Alloc: csf.AllocOne,
+					Kernel: mttkrp.Options{Strategy: forced, LockKind: locks.Spin}}
+				for _, spec := range []Spec{CSF, ALTO} {
+					b, err := Build(tt, spec, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for mode := range tt.Dims {
+						want := dense.NewMatrix(tt.Dims[mode], rank)
+						mttkrp.COO(tt, factors, mode, want)
+						got := dense.NewMatrix(tt.Dims[mode], rank)
+						b.MTTKRP(mode, factors, got)
+						name := fmt.Sprintf("order %d, %d tasks, %v forced %v, mode %d", tt.NModes(), tasks, spec, forced, mode)
+						if d := got.MaxAbsDiff(want); d > 1e-9 {
+							t.Errorf("%s: deviates from COO by %g", name, d)
+						}
+						wantStrat := ruleFor(b, forced, mode, tasks)
+						if s, last := b.StrategyFor(mode), b.LastStrategy(); s != wantStrat || last != wantStrat {
+							t.Errorf("%s: StrategyFor %v, LastStrategy %v; want %v", name, s, last, wantStrat)
+						}
+					}
 				}
 			}
-			if s, last := b.StrategyFor(mode), b.LastStrategy(); s != wantStrat || last != wantStrat {
-				t.Errorf("%v mode %d: StrategyFor %v, LastStrategy %v; want %v", spec, mode, s, last, wantStrat)
-			}
+			team.Close()
 		}
 	}
+}
+
+// ruleFor is TestStrategyRule's statement of the rule for one mode of b.
+func ruleFor(b Backend, forced mttkrp.ConflictStrategy, mode, tasks int) mttkrp.ConflictStrategy {
+	root, tiles := false, false
+	var privRows, flushes int
+	switch b := b.(type) {
+	case *csfBackend:
+		c, level := b.set.For(mode)
+		root, tiles = level == 0, c.Order() == 3
+		privRows, flushes = c.Dims[mode]*tasks, c.NNZ()
+	case *altoBackend:
+		privRows, flushes = b.op.WindowRows(mode), int(b.t.Runs(mode))
+	}
+	switch {
+	case tasks == 1 || root:
+		return mttkrp.StrategyNone
+	case forced == mttkrp.StrategyAuto:
+		return mttkrp.Decide(privRows, flushes, tasks)
+	case forced == mttkrp.StrategyNone, forced == mttkrp.StrategyTile && !tiles:
+		return mttkrp.StrategyLock
+	}
+	return forced
 }
 
 func TestBuildAutoResolvesAndTimes(t *testing.T) {

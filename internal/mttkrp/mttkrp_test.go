@@ -275,3 +275,43 @@ func TestStrategyForSplit(t *testing.T) {
 	check("nell-2", nell, 8, false)
 	check("nell-2", nell, 32, false)
 }
+
+// FuzzOperatorMatchesCOO is the CSF twin of alto's fuzzer of the same
+// name: a random small tensor of order 3 or 4 runs under a random forced
+// strategy, CSF alloc policy and access mode at up to 8 tasks, and every
+// mode's output is checked against the coordinate-form reference.
+func FuzzOperatorMatchesCOO(f *testing.F) {
+	f.Add(uint8(9), uint8(7), uint8(5), uint8(0), uint16(200), uint8(3), uint8(1), uint8(0), uint8(0), int64(1))
+	f.Add(uint8(40), uint8(1), uint8(3), uint8(6), uint16(700), uint8(8), uint8(3), uint8(1), uint8(1), int64(2))
+	f.Add(uint8(2), uint8(2), uint8(2), uint8(2), uint16(3), uint8(7), uint8(4), uint8(2), uint8(2), int64(3))
+	f.Add(uint8(200), uint8(150), uint8(90), uint8(0), uint16(2500), uint8(2), uint8(4), uint8(0), uint8(3), int64(4))
+	f.Fuzz(func(t *testing.T, d0, d1, d2, d3 uint8, nnz uint16, tasks, strat, alloc, access uint8, seed int64) {
+		dims := []int{int(d0) + 1, int(d1) + 1, int(d2) + 1}
+		if d3 > 0 {
+			dims = append(dims, int(d3))
+		}
+		tt := sptensor.Random(dims, int(nnz%3000)+1, seed)
+		strategies := []ConflictStrategy{StrategyAuto, StrategyNone, StrategyLock, StrategyPrivatize, StrategyTile}
+		allocs := []csf.AllocPolicy{csf.AllocOne, csf.AllocTwo, csf.AllocAll}
+		accesses := []AccessMode{AccessReference, AccessPointer, AccessIndex2D, AccessSlice}
+		const rank = 4
+		factors := randomFactors(dims, rank, seed)
+		team := parallel.NewTeam(int(tasks%8) + 1)
+		defer team.Close()
+		set := csf.NewSet(tt, allocs[int(alloc)%len(allocs)], team, tsort.AllOpt)
+		op := NewOperator(set, team, rank, Options{
+			Access:   accesses[int(access)%len(accesses)],
+			Strategy: strategies[int(strat)%len(strategies)], LockKind: locks.Spin,
+		})
+		for mode, rows := range dims {
+			want := dense.NewMatrix(rows, rank)
+			COO(tt, factors, mode, want)
+			got := dense.NewMatrix(rows, rank)
+			op.Apply(mode, factors, got)
+			if d := got.MaxAbsDiff(want); d > 1e-9 {
+				t.Fatalf("dims %v tasks %d %v %v alloc %v mode %d: deviates by %g",
+					dims, team.N(), op.opts.Access, op.LastStrategy(), set.Policy, mode, d)
+			}
+		}
+	})
+}

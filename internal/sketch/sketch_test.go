@@ -382,6 +382,45 @@ func TestSampledMTTKRPDeterminism(t *testing.T) {
 			t.Fatalf("parallel normal not deterministic at %d", i)
 		}
 	}
+	// At 2 and 3 tasks the outputs are, bit for bit, the task-order sums of
+	// per-task partials, each accumulated over a parallel.Partition chunk
+	// of the drawn keys.
+	for _, tasks := range []int{2, 3} {
+		team := parallel.NewTeam(tasks)
+		s, err := NewSampler(cooSource{tt}, dims, Config{Rank: 5, Seed: 42, Samples: 500, Team: team})
+		if err != nil {
+			t.Fatal(err)
+		}
+		refreshAll(s, fs, gs)
+		out := dense.NewMatrix(dims[1], 5)
+		normal := dense.NewMatrix(5, 5)
+		s.SampledMTTKRP(1, 3, fs, out, normal)
+		team.Close()
+		wantOut, wantNormal := make([]float64, len(out.Data)), make([]float64, len(normal.Data))
+		h, idx := make([]float64, 5), make([]int, len(dims))
+		for tid := 0; tid < tasks; tid++ {
+			part, partNormal := make([]float64, len(wantOut)), make([]float64, len(wantNormal))
+			begin, end := parallel.Partition(len(s.keyBuf), tasks, tid)
+			for i := begin; i < end; i++ {
+				s.accumulateSample(1, s.keyBuf[i], s.countBuf[i], fs, part, partNormal, h, idx)
+			}
+			dense.VecAdd(wantOut, part)
+			dense.VecAdd(wantNormal, partNormal)
+		}
+		for i, v := range wantOut {
+			if out.Data[i] != v {
+				t.Fatalf("%d tasks: out[%d] = %v, task-order sum of partials %v", tasks, i, out.Data[i], v)
+			}
+		}
+		for i := 0; i < 5; i++ {
+			for j := i; j < 5; j++ {
+				if v := wantNormal[i*5+j]; normal.At(i, j) != v || normal.At(j, i) != v {
+					t.Fatalf("%d tasks: normal[%d,%d] = %v, task-order sum of partials %v", tasks, i, j, normal.At(i, j), v)
+				}
+			}
+		}
+	}
+
 	// And a different seed draws a different sample set.
 	s, _ := NewSampler(cooSource{tt}, dims, Config{Rank: 5, Seed: 43, Samples: 500})
 	refreshAll(s, fs, gs)
@@ -494,10 +533,22 @@ func TestEstimateInnerMatchesExactOnFullSample(t *testing.T) {
 	}
 }
 
+// TestShardOffsetsMatchGlobal checks that a sharded sampler (local mode-0
+// coords + offset) produces the same fiber keys and out rows as a global
+// sampler restricted to the shard, serially and at 2 and 3 tasks, where
+// the shard's privatized mode-0 output covers its 10 rows against the
+// global mode's 30.
 func TestShardOffsetsMatchGlobal(t *testing.T) {
-	// A sharded sampler (local mode-0 coords + offset) must produce the
-	// same fiber keys and out rows as a global sampler restricted to the
-	// shard.
+	for _, tasks := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("tasks=%d", tasks), func(t *testing.T) {
+			team := parallel.NewTeam(tasks)
+			defer team.Close()
+			testShardOffsetsMatchGlobal(t, team)
+		})
+	}
+}
+
+func testShardOffsetsMatchGlobal(t *testing.T, team *parallel.Team) {
 	dims := []int{30, 10, 8}
 	tt := sptensor.Random(dims, 1500, 21)
 	rank := 4
@@ -517,7 +568,7 @@ func TestShardOffsetsMatchGlobal(t *testing.T) {
 		shard.Vals = append(shard.Vals, tt.Vals[x])
 	}
 
-	cfg := Config{Rank: rank, Seed: 77, Samples: 2000}
+	cfg := Config{Rank: rank, Seed: 77, Samples: 2000, Team: team}
 	global, err := NewSampler(cooSource{tt}, dims, cfg)
 	if err != nil {
 		t.Fatal(err)
