@@ -110,11 +110,7 @@ func (at *Tensor) computeRuns(team *parallel.Team) {
 	blocks := (nnz + delinTile - 1) / delinTile
 	at.blockMin = make([]sptensor.Index, blocks*order)
 	at.blockMax = make([]sptensor.Index, blocks*order)
-	tasks := 1
-	if team != nil {
-		tasks = team.N()
-	}
-	taskRuns := make([][]int64, tasks)
+	taskRuns := make([][]int64, team.N())
 	parallel.ForBlocks(team, blocks, func(tid, bBegin, bEnd int) {
 		if bBegin == bEnd {
 			return

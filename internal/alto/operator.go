@@ -5,16 +5,15 @@ import (
 	"math/bits"
 
 	"repro/internal/dense"
-	"repro/internal/locks"
 	"repro/internal/mttkrp"
 	"repro/internal/parallel"
 	"repro/internal/sptensor"
 )
 
 // Operator performs MTTKRPs for every mode of an ALTO tensor. One Operator
-// is built per CP-ALS run and reused across all iterations, owning the
-// mutex pool, privatization buffers, and per-task tile workspaces exactly
-// as the CSF operator does.
+// is built per CP-ALS run and reused across all iterations, owning its
+// output-conflict layer (mttkrp.Conflicts) and per-task tile workspaces
+// exactly as the CSF operator does.
 //
 // Parallelization splits the linearized nonzero array into contiguous
 // per-task ranges (perfect nnz balance by construction — no slice-weight
@@ -37,13 +36,10 @@ import (
 // order, so their outputs are bitwise equal.
 type Operator struct {
 	t    *Tensor
-	team *parallel.Team
-	opts mttkrp.Options
 	rank int
 
-	pool   locks.Pool
-	priv   *mttkrp.Privatizer // per-task buffers over each task's row window
-	bounds []int              // contiguous nonzero ranges, len tasks+1
+	conf   *mttkrp.Conflicts // privatized windows: the rows each task's range touches
+	bounds []int             // contiguous nonzero ranges, len tasks+1
 
 	kernels []taskKernel // per-task tile workspaces
 	// tile selects walk3Tile for the lock-free strategies: a narrow
@@ -53,13 +49,9 @@ type Operator struct {
 
 	// Staged operands of the in-flight Apply; runBody is built once so no
 	// closure is materialized per call.
-	curMode     int
-	curFactors  []*dense.Matrix
-	curOut      *dense.Matrix
-	curStrategy mttkrp.ConflictStrategy
-	runBody     func(tid int)
-
-	lastStrategy mttkrp.ConflictStrategy
+	curMode    int
+	curFactors []*dense.Matrix
+	runBody    func(tid int)
 }
 
 // taskKernel is one task's persistent kernel workspace.
@@ -68,10 +60,11 @@ type taskKernel struct {
 	acc   []float64 // output-row accumulator (rank)
 	hprod []float64 // cached non-target Hadamard product (rank)
 
-	// Privatized output of the in-flight Apply: row r accumulates into
-	// priv[(r-privBase)·rank:]. Set only under StrategyPrivatize.
-	priv     []float64
-	privBase int
+	// Flush target of the in-flight Apply (mttkrp.Conflicts.Target): row
+	// r accumulates into out[(r-base)·rank:], the task's privatized window
+	// under StrategyPrivatize and the output otherwise.
+	out  []float64
+	base int
 
 	// Tile buffers for the native (BMI2) order-3 Go walker: pext3Tile
 	// batch-delinearizes tileN keys per assembly call, amortizing the call
@@ -109,9 +102,8 @@ type tileWalk struct {
 // decomposition rank R; team may be nil for serial execution. Workspace
 // buffers are drawn from opts.Arena when the engine provides one.
 func NewOperator(t *Tensor, team *parallel.Team, rank int, opts mttkrp.Options) *Operator {
-	o := &Operator{t: t, team: team, opts: opts, rank: rank}
-	o.pool = locks.NewPool(opts.LockKind, opts.PoolSize)
-	tasks := o.tasks()
+	o := &Operator{t: t, rank: rank}
+	tasks := team.N()
 	o.bounds = make([]int, tasks+1)
 	for tid := 0; tid < tasks; tid++ {
 		begin, _ := parallel.Partition(t.NNZ(), tasks, tid)
@@ -127,7 +119,7 @@ func NewOperator(t *Tensor, team *parallel.Team, rank int, opts mttkrp.Options) 
 		lo[tid], hi[tid] = make([]int, order), make([]int, order)
 		t.Window(o.bounds[tid], o.bounds[tid+1], lo[tid], hi[tid])
 	}
-	o.priv = mttkrp.NewPrivatizer(rank, lo, hi)
+	o.conf = mttkrp.NewConflicts(team, opts, rank, lo, hi)
 
 	arena := opts.Arena
 	if arena == nil || arena.Tasks() < tasks {
@@ -153,12 +145,10 @@ func NewOperator(t *Tensor, team *parallel.Team, rank int, opts mttkrp.Options) 
 		if begin >= end {
 			return
 		}
-		if o.curStrategy == mttkrp.StrategyPrivatize {
-			k := &o.kernels[tid]
-			k.priv, k.privBase = o.priv.Open(tid)
-		}
+		k := &o.kernels[tid]
+		k.out, k.base = o.conf.Target(tid)
 		switch {
-		case o.tile && o.curStrategy != mttkrp.StrategyLock:
+		case o.tile && o.conf.LastStrategy() != mttkrp.StrategyLock:
 			o.runRange3Tiles(tid, begin, end)
 		case native3:
 			o.runRange3Native(tid, begin, end)
@@ -171,15 +161,8 @@ func NewOperator(t *Tensor, team *parallel.Team, rank int, opts mttkrp.Options) 
 	return o
 }
 
-func (o *Operator) tasks() int {
-	if o.team == nil {
-		return 1
-	}
-	return o.team.N()
-}
-
 // LastStrategy reports the conflict strategy used by the most recent Apply.
-func (o *Operator) LastStrategy() mttkrp.ConflictStrategy { return o.lastStrategy }
+func (o *Operator) LastStrategy() mttkrp.ConflictStrategy { return o.conf.LastStrategy() }
 
 // StrategyFor reports the conflict strategy Apply would use for a mode.
 //
@@ -189,27 +172,17 @@ func (o *Operator) LastStrategy() mttkrp.ConflictStrategy { return o.lastStrateg
 // not I_m × tasks. The lock cost is runs(m), since a row flushes once
 // per fiber run, not once per nonzero. A mode with high fiber reuse
 // (runs ≪ nnz) therefore leans toward locks, which it acquires rarely;
-// a mode whose windows are narrow leans toward privatizing.
+// a mode whose windows are narrow leans toward privatizing. With no root
+// mode, any mode's row can straddle two tasks' nonzero ranges, and tiling
+// is a CSF-tree phase schedule the linearized layout has no tiles for, so
+// a forced none or tile locks.
 func (o *Operator) StrategyFor(mode int) mttkrp.ConflictStrategy {
-	if o.tasks() == 1 {
-		return mttkrp.StrategyNone
-	}
-	switch o.opts.Strategy {
-	case mttkrp.StrategyLock, mttkrp.StrategyPrivatize:
-		return o.opts.Strategy
-	case mttkrp.StrategyNone, mttkrp.StrategyTile:
-		// With no root mode, any mode's row can straddle two tasks'
-		// nonzero ranges, so direct writes would race; tiling is a
-		// CSF-tree phase schedule the linearized layout has no tiles for.
-		// Both fall back to the mutex pool (as CSF does for order > 3).
-		return mttkrp.StrategyLock
-	}
-	return mttkrp.Decide(o.priv.Rows(mode), int(o.t.Runs(mode)), o.tasks())
+	return o.conf.Strategy(mode, int(o.t.Runs(mode)), false)
 }
 
 // WindowRows reports the rows mode's privatized buffers span: the sum over
 // tasks of the window of rows each task's nonzero range touches.
-func (o *Operator) WindowRows(mode int) int { return o.priv.Rows(mode) }
+func (o *Operator) WindowRows(mode int) int { return o.conf.WindowRows(mode) }
 
 // Apply computes out = MTTKRP(tensor, factors, mode). out must be
 // Dims[mode]×rank and is overwritten.
@@ -219,48 +192,25 @@ func (o *Operator) Apply(mode int, factors []*dense.Matrix, out *dense.Matrix) {
 		panic(fmt.Sprintf("alto: output %dx%d, want %dx%d",
 			out.Rows, out.Cols, dims[mode], o.rank))
 	}
-	out.Zero()
-	strategy := o.StrategyFor(mode)
-	o.lastStrategy = strategy
-
-	if strategy == mttkrp.StrategyPrivatize {
-		o.priv.Stage(mode)
-	}
-	o.curMode, o.curFactors, o.curOut, o.curStrategy = mode, factors, out, strategy
-	if o.team == nil || o.team.N() == 1 {
-		o.runBody(0)
-	} else {
-		o.team.Run(o.runBody)
-	}
-	o.curFactors, o.curOut = nil, nil
-	if strategy == mttkrp.StrategyPrivatize {
-		o.priv.Reduce(o.team, out)
-	}
+	o.curMode, o.curFactors = mode, factors
+	o.conf.Run(mode, o.StrategyFor(mode), out, o.runBody)
+	o.curFactors = nil
 }
 
-// flush commits the accumulated output row under the conflict strategy and
-// clears the accumulator.
-func (o *Operator) flush(strategy mttkrp.ConflictStrategy, out *dense.Matrix,
-	k *taskKernel, row sptensor.Index, acc []float64) {
+// row is output row id's slot in the task's flush target. Flushes take
+// the row's lock stripe around it (a no-op unless the MTTKRP locks).
+func (k *taskKernel) row(id, rank int) []float64 {
+	off := (id - k.base) * rank
+	return k.out[off : off+rank]
+}
 
+// flush commits the accumulated output row and clears the accumulator.
+func (o *Operator) flush(k *taskKernel, row sptensor.Index, acc []float64) {
 	id := int(row)
-	switch strategy {
-	case mttkrp.StrategyLock:
-		o.pool.Lock(id)
-		dense.VecAdd(out.Row(id), acc)
-		o.pool.Unlock(id)
-	case mttkrp.StrategyPrivatize:
-		dense.VecAdd(k.privRow(id, o.rank), acc)
-	default: // StrategyNone: single task, direct writes
-		dense.VecAdd(out.Row(id), acc)
-	}
+	o.conf.Lock(id)
+	dense.VecAdd(k.row(id, o.rank), acc)
+	o.conf.Unlock(id)
 	dense.VecZero(acc)
-}
-
-// privRow is output row id's slot in the task's privatized window.
-func (k *taskKernel) privRow(id, rank int) []float64 {
-	off := (id - k.privBase) * rank
-	return k.priv[off : off+rank]
 }
 
 // runRange is the kernel body for one task's contiguous nonzero range: walk
@@ -271,7 +221,7 @@ func (k *taskKernel) privRow(id, rank int) []float64 {
 func (o *Operator) runRange(tid, begin, end int) {
 	enc := o.t.Enc
 	mode := o.curMode
-	factors, out, strategy := o.curFactors, o.curOut, o.curStrategy
+	factors := o.curFactors
 	lo, hiArr, vals := o.t.Lo, o.t.Hi, o.t.Vals
 	k := &o.kernels[tid]
 	cur, acc, hprod := k.cur, k.acc, k.hprod
@@ -306,7 +256,7 @@ func (o *Operator) runRange(tid, begin, end int) {
 		mask := enc.Step(prevLo, prevHi, curLo, curHi, cur)
 		prevLo, prevHi = curLo, curHi
 		if row := sptensor.Index(cur[mode]); row != curRow {
-			o.flush(strategy, out, k, curRow, acc)
+			o.flush(k, curRow, acc)
 			curRow = row
 		}
 		if mask&otherMask != 0 {
@@ -314,7 +264,7 @@ func (o *Operator) runRange(tid, begin, end int) {
 		}
 		dense.VecAxpy(acc, hprod, vals[x])
 	}
-	o.flush(strategy, out, k, curRow, acc)
+	o.flush(k, curRow, acc)
 }
 
 // runRange3 is the 3rd-order narrow-encoding specialization of runRange:
@@ -326,7 +276,7 @@ func (o *Operator) runRange(tid, begin, end int) {
 func (o *Operator) runRange3(tid, begin, end int) {
 	enc := o.t.Enc
 	mode := o.curMode
-	factors, out, strategy := o.curFactors, o.curOut, o.curStrategy
+	factors := o.curFactors
 	lo, vals := o.t.Lo, o.t.Vals
 	k := &o.kernels[tid]
 	acc, hprod := k.acc, k.hprod
@@ -385,7 +335,7 @@ func (o *Operator) runRange3(tid, begin, end int) {
 		}
 		prevLo = curLo
 		if rowChanged {
-			o.flushRun(strategy, out, k, curRow, acc, hprod, vpend, pendValid, accUsed)
+			o.flushRun(k, curRow, acc, hprod, vpend, pendValid, accUsed)
 			curRow = sptensor.Index(curT)
 			pendValid, accUsed = false, false
 		}
@@ -411,7 +361,7 @@ func (o *Operator) runRange3(tid, begin, end int) {
 			pendValid = true
 		}
 	}
-	o.flushRun(strategy, out, k, curRow, acc, hprod, vpend, pendValid, accUsed)
+	o.flushRun(k, curRow, acc, hprod, vpend, pendValid, accUsed)
 }
 
 // runRange3Native is the BMI2 variant of runRange3, in Go: instead of
@@ -430,7 +380,7 @@ func (o *Operator) runRange3(tid, begin, end int) {
 func (o *Operator) runRange3Native(tid, begin, end int) {
 	enc := o.t.Enc
 	mode := o.curMode
-	factors, out, strategy := o.curFactors, o.curOut, o.curStrategy
+	factors := o.curFactors
 	lo, vals := o.t.Lo, o.t.Vals
 	k := &o.kernels[tid]
 	acc := k.acc
@@ -478,15 +428,13 @@ func (o *Operator) runRange3Native(tid, begin, end int) {
 				continue
 			}
 			// Row change: flush the finished run.
-			o.flushRunRows(strategy, out, k, sptensor.Index(curT),
-				acc, fa.Row(int(curA)), fb.Row(int(curB)), vpend, accUsed)
+			o.flushRunRows(k, sptensor.Index(curT), acc, fa.Row(int(curA)), fb.Row(int(curB)), vpend, accUsed)
 			accUsed = false
 			curT, curA, curB = nT, nA, nB
 			vpend = vals[base+x]
 		}
 	}
-	o.flushRunRows(strategy, out, k, sptensor.Index(curT),
-		acc, fa.Row(int(curA)), fb.Row(int(curB)), vpend, accUsed)
+	o.flushRunRows(k, sptensor.Index(curT), acc, fa.Row(int(curA)), fb.Row(int(curB)), vpend, accUsed)
 }
 
 // runRange3Tiles is runRange3Native for the lock-free strategies on hosts
@@ -510,10 +458,7 @@ func (o *Operator) runRange3Tiles(tid, begin, end int) {
 	w := &k.walk
 	w.mT, w.mA, w.mB = enc.pextMasks[3*mode], enc.pextMasks[3*ma], enc.pextMasks[3*mb]
 	w.fa, w.fb, w.rank, w.acc = fa.Data, fb.Data, o.rank, k.acc
-	w.out, w.base = o.curOut.Data, 0
-	if o.curStrategy == mttkrp.StrategyPrivatize {
-		w.out, w.base = k.priv, k.privBase
-	}
+	w.out, w.base = k.out, k.base
 	w.key, w.vpend, w.accUsed = lo[begin], vals[begin], false
 	for base := begin + 1; base < end; base += tileN {
 		n := min(end-base, tileN)
@@ -521,8 +466,7 @@ func (o *Operator) runRange3Tiles(tid, begin, end int) {
 	}
 	cur := k.cur
 	enc.ExtractAll(w.key, 0, cur)
-	o.flushRunRows(o.curStrategy, o.curOut, k, sptensor.Index(cur[mode]),
-		k.acc, fa.Row(int(cur[ma])), fb.Row(int(cur[mb])), w.vpend, w.accUsed)
+	o.flushRunRows(k, sptensor.Index(cur[mode]), k.acc, fa.Row(int(cur[ma])), fb.Row(int(cur[mb])), w.vpend, w.accUsed)
 	w.fa, w.fb, w.out = nil, nil, nil
 }
 
@@ -541,62 +485,36 @@ func otherModes(mode int) (ma, mb int) {
 // flushRunRows is flushRun for the hprod-free native walkers: the pending
 // value flushes directly from the factor rows via the fused scaled-Hadamard
 // kernel.
-func (o *Operator) flushRunRows(strategy mttkrp.ConflictStrategy, out *dense.Matrix,
-	k *taskKernel, row sptensor.Index, acc, ra, rb []float64, vpend float64,
-	accUsed bool) {
+func (o *Operator) flushRunRows(k *taskKernel, row sptensor.Index, acc, ra, rb []float64,
+	vpend float64, accUsed bool) {
 
 	id := int(row)
-	var target []float64
-	locked := false
-	switch strategy {
-	case mttkrp.StrategyLock:
-		o.pool.Lock(id)
-		locked = true
-		target = out.Row(id)
-	case mttkrp.StrategyPrivatize:
-		target = k.privRow(id, o.rank)
-	default:
-		target = out.Row(id)
-	}
+	o.conf.Lock(id)
+	target := k.row(id, o.rank)
 	if accUsed {
 		dense.VecAdd(target, acc)
 	}
 	dense.VecMulAxpy(target, ra, rb, vpend)
-	if locked {
-		o.pool.Unlock(id)
-	}
+	o.conf.Unlock(id)
 }
 
 // flushRun commits one output row's run: the materialized accumulator (if
 // any) plus the pending value under the current Hadamard product. The
 // order-3 walkers leave acc as it is: with accUsed false their next
 // materialization overwrites it.
-func (o *Operator) flushRun(strategy mttkrp.ConflictStrategy, out *dense.Matrix,
-	k *taskKernel, row sptensor.Index, acc, hprod []float64, vpend float64,
-	pendValid, accUsed bool) {
+func (o *Operator) flushRun(k *taskKernel, row sptensor.Index, acc, hprod []float64,
+	vpend float64, pendValid, accUsed bool) {
 
 	id := int(row)
-	var target []float64
-	locked := false
-	switch strategy {
-	case mttkrp.StrategyLock:
-		o.pool.Lock(id)
-		locked = true
-		target = out.Row(id)
-	case mttkrp.StrategyPrivatize:
-		target = k.privRow(id, o.rank)
-	default:
-		target = out.Row(id)
-	}
+	o.conf.Lock(id)
+	target := k.row(id, o.rank)
 	if accUsed {
 		dense.VecAdd(target, acc)
 	}
 	if pendValid {
 		dense.VecAxpy(target, hprod, vpend)
 	}
-	if locked {
-		o.pool.Unlock(id)
-	}
+	o.conf.Unlock(id)
 }
 
 // vecMaterializeMulSet / vecMaterializeMul materialize a pending run and

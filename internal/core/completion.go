@@ -239,11 +239,7 @@ func choleskySolveInto(gmat *dense.Matrix, b []float64) error {
 
 // observedRMSE evaluates the model on the stored entries.
 func observedRMSE(t *sptensor.Tensor, k *KruskalTensor, team *parallel.Team) float64 {
-	tasks := 1
-	if team != nil {
-		tasks = team.N()
-	}
-	partials := make([]float64, tasks)
+	partials := make([]float64, team.N())
 	parallel.ForBlocks(team, t.NNZ(), func(tid, begin, end int) {
 		acc := 0.0
 		coord := make([]sptensor.Index, t.NModes())

@@ -524,11 +524,7 @@ func (d *decomposer) computeFit() float64 {
 	span := d.rec.Start()
 	last := d.t.NModes() - 1
 	d.fitFactor = d.k.Factors[last]
-	if d.team == nil || d.team.N() == 1 {
-		d.fitBody(0)
-	} else {
-		d.team.Run(d.fitBody)
-	}
+	d.team.Run(d.fitBody)
 	inner := parallel.ReduceSum(d.fitPartials)
 
 	modelNorm2 := d.modelNormSquared()

@@ -162,17 +162,22 @@ func TestWorkspaceSolveNormalsMatchesPackageLevel(t *testing.T) {
 	}
 }
 
+// TestWorkspacePseudoInverseMatchesPackageLevel checks PseudoInverseInto,
+// which the workspace's solve fallback and the sampler's leverage refresh
+// run on buffers they keep, against the package-level PseudoInverse, and
+// that it allocates nothing.
 func TestWorkspacePseudoInverseMatchesPackageLevel(t *testing.T) {
-	_, ws, v, a := workspaceFixture(t, 1, 64, 16)
+	_, _, v, a := workspaceFixture(t, 1, 64, 16)
 	Syrk(nil, a, v)
-	out := NewMatrix(16, 16)
-	ws.PseudoInverse(v, 0, out)
+	out, w, q := NewMatrix(16, 16), NewMatrix(16, 16), NewMatrix(16, 16)
+	vals, inv := make([]float64, 16), make([]float64, 16)
+	PseudoInverseInto(v, 0, out, w, q, vals, inv)
 	want := PseudoInverse(v, 0)
 	if d := out.MaxAbsDiff(want); d > 1e-10 {
-		t.Fatalf("workspace pseudo-inverse diverges by %g", d)
+		t.Fatalf("PseudoInverseInto diverges by %g", d)
 	}
-	if n := testing.AllocsPerRun(10, func() { ws.PseudoInverse(v, 0, out) }); n != 0 {
-		t.Errorf("PseudoInverse allocates %.1f per call, want 0", n)
+	if n := testing.AllocsPerRun(10, func() { PseudoInverseInto(v, 0, out, w, q, vals, inv) }); n != 0 {
+		t.Errorf("PseudoInverseInto allocates %.1f per call, want 0", n)
 	}
 }
 

@@ -23,11 +23,7 @@ func Syrk(team *parallel.Team, a *Matrix, c *Matrix) {
 	if c.Rows != r || c.Cols != r {
 		panic(fmt.Sprintf("dense: Syrk output %dx%d, want %dx%d", c.Rows, c.Cols, r, r))
 	}
-	tasks := 1
-	if team != nil {
-		tasks = team.N()
-	}
-	partials := make([][]float64, tasks)
+	partials := make([][]float64, team.N())
 	parallel.ForBlocks(team, a.Rows, func(tid, begin, end int) {
 		part := make([]float64, r*r)
 		syrkBlock(a, part, begin, end)
@@ -143,11 +139,7 @@ func NormalizeColumns(team *parallel.Team, a *Matrix, lambda []float64, kind Nor
 	if len(lambda) != r {
 		panic(fmt.Sprintf("dense: lambda length %d, want %d", len(lambda), r))
 	}
-	tasks := 1
-	if team != nil {
-		tasks = team.N()
-	}
-	partials := make([][]float64, tasks)
+	partials := make([][]float64, team.N())
 	parallel.ForBlocks(team, a.Rows, func(tid, begin, end int) {
 		part := make([]float64, r)
 		normBlock(a, part, kind, begin, end)

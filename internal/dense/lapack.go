@@ -173,8 +173,9 @@ func PseudoInverse(v *Matrix, tol float64) *Matrix {
 
 // PseudoInverseInto is the allocation-free PseudoInverse: out receives V†,
 // w and q are n×n scratch, vals and inv are n-length scratch. The sampled
-// solver's leverage refresh runs it through Workspace buffers once per
-// factor update.
+// solver's leverage refresh (sketch.Sampler.RefreshLeverage) runs it on
+// the sampler's own buffers once per factor update, and Workspace's solve
+// runs it on the workspace's when the Cholesky factorization fails.
 func PseudoInverseInto(v *Matrix, tol float64, out, w, q *Matrix, vals, inv []float64) {
 	n := v.Rows
 	JacobiEigenInto(v, w, q, vals)

@@ -57,10 +57,7 @@ type Workspace struct {
 // rank, drawing its persistent buffers from the arena's task 0 (they are
 // written only inside this workspace's own regions, which never overlap).
 func NewWorkspace(team *parallel.Team, arena *parallel.Arena, rank int) *Workspace {
-	tasks := 1
-	if team != nil {
-		tasks = team.N()
-	}
+	tasks := team.N()
 	if arena == nil {
 		arena = parallel.NewArena(tasks)
 	}
@@ -103,15 +100,6 @@ func NewWorkspace(team *parallel.Team, arena *parallel.Arena, rank int) *Workspa
 		solveRows(w.curFactor, w.curChol, w.curSolve, begin, end, w.panel[tid])
 	}
 	return w
-}
-
-// run dispatches a cached body across the team (inline when serial).
-func (w *Workspace) run(body func(tid int)) {
-	if w.team == nil || w.tasks == 1 {
-		body(0)
-		return
-	}
-	w.team.Run(body)
 }
 
 // syrkBlock accumulates the upper-triangle Gram partial of rows
@@ -157,7 +145,7 @@ func (w *Workspace) Syrk(a, c *Matrix) {
 			a.Rows, a.Cols, c.Rows, c.Cols, r))
 	}
 	w.curA = a
-	w.run(w.syrkBody)
+	w.team.Run(w.syrkBody)
 	copy(c.Data, w.partGram[0])
 	for t := 1; t < w.tasks; t++ {
 		VecAdd(c.Data, w.partGram[t])
@@ -190,7 +178,7 @@ func (w *Workspace) NormalizeColumns(a *Matrix, lambda []float64, kind NormKind,
 			a.Cols, len(lambda), r))
 	}
 	w.curA, w.curKind = a, kind
-	w.run(w.normPartBody)
+	w.team.Run(w.normPartBody)
 	foldNorms(w.partNorm[:w.tasks], lambda, kind)
 	if across != nil {
 		across.ReduceNorms(lambda, kind)
@@ -202,7 +190,7 @@ func (w *Workspace) NormalizeColumns(a *Matrix, lambda []float64, kind NormKind,
 			w.inv[j] = 1 / l
 		}
 	}
-	w.run(w.normScale)
+	w.team.Run(w.normScale)
 	w.curA = nil
 }
 
@@ -252,12 +240,6 @@ func (w *Workspace) SolveNormals(v, m *Matrix) {
 		w.curFactor, w.curChol = w.pinv, false
 	}
 	w.curSolve = m
-	w.run(w.solveBody)
+	w.team.Run(w.solveBody)
 	w.curSolve, w.curFactor = nil, nil
-}
-
-// PseudoInverse computes out = V† through the cached Jacobi scratch —
-// the allocation-free variant the leverage-score refresh uses.
-func (w *Workspace) PseudoInverse(v *Matrix, tol float64, out *Matrix) {
-	PseudoInverseInto(v, tol, out, w.eigW, w.eigQ, w.eigVals, w.eigInv)
 }

@@ -95,7 +95,7 @@ type Config struct {
 	// Rank is the decomposition rank R.
 	Rank int
 	// Kernel configures the MTTKRP operator (access mode, conflict
-	// strategy, lock pool, privatization ratio).
+	// strategy, lock kind, shared arena).
 	Kernel mttkrp.Options
 	// Alloc and SortVariant configure the CSF build (ignored by ALTO).
 	Alloc       csf.AllocPolicy

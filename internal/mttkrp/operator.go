@@ -11,7 +11,7 @@ import (
 )
 
 // Operator performs MTTKRPs for every mode of a tensor over its CSF set,
-// owning the mutex pool, privatization buffers, and per-CSF load-balanced
+// owning its output-conflict layer (Conflicts) and per-CSF load-balanced
 // slice partitions. One Operator is built per CP-ALS run and reused across
 // all iterations, as SPLATT reuses its thread and lock structures.
 //
@@ -25,8 +25,7 @@ type Operator struct {
 	opts Options
 	rank int
 
-	pool   locks.Pool
-	priv   *Privatizer
+	conf   *Conflicts
 	bounds [][]int // per CSF: slice partition bounds (len tasks+1)
 
 	// tilings caches tile schedules per (CSF, level), built on first use
@@ -44,36 +43,25 @@ type Operator struct {
 
 	// Staged operands of the in-flight Apply; the bodies are built once in
 	// NewOperator so no closure is materialized per call.
-	curCSF      *csf.CSF
-	curLevel    int
-	curFactors  []*dense.Matrix
-	curOut      *dense.Matrix
-	curStrategy ConflictStrategy
-	curBounds   []int
-	curLayout   *tiledLayout
-	runBody     func(tid int)
-	tileBody    func(tid int)
-
-	// lastStrategy records the conflict strategy of the most recent Apply,
-	// exposed so tests and the harness can assert the YELP/NELL-2
-	// lock-vs-privatize split.
-	lastStrategy ConflictStrategy
+	curCSF     *csf.CSF
+	curLevel   int
+	curFactors []*dense.Matrix
+	curOut     *dense.Matrix
+	curBounds  []int
+	curLayout  *tiledLayout
+	runBody    func(tid int)
+	tileBody   func(tid int)
 }
 
 // NewOperator builds an operator for the given CSF set. rank is the
 // decomposition rank R; team may be nil for serial execution.
 func NewOperator(set *csf.Set, team *parallel.Team, rank int, opts Options) *Operator {
 	o := &Operator{set: set, team: team, opts: opts, rank: rank}
-	o.pool = locks.NewPool(opts.LockKind, opts.PoolSize)
-	tasks := o.tasks()
+	tasks := team.N()
 	// A slice partition bounds no mode's rows, so every task's privatized
 	// window is the whole mode.
-	dims := set.CSFs[0].Dims
-	lo, hi := make([][]int, tasks), make([][]int, tasks)
-	for tid := range lo {
-		lo[tid], hi[tid] = make([]int, len(dims)), dims
-	}
-	o.priv = NewPrivatizer(rank, lo, hi)
+	lo, hi := WholeModes(set.CSFs[0].Dims, tasks)
+	o.conf = NewConflicts(team, opts, rank, lo, hi)
 	o.bounds = make([][]int, len(set.CSFs))
 	for i, c := range set.CSFs {
 		o.bounds[i] = parallel.PartitionByWeight(c.SliceWeights(), tasks)
@@ -102,11 +90,10 @@ func NewOperator(set *csf.Set, team *parallel.Team, rank int, opts Options) *Ope
 		if begin >= end {
 			return
 		}
-		var priv []float64
-		if o.curStrategy == StrategyPrivatize {
-			priv, _ = o.priv.Open(tid) // CSF windows start at row 0
-		}
-		o.runKernel(o.curCSF, o.curLevel, o.curFactors, o.curOut, o.curStrategy, priv, tid, begin, end)
+		// The kernels read the target only as a privatized buffer, whose
+		// CSF window starts at row 0.
+		priv, _ := o.conf.Target(tid)
+		o.runKernel(o.curCSF, o.curLevel, o.curFactors, o.curOut, o.conf.LastStrategy(), priv, tid, begin, end)
 	}
 	o.tileBody = func(tid int) {
 		c, layout := o.curCSF, o.curLayout
@@ -122,39 +109,19 @@ func NewOperator(set *csf.Set, team *parallel.Team, rank int, opts Options) *Ope
 	return o
 }
 
-func (o *Operator) tasks() int {
-	if o.team == nil {
-		return 1
-	}
-	return o.team.N()
-}
-
 // LastStrategy reports the conflict strategy used by the most recent Apply.
-func (o *Operator) LastStrategy() ConflictStrategy { return o.lastStrategy }
+func (o *Operator) LastStrategy() ConflictStrategy { return o.conf.LastStrategy() }
 
 // StrategyFor reports the conflict strategy Apply would use for a mode —
-// the lock-vs-privatize decision of §V-D made observable.
+// the lock-vs-privatize decision of §V-D made observable. A root mode's
+// task owns its output rows and writes them directly; every other mode
+// flushes once per nonzero, and has a tile schedule on 3rd-order tensors.
 func (o *Operator) StrategyFor(mode int) ConflictStrategy {
 	c, level := o.set.For(mode)
-	if level == 0 || o.tasks() == 1 {
+	if level == 0 {
 		return StrategyNone
 	}
-	switch o.opts.Strategy {
-	case StrategyAuto:
-		return Decide(o.priv.Rows(mode), c.NNZ(), o.tasks())
-	case StrategyNone:
-		// Non-root rows scatter across tasks: unsynchronized writes
-		// would race, so a forced none runs the mutex pool.
-		return StrategyLock
-	case StrategyTile:
-		// Tiling is implemented for the 3rd-order fast paths; other
-		// orders fall back to the mutex pool.
-		if c.Order() == 3 {
-			return StrategyTile
-		}
-		return StrategyLock
-	}
-	return o.opts.Strategy
+	return o.conf.Strategy(mode, c.NNZ(), c.Order() == 3)
 }
 
 // Apply computes out = MTTKRP(tensor, factors, mode): the matricized
@@ -166,56 +133,38 @@ func (o *Operator) Apply(mode int, factors []*dense.Matrix, out *dense.Matrix) {
 		panic(fmt.Sprintf("mttkrp: output %dx%d, want %dx%d",
 			out.Rows, out.Cols, c.Dims[mode], o.rank))
 	}
-	out.Zero()
 	strategy := o.StrategyFor(mode)
-	o.lastStrategy = strategy
 	csfIdx := o.set.Assign[mode].CSF
-
 	o.curCSF, o.curLevel = c, level
 	o.curFactors, o.curOut = factors, out
-	o.curStrategy = strategy
 	o.curBounds = o.bounds[csfIdx]
-
+	body := o.runBody
 	if strategy == StrategyTile {
-		o.applyTiled(c, level, csfIdx)
-		o.curFactors, o.curOut = nil, nil
-		return
+		o.curLayout = o.tiling(c, level, csfIdx)
+		body = o.tileBody
 	}
-
-	if strategy == StrategyPrivatize {
-		o.priv.Stage(mode)
-	}
-	if o.team == nil || o.team.N() == 1 {
-		o.runBody(0)
-	} else {
-		o.team.Run(o.runBody)
-	}
-	o.curFactors, o.curOut = nil, nil
-
-	if strategy == StrategyPrivatize {
-		o.priv.Reduce(o.team, out)
-	}
+	o.conf.Run(mode, strategy, out, body)
+	o.curFactors, o.curOut, o.curLayout = nil, nil, nil
 }
 
-// applyTiled runs the tile-phased lock-free schedule. Every task joins
-// every phase barrier, including tasks with no work in a phase.
-func (o *Operator) applyTiled(c *csf.CSF, level, csfIdx int) {
+// tiling returns the tile-phased lock-free schedule of a CSF level, built
+// on first use. Every task joins every phase barrier, including tasks
+// with no work in a phase.
+func (o *Operator) tiling(c *csf.CSF, level, csfIdx int) *tiledLayout {
 	key := [2]int{csfIdx, level}
 	layout, ok := o.tilings[key]
 	if !ok {
 		switch level {
 		case 1:
-			layout = buildInternalTiling(c, o.bounds[csfIdx], o.tasks())
+			layout = buildInternalTiling(c, o.bounds[csfIdx], o.team.N())
 		case 2:
-			layout = buildLeafTiling(c, o.bounds[csfIdx], o.tasks())
+			layout = buildLeafTiling(c, o.bounds[csfIdx], o.team.N())
 		default:
 			panic(fmt.Sprintf("mttkrp: tiling at level %d", level))
 		}
 		o.tilings[key] = layout
 	}
-	o.curLayout = layout
-	o.team.Run(o.tileBody)
-	o.curLayout = nil
+	return layout
 }
 
 // sinkFor stages and returns task tid's persistent sink for the strategy
@@ -227,7 +176,7 @@ func (o *Operator) sinkFor(level int, strategy ConflictStrategy, out *dense.Matr
 		o.dSinks[tid] = newDirectSink(out)
 		return &o.dSinks[tid]
 	case strategy == StrategyLock:
-		o.lSinks[tid] = newLockSink(out, o.pool)
+		o.lSinks[tid] = newLockSink(out, o.conf.pool)
 		return &o.lSinks[tid]
 	default:
 		o.pSinks[tid] = newPrivSink(priv, o.rank)
@@ -274,7 +223,7 @@ func (o *Operator) run3(c *csf.CSF, level int, factors []*dense.Matrix,
 		case 1:
 			switch strategy {
 			case StrategyLock:
-				internal3RefLock(c, aRoot, aLeaf, out, o.pool, acc, begin, end)
+				internal3RefLock(c, aRoot, aLeaf, out, o.conf.pool, acc, begin, end)
 			case StrategyPrivatize:
 				internal3RefPriv(c, aRoot, aLeaf, priv, o.rank, acc, begin, end)
 			default:
@@ -283,7 +232,7 @@ func (o *Operator) run3(c *csf.CSF, level int, factors []*dense.Matrix,
 		case 2:
 			switch strategy {
 			case StrategyLock:
-				leaf3RefLock(c, aRoot, aMid, out, o.pool, acc, begin, end)
+				leaf3RefLock(c, aRoot, aMid, out, o.conf.pool, acc, begin, end)
 			case StrategyPrivatize:
 				leaf3RefPriv(c, aRoot, aMid, priv, o.rank, acc, begin, end)
 			default:
@@ -318,7 +267,7 @@ func run3Port[A accessor](o *Operator, c *csf.CSF, level int, aRoot, aMid, aLeaf
 	case 1:
 		switch strategy {
 		case StrategyLock:
-			internal3Port(c, aRoot, aLeaf, newLockSink(out, o.pool), acc, begin, end)
+			internal3Port(c, aRoot, aLeaf, newLockSink(out, o.conf.pool), acc, begin, end)
 		case StrategyPrivatize:
 			internal3Port(c, aRoot, aLeaf, newPrivSink(priv, o.rank), acc, begin, end)
 		default:
@@ -327,7 +276,7 @@ func run3Port[A accessor](o *Operator, c *csf.CSF, level int, aRoot, aMid, aLeaf
 	case 2:
 		switch strategy {
 		case StrategyLock:
-			leaf3Port(c, aRoot, aMid, newLockSink(out, o.pool), acc, tmp, begin, end)
+			leaf3Port(c, aRoot, aMid, newLockSink(out, o.conf.pool), acc, tmp, begin, end)
 		case StrategyPrivatize:
 			leaf3Port(c, aRoot, aMid, newPrivSink(priv, o.rank), acc, tmp, begin, end)
 		default:

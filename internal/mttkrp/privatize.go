@@ -5,22 +5,25 @@ import (
 	"repro/internal/parallel"
 )
 
-// Privatizer is the workspace of StrategyPrivatize, shared by the CSF and
-// ALTO operators: one output buffer per task and the reduction that merges
-// them into the output (SPLATT's thd_info buffers and thd_reduce, §V-D2).
+// Privatizer is the workspace of StrategyPrivatize: one output buffer per
+// task and the reduction that merges them into the output (SPLATT's
+// thd_info buffers and thd_reduce, §V-D2). The CSF and ALTO operators use
+// it through Conflicts; the sampled MTTKRP of the ARLS solver
+// (sketch.Sampler) privatizes its sampled output with it directly.
 //
 // Each task's buffer covers only its window [lo, hi) of output rows: the
-// rows its share of the nonzeros can touch. A CSF slice partition bounds
-// nothing, so every CSF window is the whole mode; ALTO's contiguous key
-// ranges touch only a window of each mode, so its buffers, their zeroing
-// and the reduction shrink to those rows.
+// rows its share of the nonzeros can touch. A CSF slice partition or a
+// share of sampled fibers bounds nothing, so those windows are whole modes
+// (WholeModes); ALTO's contiguous key ranges touch only a window of each
+// mode, so its buffers, their zeroing and the reduction shrink to those
+// rows.
 type Privatizer struct {
 	rank   int
 	lo, hi [][]int     // [task][mode] row window
 	bufs   [][]float64 // per task, grown to the largest window it opens
 	opened []bool      // tasks that opened their buffer since Stage
 
-	// Operands of the in-flight reduction; reduceBody is built once so a
+	// Operands of the staged MTTKRP; reduceBody is built once so a
 	// reduction dispatches without materializing a closure.
 	mode        int
 	out         *dense.Matrix
@@ -52,6 +55,17 @@ func NewPrivatizer(rank int, lo, hi [][]int) *Privatizer {
 	return p
 }
 
+// WholeModes returns the windows of tasks that may each write any row of
+// any mode: [0, dims[m]) for every task.
+func WholeModes(dims []int, tasks int) (lo, hi [][]int) {
+	lo, hi = make([][]int, tasks), make([][]int, tasks)
+	zero := make([]int, len(dims))
+	for t := range lo {
+		lo[t], hi[t] = zero, dims
+	}
+	return lo, hi
+}
+
 // Rows reports the privatized rows of a mode: the sum of its tasks' window
 // lengths, the rows its buffers hold and its reduction adds. Decide weighs
 // it against the mode's flushes.
@@ -63,10 +77,12 @@ func (p *Privatizer) Rows(mode int) int {
 	return rows
 }
 
-// Stage prepares a privatized MTTKRP of mode: call it before the parallel
-// region whose tasks Open their buffers.
-func (p *Privatizer) Stage(mode int) {
-	p.mode = mode
+// Stage prepares a privatized MTTKRP of mode into out: call it before the
+// parallel region whose tasks Open their buffers. Windows are clipped to
+// out's rows, so a sampler on a shard of mode 0, whose out holds only the
+// shard's rows, zeroes and reduces none beyond them.
+func (p *Privatizer) Stage(mode int, out *dense.Matrix) {
+	p.mode, p.out = mode, out
 	clear(p.opened)
 }
 
@@ -76,7 +92,7 @@ func (p *Privatizer) Stage(mode int) {
 // parallel; a task that never opens its buffer is left out of Reduce.
 func (p *Privatizer) Open(tid int) (buf []float64, base int) {
 	base = p.lo[tid][p.mode]
-	n := (p.hi[tid][p.mode] - base) * p.rank
+	n := max(min(p.hi[tid][p.mode], p.out.Rows)-base, 0) * p.rank
 	if cap(p.bufs[tid]) < n {
 		p.bufs[tid] = make([]float64, n)
 	}
@@ -86,17 +102,10 @@ func (p *Privatizer) Open(tid int) (buf []float64, base int) {
 	return buf, base
 }
 
-// Reduce adds every opened buffer into out (out += Σ_task buf). Each task
-// of the team owns a block of output rows and pulls the overlapping part of
-// every window into it, in task order.
-func (p *Privatizer) Reduce(team *parallel.Team, out *dense.Matrix) {
-	p.out = out
-	if team == nil || team.N() == 1 {
-		p.reduceTasks = 1
-		p.reduceBody(0)
-	} else {
-		p.reduceTasks = team.N()
-		team.Run(p.reduceBody)
-	}
-	p.out = nil
+// Reduce adds every opened buffer into the staged output (out += Σ_task
+// buf). Each task of the team owns a block of output rows and pulls the
+// overlapping part of every window into it, in task order.
+func (p *Privatizer) Reduce(team *parallel.Team) {
+	p.reduceTasks = team.N()
+	team.Run(p.reduceBody)
 }

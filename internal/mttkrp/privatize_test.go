@@ -33,7 +33,8 @@ func TestPrivatizerReduceMatchesSerialSum(t *testing.T) {
 			p := NewPrivatizer(rank, lo, hi)
 			clear(vals)
 			rng.Seed(int64(mode))
-			p.Stage(mode)
+			out := dense.NewMatrix(rows, rank)
+			p.Stage(mode, out)
 			for tid := 0; tid < tasks; tid++ {
 				buf, base := p.Open(tid)
 				for i := range buf {
@@ -56,11 +57,10 @@ func TestPrivatizerReduceMatchesSerialSum(t *testing.T) {
 			if teamSize > 1 {
 				team = parallel.NewTeam(teamSize)
 			}
-			out := dense.NewMatrix(rows, rank)
 			for i := range out.Data {
 				out.Data[i] = 1
 			}
-			p.Reduce(team, out)
+			p.Reduce(team)
 			for i, v := range out.Data {
 				if v != want[i] {
 					t.Fatalf("mode %d team %d: out[%d] = %v, want %v", mode, teamSize, i, v, want[i])
@@ -68,7 +68,7 @@ func TestPrivatizerReduceMatchesSerialSum(t *testing.T) {
 			}
 			// The reduction body is cached: repeated reductions allocate
 			// nothing.
-			if n := testing.AllocsPerRun(10, func() { p.Reduce(team, out) }); n != 0 {
+			if n := testing.AllocsPerRun(10, func() { p.Reduce(team) }); n != 0 {
 				t.Errorf("mode %d team %d: Reduce allocates %.1f per call, want 0", mode, teamSize, n)
 			}
 			if team != nil {
@@ -83,13 +83,10 @@ func TestPrivatizerReduceMatchesSerialSum(t *testing.T) {
 // already holds.
 func TestPrivatizerReduceFullWindows(t *testing.T) {
 	const tasks, rows, rank = 3, 20, 2
-	lo := make([][]int, tasks) // [task][mode]
-	hi := make([][]int, tasks)
-	for tid := range lo {
-		lo[tid], hi[tid] = []int{0}, []int{rows}
-	}
+	lo, hi := WholeModes([]int{rows}, tasks) // [task][mode]
 	p := NewPrivatizer(rank, lo, hi)
-	p.Stage(0)
+	out := dense.NewMatrix(rows, rank)
+	p.Stage(0, out)
 	for tid := 0; tid < tasks; tid++ {
 		buf, base := p.Open(tid)
 		if len(buf) != rows*rank || base != 0 {
@@ -99,13 +96,12 @@ func TestPrivatizerReduceFullWindows(t *testing.T) {
 			buf[i] = float64(tid + 1)
 		}
 	}
-	out := dense.NewMatrix(rows, rank)
 	for i := range out.Data {
 		out.Data[i] = 10
 	}
 	team := parallel.NewTeam(2)
 	defer team.Close()
-	p.Reduce(team, out)
+	p.Reduce(team)
 	for i, v := range out.Data {
 		if v != 10+1+2+3 {
 			t.Fatalf("out[%d] = %g, want 16", i, v)
@@ -114,8 +110,9 @@ func TestPrivatizerReduceFullWindows(t *testing.T) {
 }
 
 // TestPrivatizerGrowAndZero checks that Open sizes a task's buffer by its
-// window, grows it for a wider window, always hands it out zeroed, and that
-// Reduce leaves out tasks that never opened their buffer.
+// window clipped to the staged output's rows, grows it for a wider window,
+// always hands it out zeroed, and that Reduce leaves out tasks that never
+// opened their buffer.
 func TestPrivatizerGrowAndZero(t *testing.T) {
 	const rank = 2
 	lo := [][]int{{2, 0}, {0, 0}} // [task][mode]
@@ -124,13 +121,19 @@ func TestPrivatizerGrowAndZero(t *testing.T) {
 	if got := p.Rows(0); got != 4+3 {
 		t.Errorf("Rows(0) = %d, want 7", got)
 	}
-	p.Stage(0)
+	out := dense.NewMatrix(16, rank)
+	p.Stage(0, out)
 	buf, base := p.Open(0)
 	if len(buf) != 4*rank || base != 2 {
 		t.Fatalf("mode 0 task 0: len %d base %d, want %d, 2", len(buf), base, 4*rank)
 	}
 	buf[3] = 7
-	p.Stage(1)
+	// A 10-row output (a shard of mode 1) clips the window to its rows.
+	p.Stage(1, dense.NewMatrix(10, rank))
+	if buf, base = p.Open(0); len(buf) != 10*rank || base != 0 {
+		t.Fatalf("mode 1 task 0, 10-row output: len %d base %d, want %d, 0", len(buf), base, 10*rank)
+	}
+	p.Stage(1, out)
 	buf, base = p.Open(0)
 	if len(buf) != 16*rank || base != 0 {
 		t.Fatalf("mode 1 task 0: len %d base %d, want %d, 0", len(buf), base, 16*rank)
@@ -138,7 +141,7 @@ func TestPrivatizerGrowAndZero(t *testing.T) {
 	for i := range buf {
 		buf[i] = 9
 	}
-	p.Stage(0)
+	p.Stage(0, out)
 	buf, _ = p.Open(0)
 	for i, v := range buf {
 		if v != 0 {
@@ -147,8 +150,7 @@ func TestPrivatizerGrowAndZero(t *testing.T) {
 	}
 	buf[0] = 5
 	// Task 1 never opened its buffer in this stage: Reduce must skip it.
-	out := dense.NewMatrix(16, rank)
-	p.Reduce(nil, out)
+	p.Reduce(nil)
 	for i, v := range out.Data {
 		want := 0.0
 		if i == 2*rank {

@@ -12,11 +12,18 @@
 //   - output-conflict handling: none (root kernels / serial), mutex pool
 //     (lock kind per Figure 4), or privatized per-task buffers with a
 //     reduction (SPLATT's no-lock path, §V-D2).
+//
+// The conflict machinery lives once, in Conflicts: the mutex pool, the
+// Privatizer, the per-mode rule (Decide and its fallbacks) and the
+// parallel region that stages, runs and reduces. The CSF Operator here
+// and alto.Operator both run through it; the sampled MTTKRP of the ARLS
+// solver (sketch.Sampler) privatizes through the same Privatizer.
 package mttkrp
 
 import (
 	"fmt"
 
+	"repro/internal/dense"
 	"repro/internal/locks"
 	"repro/internal/parallel"
 )
@@ -155,6 +162,98 @@ func Decide(privRows, flushes, tasks int) ConflictStrategy {
 	return StrategyLock
 }
 
+// Conflicts is the output-conflict layer of the CSF and ALTO operators:
+// the mutex pool (§IV-A, locks.DefaultPoolSize stripes), the privatized
+// buffers and their reduction (§V-D2), the rule that picks one of them per
+// mode, and the parallel region that runs an MTTKRP under it. An operator
+// brings only what differs: its flushes per mode, whether it has a tile
+// schedule, and the cached body its tasks run.
+type Conflicts struct {
+	team   *parallel.Team
+	forced ConflictStrategy
+	pool   locks.Pool
+	priv   *Privatizer
+
+	// The strategy and output of the running, or most recent, MTTKRP.
+	strategy ConflictStrategy
+	out      *dense.Matrix
+}
+
+// NewConflicts returns the conflict layer of an operator on team whose
+// task t, in mode m, writes output rows [lo[t][m], hi[t][m]).
+func NewConflicts(team *parallel.Team, opts Options, rank int, lo, hi [][]int) *Conflicts {
+	return &Conflicts{team: team, forced: opts.Strategy,
+		pool: locks.NewPool(opts.LockKind, locks.DefaultPoolSize), priv: NewPrivatizer(rank, lo, hi)}
+}
+
+// Strategy reports the conflict strategy an MTTKRP of mode runs when its
+// kernels make `flushes` output-row updates; tile says whether the
+// operator has a tile schedule for the mode. One task writes directly.
+// Otherwise a mode's rows scatter across tasks (a CSF root mode, whose
+// task owns its rows, does not ask), so a forced none locks, and so does
+// a forced tile without a schedule; auto is Decide of the mode's
+// privatized rows and its flushes.
+func (c *Conflicts) Strategy(mode, flushes int, tile bool) ConflictStrategy {
+	tasks := c.team.N()
+	switch {
+	case tasks == 1:
+		return StrategyNone
+	case c.forced == StrategyAuto:
+		return Decide(c.priv.Rows(mode), flushes, tasks)
+	case c.forced == StrategyNone, c.forced == StrategyTile && !tile:
+		return StrategyLock
+	}
+	return c.forced
+}
+
+// Run runs one MTTKRP of mode under strategy: it zeroes out, stages the
+// privatized buffers, runs body on every task of the team and reduces the
+// buffers the tasks opened into out.
+func (c *Conflicts) Run(mode int, strategy ConflictStrategy, out *dense.Matrix, body func(tid int)) {
+	out.Zero()
+	c.strategy, c.out = strategy, out
+	if strategy == StrategyPrivatize {
+		c.priv.Stage(mode, out)
+	}
+	c.team.Run(body)
+	if strategy == StrategyPrivatize {
+		c.priv.Reduce(c.team)
+	}
+	c.out = nil
+}
+
+// Target returns the array task tid's row updates go to in the running
+// MTTKRP, with its first row: the task's zeroed privatized window under
+// StrategyPrivatize, else the output from row 0.
+func (c *Conflicts) Target(tid int) (data []float64, base int) {
+	if c.strategy == StrategyPrivatize {
+		return c.priv.Open(tid)
+	}
+	return c.out.Data, 0
+}
+
+// Lock takes row's stripe of the mutex pool when the running MTTKRP
+// locks (StrategyLock).
+func (c *Conflicts) Lock(row int) {
+	if c.strategy == StrategyLock {
+		c.pool.Lock(row)
+	}
+}
+
+// Unlock releases what Lock took.
+func (c *Conflicts) Unlock(row int) {
+	if c.strategy == StrategyLock {
+		c.pool.Unlock(row)
+	}
+}
+
+// LastStrategy reports the strategy of the running, or most recent,
+// MTTKRP.
+func (c *Conflicts) LastStrategy() ConflictStrategy { return c.strategy }
+
+// WindowRows reports mode's privatized rows (Privatizer.Rows).
+func (c *Conflicts) WindowRows(mode int) int { return c.priv.Rows(mode) }
+
 // Options configures an Operator.
 type Options struct {
 	// Access selects the kernel family / row access mode.
@@ -163,8 +262,6 @@ type Options struct {
 	Strategy ConflictStrategy
 	// LockKind selects the mutex-pool implementation when locking.
 	LockKind locks.Kind
-	// PoolSize is the mutex-pool stripe count (0 = locks.DefaultPoolSize).
-	PoolSize int
 	// Arena, when non-nil, supplies the operators' per-task kernel
 	// workspaces (tile index columns, accumulators, walker scratch) from
 	// the engine's shared per-run arena instead of private allocations.

@@ -41,18 +41,27 @@ func TestTeamBarrierSynchronizes(t *testing.T) {
 	}
 }
 
+// TestTeamSerialRunsInline checks a one-task team and the nil team, which
+// is the serial team: both report one task, run a region's body once on
+// the calling goroutine with tid 0, and pass a barrier without blocking.
 func TestTeamSerialRunsInline(t *testing.T) {
-	team := NewTeam(1)
-	defer team.Close()
-	ran := false
-	team.Run(func(tid int) {
-		if tid != 0 {
-			t.Errorf("tid = %d", tid)
+	one := NewTeam(1)
+	defer one.Close()
+	for _, team := range []*Team{one, nil} {
+		if n := team.N(); n != 1 {
+			t.Errorf("N = %d, want 1", n)
 		}
-		ran = true
-	})
-	if !ran {
-		t.Error("body did not run")
+		runs := 0
+		team.Run(func(tid int) {
+			if tid != 0 {
+				t.Errorf("tid = %d", tid)
+			}
+			team.Barrier()
+			runs++
+		})
+		if runs != 1 {
+			t.Errorf("body ran %d times, want 1", runs)
+		}
 	}
 }
 

@@ -80,7 +80,7 @@ func PartitionByWeight(weights []int64, tasks int) []int {
 // the `forall` / `omp parallel for` analogue used when a region is a single
 // data-parallel loop.
 func For(t *Team, n int, body func(i int)) {
-	if t == nil || t.N() == 1 {
+	if t.N() == 1 {
 		for i := 0; i < n; i++ {
 			body(i)
 		}
@@ -98,7 +98,7 @@ func For(t *Team, n int, body func(i int)) {
 // This is the pattern from the paper's Listing 7: every task gets its own
 // tid-indexed scratch plus a contiguous slice of the iteration space.
 func ForBlocks(t *Team, n int, body func(tid, begin, end int)) {
-	if t == nil || t.N() == 1 {
+	if t.N() == 1 {
 		body(0, 0, n)
 		return
 	}

@@ -22,7 +22,8 @@ import (
 //
 // A Team with N == 1 executes regions inline on the calling goroutine, so
 // serial runs have no cross-goroutine overhead — the same property the
-// paper relies on when comparing 1-thread runs.
+// paper relies on when comparing 1-thread runs. A nil *Team is that serial
+// team: N reports 1, Run calls the body inline and Barrier returns.
 type Team struct {
 	n       int
 	work    []chan func(int)
@@ -60,14 +61,19 @@ func (t *Team) worker(tid int) {
 	}
 }
 
-// N reports the number of tasks in the team.
-func (t *Team) N() int { return t.n }
+// N reports the number of tasks in the team (1 for a nil team).
+func (t *Team) N() int {
+	if t == nil {
+		return 1
+	}
+	return t.n
+}
 
 // Run executes body(tid) on every task concurrently and returns when all
 // tasks have finished — the `coforall tid in 0..n-1` construct. Bodies may
 // call t.Barrier() to synchronize mid-region.
 func (t *Team) Run(body func(tid int)) {
-	if t.n == 1 {
+	if t.N() == 1 {
 		body(0)
 		return
 	}
@@ -89,7 +95,7 @@ func (t *Team) Run(body func(tid int)) {
 // Must be called from inside a Run body by every task, or the region
 // deadlocks (exactly as `omp barrier` would).
 func (t *Team) Barrier() {
-	if t.n == 1 {
+	if t.N() == 1 {
 		return
 	}
 	t.barrier.Wait()

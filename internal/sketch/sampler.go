@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/dense"
+	"repro/internal/mttkrp"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/sptensor"
@@ -88,7 +89,7 @@ type Sampler struct {
 	team    *parallel.Team
 
 	nnz    int
-	maxDim int                // longest mode (sizes the privatized buffers)
+	maxDim int                // longest mode (bounds the privatized buffers)
 	coords [][]sptensor.Index // [order][nnz], global coordinates
 	vals   []float64
 
@@ -98,10 +99,10 @@ type Sampler struct {
 
 	lev []*levTable // cached sampling distribution per mode
 
-	privOut  [][]float64 // per-task privatized output rows
-	privNorm [][]float64 // per-task privatized normal accumulators
-	privH    [][]float64 // per-task Khatri-Rao row scratch (rank)
-	privIdx  [][]int     // per-task decoded-coordinate scratch (order)
+	priv     *mttkrp.Privatizer // per-task privatized output, whole-mode windows
+	privNorm [][]float64        // per-task privatized normal accumulators
+	privH    [][]float64        // per-task Khatri-Rao row scratch (rank)
+	privIdx  [][]int            // per-task decoded-coordinate scratch (order)
 
 	// Reusable draw state: the distinct-key map and the key/count arrays
 	// are cleared, not reallocated, between draws.
@@ -119,13 +120,10 @@ type Sampler struct {
 	curLevFactor *dense.Matrix
 	curLevTable  *levTable
 
-	// Staged operands + cached bodies of the parallel sampled accumulate.
+	// Staged operands + cached body of the parallel sampled accumulate.
 	accBody    func(tid int)
-	reduceBody func(tid int)
 	curMode    int
 	curFactors []*dense.Matrix
-	curOut     *dense.Matrix
-	curOutLen  int
 
 	// spans splits SampledMTTKRP into a sample-draw span (fiber index
 	// build + leverage draw) and an accumulation span, so the profiler
@@ -138,15 +136,6 @@ type Sampler struct {
 // SetSpans attaches a span recorder (nil detaches). The caller owns the
 // recorder's lifecycle; the sampler only records into it.
 func (s *Sampler) SetSpans(rec *obs.SpanRecorder) { s.spans = rec }
-
-// runTeam dispatches a cached body across the team (inline when serial).
-func (s *Sampler) runTeam(body func(tid int)) {
-	if s.team == nil || s.team.N() == 1 {
-		body(0)
-		return
-	}
-	s.team.Run(body)
-}
 
 // NewSampler copies the source's nonzeros into its columns with one
 // Nonzeros call, then adds the offsets (src may be nil for an empty shard),
@@ -238,13 +227,14 @@ func NewSampler(src NonzeroSource, dims []int, cfg Config) (*Sampler, error) {
 		s.nnz = n
 	}
 
-	tasks := 1
-	if s.team != nil {
-		tasks = s.team.N()
-	}
+	tasks := s.team.N()
+	lo, hi := mttkrp.WholeModes(s.dims, tasks)
+	s.priv = mttkrp.NewPrivatizer(cfg.Rank, lo, hi)
+	s.privNorm = make([][]float64, tasks)
 	s.privH = make([][]float64, tasks)
 	s.privIdx = make([][]int, tasks)
 	for t := 0; t < tasks; t++ {
+		s.privNorm[t] = make([]float64, cfg.Rank*cfg.Rank)
 		s.privH[t] = make([]float64, cfg.Rank)
 		s.privIdx[t] = make([]int, order)
 	}
@@ -277,27 +267,13 @@ func NewSampler(src NonzeroSource, dims []int, cfg Config) (*Sampler, error) {
 		}
 	}
 	s.accBody = func(tid int) {
-		outLen := s.curOutLen
-		po, pn := s.privOut[tid][:outLen], s.privNorm[tid]
-		for i := range po {
-			po[i] = 0
-		}
-		for i := range pn {
-			pn[i] = 0
-		}
+		po, _ := s.priv.Open(tid) // whole-mode windows start at row 0
+		pn := s.privNorm[tid]
+		clear(pn)
 		h, idx := s.privH[tid], s.privIdx[tid]
 		begin, end := parallel.Partition(len(s.keyBuf), tasks, tid)
 		for i := begin; i < end; i++ {
 			s.accumulateSample(s.curMode, s.keyBuf[i], s.countBuf[i], s.curFactors, po, pn, h, idx)
-		}
-	}
-	s.reduceBody = func(tid int) {
-		// Reduce in increasing task order (fixed summation order per cell).
-		out := s.curOut
-		begin, end := parallel.Partition(out.Rows, tasks, tid)
-		for t := 0; t < tasks; t++ {
-			po := s.privOut[t]
-			dense.VecAdd(out.Data[begin*r:end*r], po[begin*r:end*r])
 		}
 	}
 	return s, nil
@@ -324,7 +300,7 @@ func (s *Sampler) RefreshLeverage(m int, factor, gram *dense.Matrix) {
 	}
 	dense.PseudoInverseInto(gram, 0, s.ginv, s.eigW, s.eigQ, s.eigVals, s.eigInv)
 	s.curLevFactor, s.curLevTable = factor, t
-	s.runTeam(s.levBody)
+	s.team.Run(s.levBody)
 	s.curLevFactor, s.curLevTable = nil, nil
 	total := 0.0
 	for _, l := range t.p {
@@ -379,17 +355,14 @@ func (s *Sampler) buildFiberIndexes() {
 	if s.nnz == 0 {
 		return
 	}
-	tasks := 1
-	if s.team != nil {
-		tasks = s.team.N()
-	}
+	tasks := s.team.N()
 	cs := &countState{hists: make([][]int32, tasks), offs: make([][]int32, tasks), team: s.team}
 	for t := range cs.hists {
 		cs.hists[t] = make([]int32, s.maxDim)
 		cs.offs[t] = make([]int32, s.maxDim)
 	}
 	buf := make([]int32, s.nnz)
-	s.runTeam(func(tid int) {
+	s.team.Run(func(tid int) {
 		begin, end := parallel.Partition(s.nnz, tasks, tid)
 		for m := 0; m < order; m++ {
 			keys, perm := s.keys[m], s.perm[m]
@@ -426,7 +399,7 @@ func (s *Sampler) buildFiberIndexes() {
 // the histograms.
 type countState struct {
 	hists, offs [][]int32
-	team        *parallel.Team // nil or one task: no barriers
+	team        *parallel.Team
 }
 
 // pass is task tid's share of one stable counting pass: the nonzero ids
@@ -449,7 +422,7 @@ func (cs *countState) pass(tid, begin, end int, dst, src []int32, col []sptensor
 			hist[col[x]]++
 		}
 	}
-	cs.barrier()
+	cs.team.Barrier()
 	off := cs.offs[tid][:dim]
 	sum := int32(0)
 	for c := range off {
@@ -473,13 +446,7 @@ func (cs *countState) pass(tid, begin, end int, dst, src []int32, col []sptensor
 			off[c]++
 		}
 	}
-	cs.barrier()
-}
-
-func (cs *countState) barrier() {
-	if len(cs.hists) > 1 {
-		cs.team.Barrier()
-	}
+	cs.team.Barrier()
 }
 
 // drawSamples draws the deterministic sample set for (mode, iter) into the
@@ -549,12 +516,9 @@ func (s *Sampler) SampledMTTKRP(mode, iter int, factors []*dense.Matrix, out, no
 
 	out.Zero()
 	normal.Zero()
-	tasks := 1
-	if s.team != nil {
-		tasks = s.team.N()
-	}
+	tasks := s.team.N()
 	// The guard sizes by the longest mode because the privatized buffers
-	// are allocated once at maxDim rows and reused across modes.
+	// grow to the widest mode they privatize and are reused across modes.
 	if tasks > 1 && tasks*s.maxDim*r <= privBufferCap {
 		s.accumulateParallel(mode, factors, out, normal, tasks)
 	} else {
@@ -574,25 +538,17 @@ func (s *Sampler) SampledMTTKRP(mode, iter int, factors []*dense.Matrix, out, no
 
 // accumulateParallel splits the distinct samples (already drawn into
 // keyBuf/countBuf) over the team with per-task privatized buffers, then
-// reduces in task order — deterministic for a fixed team size. The bodies
-// are cached; only the operands are staged per call.
+// reduces in task order — deterministic for a fixed team size. The body is
+// cached; only the operands are staged per call. out's rows clip the
+// buffers, so a shard's sampler privatizes only its rows of mode 0.
 func (s *Sampler) accumulateParallel(mode int, factors []*dense.Matrix,
 	out, normal *dense.Matrix, tasks int) {
 
-	r := s.rank
-	outLen := out.Rows * r
-	if s.privOut == nil || len(s.privOut) < tasks || len(s.privOut[0]) < outLen {
-		s.privOut = make([][]float64, tasks)
-		s.privNorm = make([][]float64, tasks)
-		for t := 0; t < tasks; t++ {
-			s.privOut[t] = make([]float64, s.maxDim*r)
-			s.privNorm[t] = make([]float64, r*r)
-		}
-	}
-	s.curMode, s.curFactors, s.curOut, s.curOutLen = mode, factors, out, outLen
-	s.runTeam(s.accBody)
-	s.runTeam(s.reduceBody)
-	s.curFactors, s.curOut = nil, nil
+	s.curMode, s.curFactors = mode, factors
+	s.priv.Stage(mode, out)
+	s.team.Run(s.accBody)
+	s.priv.Reduce(s.team)
+	s.curFactors = nil
 	for tid := 0; tid < tasks; tid++ {
 		dense.VecAdd(normal.Data, s.privNorm[tid])
 	}

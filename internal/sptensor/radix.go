@@ -53,7 +53,7 @@ func SortPerm[K ~int32 | ~uint64](perm, permBuf []int32, keys, keyBuf []K, team 
 		return
 	}
 	tasks := 1
-	if team != nil && n >= sortParallelMin {
+	if n >= sortParallelMin {
 		tasks = team.N()
 	}
 	hist := make([][256]int, tasks) // per-task digit counts of one pass

@@ -132,7 +132,7 @@ func Sort(t *sptensor.Tensor, perm []int, team *parallel.Team, v Variant) {
 	for s := 0; s < nslices; s++ {
 		weights[s] = offsets[s+1] - offsets[s]
 	}
-	bounds := parallel.PartitionByWeight(weights, teamSize(team))
+	bounds := parallel.PartitionByWeight(weights, team.N())
 	run := func(tid int) {
 		qs := newQuicksorter(t, rest, v)
 		for s := bounds[tid]; s < bounds[tid+1]; s++ {
@@ -142,11 +142,7 @@ func Sort(t *sptensor.Tensor, perm []int, team *parallel.Team, v Variant) {
 			}
 		}
 	}
-	if team == nil || team.N() == 1 {
-		run(0)
-	} else {
-		team.Run(run)
-	}
+	team.Run(run)
 }
 
 // SortForRoot sorts t for a CSF rooted at the given mode using the
@@ -181,13 +177,6 @@ func compareAt(t *sptensor.Tensor, perm []int, a, b int) int {
 	return 0
 }
 
-func teamSize(team *parallel.Team) int {
-	if team == nil {
-		return 1
-	}
-	return team.N()
-}
-
 // countingSort stably reorders all nonzeros so root-mode indices are
 // nondecreasing, returning the slice offset array (length dims[root]+1).
 // Each task histograms its contiguous nonzero block; a task-major exclusive
@@ -198,7 +187,7 @@ func teamSize(team *parallel.Team) int {
 func countingSort(t *sptensor.Tensor, root int, team *parallel.Team, v Variant) []int64 {
 	nnz := t.NNZ()
 	dim := t.Dims[root]
-	tasks := teamSize(team)
+	tasks := team.N()
 	hists := make([][]int64, tasks)
 
 	parallel.ForBlocks(team, nnz, func(tid, begin, end int) {
