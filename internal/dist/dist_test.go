@@ -4,14 +4,19 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/csf"
 	"repro/internal/format"
+	"repro/internal/locks"
+	"repro/internal/mttkrp"
 	"repro/internal/obs"
 	"repro/internal/sketch"
 	"repro/internal/sptensor"
+	"repro/internal/tsort"
 )
 
 // testTensor is a synthetic third-order tensor large enough for meaningful
@@ -188,6 +193,91 @@ func TestConstrainedOptionsMatch(t *testing.T) {
 	if math.Abs(rd.Fit-rc.Fit) > 1e-8 {
 		t.Errorf("constrained fit %.12f, shared-memory %.12f", rd.Fit, rc.Fit)
 	}
+}
+
+// TestCoreOptionsReachLocales runs one core.Options through core.CPD and
+// through dist.CPD at one to three locales, for an exact CSF configuration
+// that sets every kernel axis away from its default, the constrained-CP
+// knobs and a tolerance, and for a sampled ALTO configuration with its
+// sampler knobs set. A knob that did not reach the locales would change
+// the factors, the iteration counts or the resolved format.
+func TestCoreOptionsReachLocales(t *testing.T) {
+	tensor := testTensor()
+	exact := core.DefaultOptions()
+	exact.Rank = 6
+	exact.MaxIters = 30
+	exact.Seed = 4
+	exact.Tasks = 2
+	exact.Access = mttkrp.AccessPointer
+	exact.LockKind = locks.Sync
+	exact.Strategy = mttkrp.StrategyPrivatize
+	exact.SortVariant = tsort.Initial
+	exact.Alloc = csf.AllocOne
+	exact.NonNegative = true
+	exact.Ridge = 1e-3
+	exact.Tolerance = 1e-4
+	sampled := core.DefaultOptions()
+	sampled.Rank = 6
+	sampled.MaxIters = 12
+	sampled.Seed = 4
+	sampled.Format = format.ALTO
+	sampled.Solver = sketch.ARLS
+	sampled.Samples = 300
+	sampled.RefineIters = 3
+	for name, co := range map[string]core.Options{"csf-exact": exact, "alto-arls": sampled} {
+		t.Run(name, func(t *testing.T) {
+			kc, rc, err := core.CPD(tensor, co)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rc.Iterations == co.MaxIters && co.Tolerance > 0 {
+				t.Fatalf("tolerance %g never fired in %d iterations", co.Tolerance, rc.Iterations)
+			}
+			for _, locales := range []int{1, 2, 3} {
+				kd, rd, err := CPD(tensor, withCore(co, locales))
+				if err != nil {
+					t.Fatalf("locales=%d: %v", locales, err)
+				}
+				if rd.Iterations != rc.Iterations || rd.SampledIters != rc.SampledIters || rd.Format != rc.Format {
+					t.Errorf("locales=%d: %d iterations (%d sampled) on %s, shared-memory %d (%d) on %s",
+						locales, rd.Iterations, rd.SampledIters, rd.Format,
+						rc.Iterations, rc.SampledIters, rc.Format)
+				}
+				for m := range kd.Factors {
+					if d := kd.Factors[m].MaxAbsDiff(kc.Factors[m]); d > 1e-8 {
+						t.Errorf("locales=%d: factor %d differs by %g", locales, m, d)
+					}
+					if co.NonNegative && slices.Min(kd.Factors[m].Data) < 0 {
+						t.Errorf("locales=%d: factor %d has a negative entry", locales, m)
+					}
+				}
+			}
+		})
+	}
+}
+
+// withCore returns the distributed options over locales that carry every
+// field dist shares with co.
+func withCore(co core.Options, locales int) Options {
+	o := DefaultOptions()
+	o.Locales = locales
+	o.Rank = co.Rank
+	o.MaxIters = co.MaxIters
+	o.Tolerance = co.Tolerance
+	o.Seed = co.Seed
+	o.TasksPerLocale = co.Tasks
+	o.Access = co.Access
+	o.LockKind = co.LockKind
+	o.Strategy = co.Strategy
+	o.SortVariant = co.SortVariant
+	o.Alloc = co.Alloc
+	o.Format = co.Format
+	o.NonNegative = co.NonNegative
+	o.Ridge = co.Ridge
+	o.Solver = co.Solver
+	o.Samples = co.Samples
+	o.RefineIters = co.RefineIters
+	return o
 }
 
 // TestToleranceStopsUniformly checks that early stopping fires the same
