@@ -70,4 +70,4 @@ e2e-check:
 	GOWORK=off GOFLAGS= $(GO) -C benchmarks/e2e vet ./...
 	GOWORK=off GOFLAGS= $(GO) -C benchmarks/e2e test -count 1 ./...
 
-ci: lint build test verify race
+ci: lint build test verify race e2e-check

@@ -154,6 +154,7 @@ func updateCompletionMode(t *sptensor.Tensor, k *KruskalTensor, g modeGroups,
 	factor := k.Factors[m]
 	parallel.ForBlocks(team, factor.Rows, func(_, begin, end int) {
 		gmat := dense.NewMatrix(r, r)
+		chol := dense.NewMatrix(r, r)
 		b := make([]float64, r)
 		c := make([]float64, r)
 		for i := begin; i < end; i++ {
@@ -201,7 +202,12 @@ func updateCompletionMode(t *sptensor.Tensor, k *KruskalTensor, g modeGroups,
 			}
 			row := factor.Row(i)
 			copy(row, b)
-			if err := choleskySolveInto(gmat, row); err != nil {
+			// Factor a copy, so a factorization that fails partway leaves
+			// gmat whole for the fallback.
+			chol.CopyFrom(gmat)
+			if dense.Cholesky(chol) == nil {
+				dense.CholeskySolve(chol, row)
+			} else {
 				// Degenerate system despite the ridge: fall back to the
 				// eigen pseudo-inverse.
 				pinv := dense.PseudoInverse(gmat, 0)
@@ -226,15 +232,6 @@ func updateCompletionMode(t *sptensor.Tensor, k *KruskalTensor, g modeGroups,
 	for j := range k.Lambda {
 		k.Lambda[j] = 1
 	}
-}
-
-// choleskySolveInto factors gmat in place and solves into b.
-func choleskySolveInto(gmat *dense.Matrix, b []float64) error {
-	if err := dense.Cholesky(gmat); err != nil {
-		return err
-	}
-	dense.CholeskySolve(gmat, b)
-	return nil
 }
 
 // observedRMSE evaluates the model on the stored entries.

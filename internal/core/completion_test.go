@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/parallel"
 	"repro/internal/sptensor"
 )
 
@@ -170,6 +171,27 @@ func TestCompletionUnobservedSliceKeepsRow(t *testing.T) {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatal("unobserved row corrupted")
 		}
+	}
+}
+
+// TestCompletionPseudoInverseFallback pins the fallback of a row solve
+// whose Cholesky factorization fails partway: the pseudo-inverse must
+// solve the row's system, not what the failed factorization left of it.
+// Rows of 1e9 in factors 1 and 2 make the system 1e36·[[1,1],[1,1]], in
+// which the 1e-8 ridge rounds away, so the factorization fails at column
+// 1. The minimum-norm solution reconstructs the observed value.
+func TestCompletionPseudoInverseFallback(t *testing.T) {
+	x := sptensor.New([]int{1, 2, 2}, 1)
+	x.Vals[0] = 1
+	k := NewRandomKruskal(x.Dims, 2, 1)
+	for m := 1; m < x.NModes(); m++ {
+		copy(k.Factors[m].Row(0), []float64{1e9, 1e9})
+	}
+	team := parallel.NewTeam(1)
+	defer team.Close()
+	updateCompletionMode(x, k, groupByMode(x, 0), 0, 1e-8, false, team)
+	if got := k.At([]sptensor.Index{0, 0, 0}); math.Abs(got-1) > 1e-12 {
+		t.Errorf("updated row %v reconstructs %g, want the observed 1", k.Factors[0].Row(0), got)
 	}
 }
 

@@ -74,17 +74,10 @@ func (k *KruskalTensor) NormSquared() float64 {
 	return n
 }
 
-// NormSquaredFromGrams computes ‖model‖²_F = λᵀ (∘_m Gram_m) λ from
-// already-maintained Gram matrices (A(m)ᵀA(m) per mode), the incremental
-// form both the shared-memory and distributed ALS drivers use per
-// iteration. grams must hold one R×R matrix per mode.
-func (k *KruskalTensor) NormSquaredFromGrams(grams []*dense.Matrix) float64 {
-	r := k.Rank()
-	return k.NormSquaredFromGramsInto(grams, dense.NewMatrix(r, r))
-}
-
-// NormSquaredFromGramsInto is NormSquaredFromGrams with caller-provided
-// R×R scratch (overwritten), so the per-iteration fit evaluation stays
+// NormSquaredFromGramsInto computes ‖model‖²_F = λᵀ (∘_m Gram_m) λ from
+// already-maintained Gram matrices (A(m)ᵀA(m) per mode, one R×R matrix
+// each), the incremental form CP-ALS's fit evaluation uses every
+// iteration. g is R×R scratch (overwritten), so the evaluation stays
 // allocation-free.
 func (k *KruskalTensor) NormSquaredFromGramsInto(grams []*dense.Matrix, g *dense.Matrix) float64 {
 	r := k.Rank()
@@ -139,8 +132,8 @@ func (k *KruskalTensor) ReconstructDense() *sptensor.DenseTensor {
 
 // Fit returns the paper's model quality metric against tensor t:
 // 1 − ‖X − model‖_F / ‖X‖_F, evaluated exactly (O(nnz·R·order) plus the
-// kruskal norm). CP-ALS itself uses the cheaper incremental form in
-// fitness.go; this exact form backs the tests.
+// kruskal norm). CP-ALS itself uses the cheaper incremental form of
+// decomposer.computeFit (cpd.go); this exact form backs the tests.
 func (k *KruskalTensor) Fit(t *sptensor.Tensor) float64 {
 	normX2 := t.NormSquared()
 	inner := 0.0

@@ -7,7 +7,10 @@
 // core.Collective, which dist implements with explicit collectives over
 // its fabric (allreduce over partial MTTKRP outputs, Gram matrices, column
 // norms and scalars; allgather over mode-0 factor rows) whose traffic is
-// accounted in the Report.
+// accounted in the Report. Options are core.Options plus the world size,
+// so the core knobs reach the locales as they are (Validate refuses the
+// three a split run cannot honour), and the Report is locale 0's
+// core.Report plus the shard layout and the communication ledger.
 //
 // The decomposition follows the coarse-grained/allreduce family of
 // distributed CP-ALS algorithms (SPLATT's medium-grained ancestor, and the
@@ -21,150 +24,80 @@
 package dist
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/csf"
 	"repro/internal/format"
-	"repro/internal/locks"
-	"repro/internal/mttkrp"
 	"repro/internal/obs"
 	"repro/internal/perf"
-	"repro/internal/sketch"
 	"repro/internal/sptensor"
-	"repro/internal/tsort"
 )
 
-// Options configures one distributed CP-ALS run. The kernel knobs mirror
-// core.Options so the paper's shared-memory axes compose with the locale
-// axis (every locale runs the selected kernel configuration internally).
+// Options configures one distributed CP-ALS run: the core.Options every
+// locale runs with, plus the world size. Tasks is each locale's team size,
+// so the paper's shared-memory axes compose with the locale axis. A split
+// run reads some core fields its own way:
+//
+//   - Format: each locale stores its shard in the selected format. Auto
+//     resolves per shard, so a skewed shard may linearize while a regular
+//     one keeps the fiber tree; a shard without nonzeros is stored as CSF.
+//   - Solver: resolved once, on the whole tensor, by core.ResolveSolver,
+//     never per shard, so every locale runs the same update schedule and
+//     the collectives stay aligned. Sampled draws are seed-split per
+//     (iteration, mode) from Seed, so every locale draws the same samples
+//     without communication.
+//   - Ctx: polled once per iteration, before its first factor update,
+//     through one allreduce of a cancellation flag, so every locale stops
+//     at the same iteration boundary even when they see the cancellation
+//     at different times. The report is marked Cancelled, and CPD returns
+//     the model of the last completed iteration with ctx.Err(). A nil Ctx
+//     adds no allreduce. The locales=1 fast path stops at the next mode
+//     boundary, as core.CPD does.
+//   - Trace: replicated state is bitwise identical across locales, so
+//     locale 0 emits on behalf of the world, its own spans filling the
+//     elapsed and per-routine seconds.
+//   - Spans: each locale records into Spans.Recorder(lid), and the fabric
+//     charges every collective to the calling locale's recorder, so the
+//     comm-phase aggregates agree bitwise with the Report's per-op
+//     seconds. Nil records into a private aggregates-only profiler. Build
+//     the profiler with at least Locales recorders; a smaller one shares
+//     its last recorder.
+//   - Init, BLASThreads > 1 and BLASSpin > 0 are refused by Validate: every
+//     locale starts from one random model, and runs its inverse routine on
+//     its own team.
 type Options struct {
+	core.Options
 	// Locales is the simulated world size (>= 1). 1 short-circuits to the
 	// shared-memory path with zero communication.
 	Locales int
-	// Rank is the decomposition rank R.
-	Rank int
-	// MaxIters caps ALS iterations.
-	MaxIters int
-	// Tolerance stops iteration once |fit − fit_prev| < Tolerance; zero
-	// disables early stopping.
-	Tolerance float64
-	// Seed fixes factor initialization (shared by all locales).
-	Seed int64
-	// TasksPerLocale is each locale's intra-locale team size (0 = 1).
-	TasksPerLocale int
-
-	// Access / LockKind / Strategy / SortVariant / Alloc / Format select
-	// the intra-locale kernel configuration, as in core.Options. Each
-	// locale stores its shard in the selected format (Auto resolves per
-	// shard, so a skewed shard may linearize while a regular one keeps the
-	// fiber tree; a shard without nonzeros is stored as CSF).
-	Access      mttkrp.AccessMode
-	LockKind    locks.Kind
-	Strategy    mttkrp.ConflictStrategy
-	SortVariant tsort.Variant
-	Alloc       csf.AllocPolicy
-	Format      format.Spec
-
-	// NonNegative and Ridge mirror the constrained-CP options.
-	NonNegative bool
-	Ridge       float64
-
-	// Solver selects the factor-update algorithm (als|arls|auto), as in
-	// core.Options. The choice is resolved once, on the whole tensor, by
-	// core.ResolveSolver — never per shard — so every locale runs the same
-	// update schedule and the collectives stay aligned; sampled draws are
-	// seed-split per (iteration, mode) from Seed, making every locale's
-	// sample set identical without communication. Samples and RefineIters
-	// mirror core.Options.
-	Solver      sketch.Solver
-	Samples     int
-	RefineIters int
-
-	// Ctx, when non-nil, is polled once per ALS iteration, before its
-	// first factor update: the locales allreduce a cancellation flag, so
-	// every locale stops at the same iteration boundary even when they see
-	// the cancellation at different times, and the collectives stay
-	// aligned. The report is marked Cancelled, and CPD returns the model
-	// of the last completed iteration with ctx.Err(). A nil Ctx never
-	// cancels and adds no allreduce. The locales=1 fast path follows
-	// core.Options.Ctx: it stops at the next mode boundary.
-	Ctx context.Context
-
-	// Trace, when non-nil, receives one obs.IterEvent per completed ALS
-	// iteration. Replicated state is bitwise identical across locales, so
-	// locale 0 emits on behalf of the world, with its own spans filling
-	// the elapsed and per-routine seconds. The locales=1 fast path
-	// delegates to the shared-memory engine.
-	Trace obs.TraceSink
-
-	// Spans receives phase-level spans: each locale records into
-	// Spans.Recorder(lid), and the comm fabric charges every collective
-	// to the calling locale's recorder, so comm-phase aggregates agree
-	// bitwise with the Report's per-op seconds. Report.MTTKRPSeconds and
-	// the trace's routine seconds derive from these spans too; nil
-	// records into a private aggregates-only profiler. The profiler
-	// should be built with at least Locales recorders (a smaller one
-	// shares its last recorder). Recording is allocation-free; see
-	// obs.NewProfiler for the retention knob.
-	Spans *obs.Profiler
 }
 
-// DefaultOptions returns a 2-locale configuration with the paper's ALS
-// parameters (rank 35, 20 iterations, serial locales).
+// DefaultOptions returns core.DefaultOptions over 2 locales: the paper's
+// ALS parameters (rank 35, 20 iterations) with serial locales.
 func DefaultOptions() Options {
-	return Options{
-		Locales:        2,
-		Rank:           35,
-		MaxIters:       20,
-		Seed:           1,
-		TasksPerLocale: 1,
-		Access:         mttkrp.AccessReference,
-		LockKind:       locks.Spin,
-		Strategy:       mttkrp.StrategyAuto,
-		Alloc:          csf.AllocTwo,
-	}
+	return Options{Options: core.DefaultOptions(), Locales: 2}
 }
 
-// Validate sanity-checks option values: the locale count here, every
-// option it shares with core.Options through core.Options.Validate.
+// Validate sanity-checks option values: the locale count and the core
+// fields a split run cannot honour here, every other field through
+// core.Options.Validate.
 func (o Options) Validate() error {
-	if o.Locales < 1 {
+	switch {
+	case o.Locales < 1:
 		return fmt.Errorf("dist: locales %d < 1", o.Locales)
+	case o.Init != nil:
+		return errors.New("dist: a warm start (Init) cannot seed a split run")
+	case o.BLASThreads > 1 || o.BLASSpin > 0:
+		return fmt.Errorf("dist: a BLAS pool (threads %d, spin %d) cannot serve a split run",
+			o.BLASThreads, o.BLASSpin)
 	}
-	if err := o.coreOptions().Validate(); err != nil {
+	if err := o.Options.Validate(); err != nil {
 		return fmt.Errorf("dist: %w", err)
 	}
 	return nil
-}
-
-// coreOptions maps the distributed options onto the core.Options every
-// locale runs with (and the locales=1 fast path).
-func (o Options) coreOptions() core.Options {
-	co := core.DefaultOptions()
-	co.Rank = o.Rank
-	co.MaxIters = o.MaxIters
-	co.Tolerance = o.Tolerance
-	co.Seed = o.Seed
-	co.Tasks = o.TasksPerLocale
-	co.Access = o.Access
-	co.LockKind = o.LockKind
-	co.Strategy = o.Strategy
-	co.SortVariant = o.SortVariant
-	co.Alloc = o.Alloc
-	co.Format = o.Format
-	co.NonNegative = o.NonNegative
-	co.Ridge = o.Ridge
-	co.Solver = o.Solver
-	co.Samples = o.Samples
-	co.RefineIters = o.RefineIters
-	co.Ctx = o.Ctx
-	co.Trace = o.Trace
-	co.Spans = o.Spans
-	return co
 }
 
 // CPD factors t into a rank-R Kruskal model with distributed CP-ALS over
@@ -185,14 +118,14 @@ func CPD(t *sptensor.Tensor, opts Options) (*core.KruskalTensor, *Report, error)
 
 	start := time.Now()
 	world := opts.Locales
-	if opts.Spans == nil {
-		opts.Spans = obs.NewProfiler(world, 0)
+	co := opts.Options
+	if co.Spans == nil {
+		co.Spans = obs.NewProfiler(world, 0)
 	}
-	co := opts.coreOptions()
 	co.Solver = core.ResolveSolver(t, co)
 	slabs := PartitionSlabs(t, world)
-	fabric := newComm(world, t.Dims[0]*opts.Rank, opts.Spans)
-	seed := core.NewRandomKruskal(t.Dims, opts.Rank, opts.Seed)
+	fabric := newComm(world, t.Dims[0]*co.Rank, co.Spans)
+	seed := core.NewRandomKruskal(t.Dims, co.Rank, co.Seed)
 
 	// Every locale is built before any runs: a locale that fails to build
 	// would leave the others waiting in their first collective.
@@ -231,20 +164,11 @@ func CPD(t *sptensor.Tensor, opts Options) (*core.KruskalTensor, *Report, error)
 
 	// Replicated state is bitwise identical across locales, so locale 0's
 	// report and model are the world's.
-	report := fromCore(reports[0], world)
-	for _, r := range reports {
-		report.MTTKRPSeconds = max(report.MTTKRPSeconds, r.Times[perf.RoutineMTTKRP])
-	}
-	report.ShardRows = make([]int, world)
-	report.ShardNNZ = make([]int, world)
-	for lid, s := range slabs {
-		report.ShardRows[lid] = s.Rows()
-		report.ShardNNZ[lid] = s.NNZ
-	}
+	report := newReport(reports, slabs)
 	fabric.fill(report)
 	report.TotalSeconds = time.Since(start).Seconds()
 	if report.Cancelled {
-		return models[0], report, opts.Ctx.Err()
+		return models[0], report, co.Ctx.Err()
 	}
 	return models[0], report, nil
 }
@@ -277,28 +201,28 @@ func newLocale(lid int, slab Slab, t *sptensor.Tensor, seed *core.KruskalTensor,
 // distributed-shaped report (zero communication, one shard).
 func cpdSingle(t *sptensor.Tensor, opts Options) (*core.KruskalTensor, *Report, error) {
 	start := time.Now()
-	k, cr, err := core.CPD(t, opts.coreOptions())
+	k, cr, err := core.CPD(t, opts.Options)
 	if cr == nil {
 		return nil, nil, err
 	}
-	report := fromCore(cr, 1)
-	report.ShardRows = []int{t.Dims[0]}
-	report.ShardNNZ = []int{t.NNZ()}
+	report := newReport([]*core.Report{cr}, []Slab{{Hi: t.Dims[0], NNZ: t.NNZ()}})
 	report.TotalSeconds = time.Since(start).Seconds()
 	return k, report, err
 }
 
-// fromCore carries a core report over to a distributed one.
-func fromCore(cr *core.Report, locales int) *Report {
-	return &Report{
-		Locales:       locales,
-		Iterations:    cr.Iterations,
-		Fit:           cr.Fit,
-		FitHistory:    cr.FitHistory,
-		Cancelled:     cr.Cancelled,
-		Format:        cr.Format,
-		Solver:        cr.Solver,
-		SampledIters:  cr.SampledIters,
-		MTTKRPSeconds: cr.Times[perf.RoutineMTTKRP],
+// newReport wraps locale 0's core report, the world's, with the shard
+// layout and the MTTKRP critical path of the locales' reports.
+func newReport(reports []*core.Report, slabs []Slab) *Report {
+	r := &Report{
+		Report:    *reports[0],
+		Locales:   len(slabs),
+		ShardRows: make([]int, len(slabs)),
+		ShardNNZ:  make([]int, len(slabs)),
 	}
+	for lid, s := range slabs {
+		r.ShardRows[lid] = s.Rows()
+		r.ShardNNZ[lid] = s.NNZ
+		r.MTTKRPSeconds = max(r.MTTKRPSeconds, reports[lid].Times[perf.RoutineMTTKRP])
+	}
+	return r
 }

@@ -66,7 +66,7 @@ func matchesSharedMemory(t *testing.T, tensor *sptensor.Tensor, spec format.Spec
 		o := distOptions(locales)
 		o.Format = spec
 		o.Solver = solver
-		o.TasksPerLocale = tasks
+		o.Tasks = tasks
 		kd, rd, err := CPD(tensor, o)
 		if err != nil {
 			t.Fatalf("locales=%d: %v", locales, err)
@@ -200,7 +200,8 @@ func TestConstrainedOptionsMatch(t *testing.T) {
 // that sets every kernel axis away from its default, the constrained-CP
 // knobs and a tolerance, and for a sampled ALTO configuration with its
 // sampler knobs set. A knob that did not reach the locales would change
-// the factors, the iteration counts or the resolved format.
+// the factors, the iteration counts, the resolved format or the per-mode
+// conflict strategies.
 func TestCoreOptionsReachLocales(t *testing.T) {
 	tensor := testTensor()
 	exact := core.DefaultOptions()
@@ -234,7 +235,7 @@ func TestCoreOptionsReachLocales(t *testing.T) {
 				t.Fatalf("tolerance %g never fired in %d iterations", co.Tolerance, rc.Iterations)
 			}
 			for _, locales := range []int{1, 2, 3} {
-				kd, rd, err := CPD(tensor, withCore(co, locales))
+				kd, rd, err := CPD(tensor, Options{Options: co, Locales: locales})
 				if err != nil {
 					t.Fatalf("locales=%d: %v", locales, err)
 				}
@@ -242,6 +243,9 @@ func TestCoreOptionsReachLocales(t *testing.T) {
 					t.Errorf("locales=%d: %d iterations (%d sampled) on %s, shared-memory %d (%d) on %s",
 						locales, rd.Iterations, rd.SampledIters, rd.Format,
 						rc.Iterations, rc.SampledIters, rc.Format)
+				}
+				if !slices.Equal(rd.Strategies, rc.Strategies) {
+					t.Errorf("locales=%d: strategies %v, shared-memory %v", locales, rd.Strategies, rc.Strategies)
 				}
 				for m := range kd.Factors {
 					if d := kd.Factors[m].MaxAbsDiff(kc.Factors[m]); d > 1e-8 {
@@ -254,30 +258,6 @@ func TestCoreOptionsReachLocales(t *testing.T) {
 			}
 		})
 	}
-}
-
-// withCore returns the distributed options over locales that carry every
-// field dist shares with co.
-func withCore(co core.Options, locales int) Options {
-	o := DefaultOptions()
-	o.Locales = locales
-	o.Rank = co.Rank
-	o.MaxIters = co.MaxIters
-	o.Tolerance = co.Tolerance
-	o.Seed = co.Seed
-	o.TasksPerLocale = co.Tasks
-	o.Access = co.Access
-	o.LockKind = co.LockKind
-	o.Strategy = co.Strategy
-	o.SortVariant = co.SortVariant
-	o.Alloc = co.Alloc
-	o.Format = co.Format
-	o.NonNegative = co.NonNegative
-	o.Ridge = co.Ridge
-	o.Solver = co.Solver
-	o.Samples = co.Samples
-	o.RefineIters = co.RefineIters
-	return o
 }
 
 // TestToleranceStopsUniformly checks that early stopping fires the same
@@ -306,8 +286,11 @@ func TestOptionsValidate(t *testing.T) {
 		func(o *Options) { o.Rank = 0 },
 		func(o *Options) { o.MaxIters = 0 },
 		func(o *Options) { o.Tolerance = -1 },
-		func(o *Options) { o.TasksPerLocale = -1 },
+		func(o *Options) { o.Tasks = -1 },
 		func(o *Options) { o.Ridge = -1 },
+		func(o *Options) { o.Init = core.NewRandomKruskal([]int{30, 40, 50}, o.Rank, 1) },
+		func(o *Options) { o.BLASThreads = 2 },
+		func(o *Options) { o.BLASSpin = 1 },
 	}
 	for i, mutate := range cases {
 		o := DefaultOptions()
@@ -556,7 +539,7 @@ func TestReportImbalanceRatio(t *testing.T) {
 func TestMultiTaskLocales(t *testing.T) {
 	tensor := testTensor()
 	o := distOptions(2)
-	o.TasksPerLocale = 2
+	o.Tasks = 2
 	_, rd, err := CPD(tensor, o)
 	if err != nil {
 		t.Fatal(err)

@@ -1,32 +1,19 @@
 package dist
 
-// Report summarizes a distributed CP-ALS run: convergence, the per-locale
-// data distribution, and the communication the collectives moved. It is the
-// distributed analogue of core.Report, extended with the cost model a real
-// multi-locale run would be judged by (comm volume, critical-path time,
-// shard balance).
+import "repro/internal/core"
+
+// Report summarizes a distributed CP-ALS run: locale 0's core.Report plus
+// the per-locale data distribution and the communication the collectives
+// moved, the cost model a real multi-locale run would be judged by (comm
+// volume, critical-path time, shard balance). Replicated state is bitwise
+// identical across locales, so the embedded convergence fields (Iterations,
+// Fit, FitHistory, Cancelled, Solver, SampledIters) are the world's. Its
+// per-shard fields are locale 0's: Format and Strategies (with format.Auto
+// other locales may resolve differently), CSFBytes and Times.
 type Report struct {
+	core.Report
 	// Locales is the world size the run executed with.
 	Locales int
-	// Iterations actually executed.
-	Iterations int
-	// Fit is the final model fit (1 − relative residual).
-	Fit float64
-	// FitHistory holds the fit after every iteration.
-	FitHistory []float64
-	// Cancelled reports that Options.Ctx was cancelled and the run stopped
-	// at an iteration boundary.
-	Cancelled bool
-	// Format is the resolved storage backend of locale 0's shard ("csf" or
-	// "alto"; with format.Auto other locales may resolve differently per
-	// shard).
-	Format string
-	// Solver is the resolved factor-update algorithm ("als" or "arls"),
-	// uniform across locales so the collectives stay aligned.
-	Solver string
-	// SampledIters is how many ALS iterations ran on the sampled system
-	// (0 for the exact solver).
-	SampledIters int
 
 	// ShardRows[l] is the number of mode-0 slices locale l owns.
 	ShardRows []int

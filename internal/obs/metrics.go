@@ -130,10 +130,6 @@ func (h *Histogram) Count() uint64 {
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return h.sum.Value() }
 
-// Bounds returns the bucket upper bounds (without +Inf). The returned
-// slice must not be modified.
-func (h *Histogram) Bounds() []float64 { return h.bounds }
-
 // DefLatencyBuckets is the default request-latency bucket layout, spanning
 // sub-millisecond model queries up to multi-second decompositions.
 var DefLatencyBuckets = []float64{

@@ -17,19 +17,6 @@ type Label struct {
 	Value string
 }
 
-// L is shorthand for building a label list from alternating name, value
-// strings: L("route", "/v1/jobs", "method", "POST").
-func L(pairs ...string) []Label {
-	if len(pairs)%2 != 0 {
-		panic("obs: L takes alternating name, value pairs")
-	}
-	labels := make([]Label, 0, len(pairs)/2)
-	for i := 0; i < len(pairs); i += 2 {
-		labels = append(labels, Label{Name: pairs[i], Value: pairs[i+1]})
-	}
-	return labels
-}
-
 // Kind is the exposition type of a metric family.
 type Kind int
 

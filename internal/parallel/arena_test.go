@@ -32,8 +32,6 @@ func TestArenaSteadyStateAllocFree(t *testing.T) {
 		m := ta.Mark()
 		_ = ta.F64(100)
 		_ = ta.I32(50)
-		_ = ta.I64(25)
-		_ = ta.U32(75)
 		ta.Release(m)
 	}
 	warm() // grows every pool once

@@ -232,10 +232,4 @@ func TestReduceHelpers(t *testing.T) {
 	if v := ReduceSum([]float64{1, 2, 3.5}); v != 6.5 {
 		t.Errorf("ReduceSum = %g", v)
 	}
-	if v := ReduceMax([]float64{1, 5, 3}); v != 5 {
-		t.Errorf("ReduceMax = %g", v)
-	}
-	if v := ReduceMax(nil); v != 0 {
-		t.Errorf("ReduceMax(nil) = %g", v)
-	}
 }

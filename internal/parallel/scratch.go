@@ -10,19 +10,6 @@ func ReduceSum(parts []float64) float64 {
 	return total
 }
 
-// ReduceMax returns the maximum of parts, or 0 for an empty slice (the
-// identity SPLATT uses for max-norm column reduction, where norms are
-// clamped to >= 1 later anyway).
-func ReduceMax(parts []float64) float64 {
-	m := 0.0
-	for _, p := range parts {
-		if p > m {
-			m = p
-		}
-	}
-	return m
-}
-
 // Arena is the per-team workspace allocator of the steady-state hot path:
 // one TaskArena per task, each a set of typed grow-only buffer pools. The
 // CP-ALS engines build one Arena per run and thread it through every
@@ -63,8 +50,6 @@ func (a *Arena) Task(tid int) *TaskArena { return &a.tasks[tid] }
 type TaskArena struct {
 	f64 pool[float64]
 	i32 pool[int32]
-	i64 pool[int64]
-	u32 pool[uint32]
 }
 
 // pool is a single-type bump allocator.
@@ -102,18 +87,12 @@ func (t *TaskArena) F64(n int) []float64 { return t.f64.alloc(n) }
 // int32 alias). Contents are not zeroed.
 func (t *TaskArena) I32(n int) []int32 { return t.i32.alloc(n) }
 
-// I64 returns an n-element int64 buffer. Contents are not zeroed.
-func (t *TaskArena) I64(n int) []int64 { return t.i64.alloc(n) }
-
-// U32 returns an n-element uint32 buffer. Contents are not zeroed.
-func (t *TaskArena) U32(n int) []uint32 { return t.u32.alloc(n) }
-
 // Mark captures the arena's current allocation frontier for Release.
-type Mark struct{ f64, i32, i64, u32 int }
+type Mark struct{ f64, i32 int }
 
 // Mark snapshots the allocation offsets of every pool.
 func (t *TaskArena) Mark() Mark {
-	return Mark{f64: t.f64.off, i32: t.i32.off, i64: t.i64.off, u32: t.u32.off}
+	return Mark{f64: t.f64.off, i32: t.i32.off}
 }
 
 // Release rewinds the arena to a prior Mark, recycling everything allocated
@@ -124,11 +103,5 @@ func (t *TaskArena) Release(m Mark) {
 	}
 	if m.i32 <= t.i32.off {
 		t.i32.off = m.i32
-	}
-	if m.i64 <= t.i64.off {
-		t.i64.off = m.i64
-	}
-	if m.u32 <= t.u32.off {
-		t.u32.off = m.u32
 	}
 }

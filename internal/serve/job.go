@@ -138,9 +138,9 @@ func (s *JobSpec) solverSpec() sketch.Solver {
 	return solver
 }
 
-// worldSize is how many span recorders the job's profiler needs: one per
-// locale for dist jobs (the engine default when unspecified), one
-// otherwise.
+// worldSize is the job's locale count: a dist job's (the engine default
+// when unspecified), 1 otherwise. The job's profiler has one span
+// recorder per locale.
 func (s *JobSpec) worldSize() int {
 	if s.Kind != KindDistributed {
 		return 1
@@ -151,7 +151,8 @@ func (s *JobSpec) worldSize() int {
 	return dist.DefaultOptions().Locales
 }
 
-// coreOptions maps the spec onto core.Options (kind "cpd").
+// coreOptions maps the spec onto core.Options: kind "cpd" runs it, and
+// each locale of kind "dist" runs it over its shard.
 func (s *JobSpec) coreOptions(ctx context.Context) core.Options {
 	o := core.DefaultOptions()
 	if s.Rank > 0 {
@@ -162,35 +163,6 @@ func (s *JobSpec) coreOptions(ctx context.Context) core.Options {
 	}
 	if s.Tasks > 0 {
 		o.Tasks = s.Tasks
-	}
-	if s.Seed != 0 {
-		o.Seed = s.Seed
-	}
-	o.Tolerance = s.Tolerance
-	o.NonNegative = s.NonNegative
-	o.Ridge = s.Ridge
-	o.Format = s.formatSpec()
-	o.Solver = s.solverSpec()
-	o.Samples = s.Samples
-	o.RefineIters = s.RefineIters
-	o.Ctx = ctx
-	return o
-}
-
-// distOptions maps the spec onto dist.Options (kind "dist").
-func (s *JobSpec) distOptions(ctx context.Context) dist.Options {
-	o := dist.DefaultOptions()
-	if s.Locales > 0 {
-		o.Locales = s.Locales
-	}
-	if s.Rank > 0 {
-		o.Rank = s.Rank
-	}
-	if s.MaxIters > 0 {
-		o.MaxIters = s.MaxIters
-	}
-	if s.Tasks > 0 {
-		o.TasksPerLocale = s.Tasks
 	}
 	if s.Seed != 0 {
 		o.Seed = s.Seed

@@ -61,42 +61,7 @@ func (s *Server) execute(j *Job) {
 		"solver", j.Spec.solverSpec().String(),
 	)
 	pprof.Do(j.ctx, labels, func(ctx context.Context) {
-		switch j.Spec.Kind {
-		case KindCPD:
-			opts := j.Spec.coreOptions(ctx)
-			opts.Trace = j.trace
-			opts.Spans = j.spans
-			if j.Spec.WarmStart != "" {
-				if err = s.seedWarmStart(j, &opts, res); err != nil {
-					return
-				}
-			}
-			k, report, runErr := core.CPD(tensor, opts)
-			kruskal, err = k, runErr
-			if report != nil {
-				res.Fit = report.Fit
-				res.Iterations = report.Iterations
-				res.Format = report.Format
-				res.Solver = report.Solver
-				res.SampledIters = report.SampledIters
-				cancelled = report.Cancelled
-			}
-		case KindDistributed:
-			dopts := j.Spec.distOptions(ctx)
-			dopts.Trace = j.trace
-			dopts.Spans = j.spans
-			k, report, runErr := dist.CPD(tensor, dopts)
-			kruskal, err = k, runErr
-			if report != nil {
-				res.Fit = report.Fit
-				res.Iterations = report.Iterations
-				res.CommBytes = report.CommBytes
-				res.Format = report.Format
-				res.Solver = report.Solver
-				res.SampledIters = report.SampledIters
-				cancelled = report.Cancelled
-			}
-		case KindComplete:
+		if j.Spec.Kind == KindComplete {
 			k, report, runErr := core.CPDComplete(tensor, j.Spec.completionOptions(ctx))
 			kruskal, err = k, runErr
 			if report != nil {
@@ -104,6 +69,34 @@ func (s *Server) execute(j *Job) {
 				res.Iterations = report.Iterations
 				cancelled = report.Cancelled
 			}
+			return
+		}
+		opts := j.Spec.coreOptions(ctx)
+		opts.Trace = j.trace
+		opts.Spans = j.spans
+		var report *core.Report
+		if j.Spec.Kind == KindDistributed {
+			var rd *dist.Report
+			kruskal, rd, err = dist.CPD(tensor, dist.Options{Options: opts, Locales: j.Spec.worldSize()})
+			if rd != nil {
+				report = &rd.Report
+				res.CommBytes = rd.CommBytes
+			}
+		} else {
+			if j.Spec.WarmStart != "" {
+				if err = s.seedWarmStart(j, &opts, res); err != nil {
+					return
+				}
+			}
+			kruskal, report, err = core.CPD(tensor, opts)
+		}
+		if report != nil {
+			res.Fit = report.Fit
+			res.Iterations = report.Iterations
+			res.Format = report.Format
+			res.Solver = report.Solver
+			res.SampledIters = report.SampledIters
+			cancelled = report.Cancelled
 		}
 	})
 	res.Seconds = time.Since(start).Seconds()

@@ -200,14 +200,17 @@ func CPDComplete(t *Tensor, opts CompletionOptions) (*KruskalTensor, *Completion
 	return core.CPDComplete(t, opts)
 }
 
-// DistOptions configures CPDDistributed.
+// DistOptions configures CPDDistributed: the Options every locale runs
+// with, where Tasks is each locale's team size, plus Locales, the world
+// size.
 type DistOptions = dist.Options
 
-// DistReport summarizes a distributed run, including the cross-locale
+// DistReport summarizes a distributed run: locale 0's Report, which holds
+// the world's convergence, plus the shard layout and the cross-locale
 // communication volume the collectives moved.
 type DistReport = dist.Report
 
-// DefaultDistOptions returns a 2-locale configuration.
+// DefaultDistOptions returns DefaultOptions over 2 locales.
 func DefaultDistOptions() DistOptions { return dist.DefaultOptions() }
 
 // CPDDistributed runs coarse-grained distributed CP-ALS over simulated
