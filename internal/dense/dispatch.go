@@ -22,6 +22,7 @@ var (
 	vecScaleMulSet = vecScaleMulSetCompose
 	vecMulAxpy     = vecMulAxpyGeneric
 	vecMulScaleSet = vecMulScaleSetGeneric
+	gatherAxpy     = gatherAxpyCompose
 
 	kernelISA = "generic"
 )

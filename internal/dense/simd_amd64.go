@@ -19,6 +19,7 @@ func vecAxpyMulSetAVX2(dst, h, x, y []float64, v float64)
 func vecScaleMulSetAVX2(dst, h, x, y []float64, v float64)
 func vecMulAxpyAVX2(dst, x, y []float64, v float64)
 func vecMulScaleSetAVX2(dst, x, y []float64, v float64)
+func gatherAxpyAVX2(dst, rows []float64, idx []int32, vals []float64)
 
 // The FMA kernels contract multiply-add rounding, so they are gated on
 // both AVX2 and FMA together: mixing contracted and uncontracted kernels
@@ -40,5 +41,6 @@ func init() {
 	vecScaleMulSet = vecScaleMulSetAVX2
 	vecMulAxpy = vecMulAxpyAVX2
 	vecMulScaleSet = vecMulScaleSetAVX2
+	gatherAxpy = gatherAxpyAVX2
 	kernelISA = "avx2+fma"
 }

@@ -16,18 +16,19 @@ import (
 func withGenericKernels(fn func()) {
 	sAxpy, sAdd, sMul, sMulAdd, sMulSet, sScaleSet, sDot, sSyrk :=
 		vecAxpy, vecAdd, vecMul, vecMulAdd, vecMulSet, vecScaleSet, vecDot, syrkRow
-	sAxpyMS, sScaleMS, sMulAxpy, sMulSS :=
-		vecAxpyMulSet, vecScaleMulSet, vecMulAxpy, vecMulScaleSet
+	sAxpyMS, sScaleMS, sMulAxpy, sMulSS, sGather :=
+		vecAxpyMulSet, vecScaleMulSet, vecMulAxpy, vecMulScaleSet, gatherAxpy
 	vecAxpy, vecAdd, vecMul, vecMulAdd, vecMulSet, vecScaleSet, vecDot, syrkRow =
 		vecAxpyGeneric, vecAddGeneric, vecMulGeneric, vecMulAddGeneric,
 		vecMulSetGeneric, vecScaleSetGeneric, vecDotGeneric, syrkRowGeneric
-	vecAxpyMulSet, vecScaleMulSet, vecMulAxpy, vecMulScaleSet =
-		vecAxpyMulSetCompose, vecScaleMulSetCompose, vecMulAxpyGeneric, vecMulScaleSetGeneric
+	vecAxpyMulSet, vecScaleMulSet, vecMulAxpy, vecMulScaleSet, gatherAxpy =
+		vecAxpyMulSetCompose, vecScaleMulSetCompose, vecMulAxpyGeneric, vecMulScaleSetGeneric,
+		gatherAxpyCompose
 	defer func() {
 		vecAxpy, vecAdd, vecMul, vecMulAdd, vecMulSet, vecScaleSet, vecDot, syrkRow =
 			sAxpy, sAdd, sMul, sMulAdd, sMulSet, sScaleSet, sDot, sSyrk
-		vecAxpyMulSet, vecScaleMulSet, vecMulAxpy, vecMulScaleSet =
-			sAxpyMS, sScaleMS, sMulAxpy, sMulSS
+		vecAxpyMulSet, vecScaleMulSet, vecMulAxpy, vecMulScaleSet, gatherAxpy =
+			sAxpyMS, sScaleMS, sMulAxpy, sMulSS, sGather
 	}()
 	fn()
 }
@@ -126,6 +127,11 @@ func checkKernelParity(t *testing.T, dst, x, y []float64, a float64) {
 		func(d, hh []float64) { vecScaleMulSet(d, hh, x, y, a) },
 		func(d, hh []float64) { vecScaleMulSetCompose(d, hh, x, y, a) })
 
+	// GatherAxpy over a two-row matrix (x, then y) by a fiber that
+	// repeats both rows and ends on the last.
+	rows := append(append([]float64(nil), x...), y...)
+	checkGatherParity(t, dst, rows, []int32{0, 1, 1, 0, 1}, []float64{a, -0.5 * a, 1.5, a * a, -3})
+
 	gotDot := vecDot(x, y)
 	wantDot := vecDotGeneric(x, y)
 	dotScale := 0.0
@@ -134,6 +140,87 @@ func checkKernelParity(t *testing.T, dst, x, y []float64, a float64) {
 	}
 	if !closeEnough(gotDot, wantDot, dotScale) {
 		t.Fatalf("VecDot: n=%d native=%g generic=%g", n, gotDot, wantDot)
+	}
+}
+
+// checkGatherParity pins GatherAxpy on one fiber. Each kernel set must
+// equal a loop of its own VecAxpy over the fiber bit for bit, with NaN and
+// Inf in the same lanes (a NaN matches any NaN: IEEE 754 leaves payload
+// propagation to the hardware); the live set must match the generic one
+// within the scaled bound on every lane whose scale is finite.
+// Contraction can overflow one side's chain and not the other's, so lanes
+// with an infinite or NaN scale are left to the bitwise check.
+func checkGatherParity(t *testing.T, dst, rows []float64, idx []int32, vals []float64) {
+	t.Helper()
+	r := len(dst)
+	loop := func() []float64 {
+		d := append([]float64(nil), dst...)
+		for x, i := range idx {
+			off := int(i) * r
+			vecAxpy(d, rows[off:off+r], vals[x])
+		}
+		return d
+	}
+	gather := func() []float64 {
+		d := append([]float64(nil), dst...)
+		gatherAxpy(d, rows, idx, vals)
+		return d
+	}
+	sameBits := func(lane string, got, want []float64) {
+		t.Helper()
+		for c := range got {
+			if math.Float64bits(got[c]) != math.Float64bits(want[c]) && !(math.IsNaN(got[c]) && math.IsNaN(want[c])) {
+				t.Fatalf("GatherAxpy %s: r=%d nnz=%d col %d: gather=%v (%#x) VecAxpy loop=%v (%#x)",
+					lane, r, len(idx), c, got[c], math.Float64bits(got[c]), want[c], math.Float64bits(want[c]))
+			}
+		}
+	}
+	native := gather()
+	sameBits(KernelISA(), native, loop())
+	var generic []float64
+	withGenericKernels(func() {
+		generic = gather()
+		sameBits("generic", generic, loop())
+	})
+	for c := 0; c < r; c++ {
+		scale := math.Abs(dst[c])
+		for x, i := range idx {
+			scale += math.Abs(vals[x] * rows[int(i)*r+c])
+		}
+		if math.IsNaN(scale) || math.IsInf(scale, 0) {
+			continue
+		}
+		if !closeEnough(native[c], generic[c], scale) {
+			t.Fatalf("GatherAxpy: r=%d nnz=%d col %d: native=%g generic=%g", r, len(idx), c, native[c], generic[c])
+		}
+	}
+}
+
+// TestGatherAxpyParity covers GatherAxpy's column blocks (every count to
+// 40, then 64, 100 and 255) against fibers of 0 to 257 nonzeros that
+// repeat rows and read the matrix's last row.
+func TestGatherAxpyParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	const m = 23
+	cols := []int{64, 100, 255}
+	for r := 0; r <= 40; r++ {
+		cols = append(cols, r)
+	}
+	for _, r := range cols {
+		rows := randVec(rng, m*r)
+		for _, nnz := range []int{0, 1, 2, 3, 40, 257} {
+			idx := make([]int32, nnz)
+			for x := range idx {
+				idx[x] = int32(rng.Intn(m))
+			}
+			if nnz > 0 {
+				idx[nnz-1] = m - 1
+			}
+			if nnz > 2 {
+				idx[1] = idx[0]
+			}
+			checkGatherParity(t, randVec(rng, r), rows, idx, randVec(rng, nnz))
+		}
 	}
 }
 
@@ -225,6 +312,11 @@ func FuzzVecKernelsRawBits(f *testing.F) {
 				t.Fatalf("VecMulAdd at %d: native=%g generic=%g", i, dn[i], dg[i])
 			}
 		}
+		// The gather reads a two-row matrix (x, then the payload) with the
+		// payload's own bits as values, so NaN, Inf and denormals reach
+		// every column block.
+		rows := append(append([]float64(nil), x...), dst...)
+		checkGatherParity(t, dst, rows, []int32{0, 1, 1, 0}, []float64{dst[0], x[0], dst[n/2], x[n-1]})
 	})
 }
 
@@ -274,6 +366,25 @@ func BenchmarkVecKernels(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			VecMulSet(d, x, y)
 		}
+	})
+	// One CSF fiber at the NELL-2 twin's shape: rank 35, 40 nonzeros
+	// over the 453 rows of the leaf factor.
+	const r, nnz, m = 35, 40, 453
+	rows, acc, vals := randVec(rng, m*r), randVec(rng, r), randVec(rng, nnz)
+	idx := make([]int32, nnz)
+	for x := range idx {
+		idx[x] = int32(rng.Intn(m))
+	}
+	gather := func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			GatherAxpy(acc, rows, idx, vals)
+		}
+	}
+	b.Run("GatherAxpy/r=35/nnz=40/isa=native", gather)
+	b.Run("GatherAxpy/r=35/nnz=40/isa=generic", func(b *testing.B) {
+		withGenericKernels(func() { gather(b) })
 	})
 }
 

@@ -52,6 +52,18 @@ func VecMulAxpy(dst, x, y []float64, v float64) { vecMulAxpy(dst, x, y, v) }
 // VecMulScaleSet is VecMulAxpy's overwriting form: dst[i] = v * (x[i]*y[i]).
 func VecMulScaleSet(dst, x, y []float64, v float64) { vecMulScaleSet(dst, x, y, v) }
 
+// GatherAxpy accumulates a CSF fiber's leaf rows in one call:
+// dst[c] += vals[x] * rows[idx[x]*r + c] for x in order, r = len(dst).
+// rows is a flat row-major matrix with r columns and idx holds its row
+// numbers; vals has at least len(idx) entries. Each element of dst takes
+// the same multiply-adds, in the same order, as len(idx) VecAxpy calls,
+// so the result is bitwise theirs on every kernel set; the assembly body
+// keeps dst in registers for the whole fiber instead of paying a
+// dispatched call and a dst round trip per nonzero.
+func GatherAxpy(dst, rows []float64, idx []int32, vals []float64) {
+	gatherAxpy(dst, rows, idx, vals)
+}
+
 // VecDot returns Σ x[i]*y[i] over the first len(x) elements (len(y) must
 // be at least len(x)). Independent accumulation chains keep the
 // multiply-add latency off the critical path — this is the inner product of
@@ -163,6 +175,18 @@ func vecAxpyMulSetCompose(dst, h, x, y []float64, v float64) {
 func vecScaleMulSetCompose(dst, h, x, y []float64, v float64) {
 	vecScaleSet(dst, h, v)
 	vecMulSet(h, x, y)
+}
+
+// gatherAxpyCompose is the default GatherAxpy body: one dispatched
+// VecAxpy per nonzero (see vecAxpyMulSetCompose), so purego builds, NEON
+// and AVX2 hosts without FMA keep their own VecAxpy rounding. The amd64
+// init replaces it with a register-blocked gather.
+func gatherAxpyCompose(dst, rows []float64, idx []int32, vals []float64) {
+	r := len(dst)
+	for x, i := range idx {
+		off := int(i) * r
+		vecAxpy(dst, rows[off:off+r], vals[x])
+	}
 }
 
 // vecMulAxpyGeneric keeps the product in a separate statement so no

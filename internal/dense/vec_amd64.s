@@ -596,3 +596,235 @@ mss_s1:
 mss_done:
 	VZEROUPPER
 	RET
+
+// gatherMask<> holds three all-ones lanes then three zero lanes: the four
+// lanes from offset (3-k)*8 enable the first k of them (k = 1..3).
+DATA gatherMask<>+0(SB)/8, $-1
+DATA gatherMask<>+8(SB)/8, $-1
+DATA gatherMask<>+16(SB)/8, $-1
+DATA gatherMask<>+24(SB)/8, $0
+DATA gatherMask<>+32(SB)/8, $0
+DATA gatherMask<>+40(SB)/8, $0
+GLOBL gatherMask<>(SB), RODATA|NOPTR, $48
+
+// Pieces of gatherAxpyAVX2's nonzero loop. R12 = &rows[c], BX = x. ROW
+// points DX at row idx[x]'s block and broadcasts vals[x] into Y8; the
+// FMA macros accumulate 32, 16 or 4 columns of it into Y0-Y7; TAIL adds
+// the masked 1-3 columns at byte offset off into Y11 (mask Y9).
+#define GATHER_ROW \
+	MOVLQSX (R8)(BX*4), DX; \
+	IMULQ R11, DX; \
+	ADDQ R12, DX; \
+	VBROADCASTSD (R10)(BX*8), Y8
+
+#define GATHER_FMA4 \
+	VFMADD231PD (DX), Y8, Y0
+
+#define GATHER_FMA16 \
+	GATHER_FMA4; \
+	VFMADD231PD 32(DX), Y8, Y1; \
+	VFMADD231PD 64(DX), Y8, Y2; \
+	VFMADD231PD 96(DX), Y8, Y3
+
+#define GATHER_FMA32 \
+	GATHER_FMA16; \
+	VFMADD231PD 128(DX), Y8, Y4; \
+	VFMADD231PD 160(DX), Y8, Y5; \
+	VFMADD231PD 192(DX), Y8, Y6; \
+	VFMADD231PD 224(DX), Y8, Y7
+
+#define GATHER_TAIL(off) \
+	VMASKMOVPD off(DX), Y9, Y10; \
+	VFMADD231PD Y10, Y8, Y11
+
+#define GATHER_LOAD4 \
+	VMOVUPD (R13), Y0
+
+#define GATHER_LOAD16 \
+	GATHER_LOAD4; \
+	VMOVUPD 32(R13), Y1; \
+	VMOVUPD 64(R13), Y2; \
+	VMOVUPD 96(R13), Y3
+
+#define GATHER_LOAD32 \
+	GATHER_LOAD16; \
+	VMOVUPD 128(R13), Y4; \
+	VMOVUPD 160(R13), Y5; \
+	VMOVUPD 192(R13), Y6; \
+	VMOVUPD 224(R13), Y7
+
+#define GATHER_STORE4 \
+	VMOVUPD Y0, (R13)
+
+#define GATHER_STORE16 \
+	GATHER_STORE4; \
+	VMOVUPD Y1, 32(R13); \
+	VMOVUPD Y2, 64(R13); \
+	VMOVUPD Y3, 96(R13)
+
+#define GATHER_STORE32 \
+	GATHER_STORE16; \
+	VMOVUPD Y4, 128(R13); \
+	VMOVUPD Y5, 160(R13); \
+	VMOVUPD Y6, 192(R13); \
+	VMOVUPD Y7, 224(R13)
+
+// GATHER_MASK loads the mask of the k = DX-w tail columns that follow a
+// w-column block into Y9, and their dst values into Y11.
+#define GATHER_MASK(w) \
+	SUBQ $(w+3), DX; \
+	NEGQ DX; \
+	LEAQ gatherMask<>(SB), BX; \
+	VMOVUPD (BX)(DX*8), Y9; \
+	VMASKMOVPD (w*8)(R13), Y9, Y11
+
+// func gatherAxpyAVX2(dst, rows []float64, idx []int32, vals []float64)
+//
+// dst[c] += vals[x]*rows[idx[x]*r+c] for x in order, r = len(dst): one
+// CSF fiber's leaf rows gathered into its accumulator. The columns go in
+// blocks of 32, then 16, then 4; the last 1-3 columns ride as one masked
+// lane in the pass of the block before them (alone when r < 4). A pass
+// keeps its columns of dst in YMM registers while it runs over every
+// nonzero, and stores them once. Each element takes one VFMADD per
+// nonzero, in nonzero order, the operation vecAxpyAVX2 performs, so the
+// result is bitwise len(idx) VecAxpy calls.
+TEXT ·gatherAxpyAVX2(SB), NOSPLIT, $0-96
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ rows_base+24(FP), SI
+	MOVQ idx_base+48(FP), R8
+	MOVQ idx_len+56(FP), R9
+	MOVQ vals_base+72(FP), R10
+	TESTQ R9, R9
+	JE   gather_done
+	MOVQ CX, R11
+	SHLQ $3, R11          // row stride in bytes
+	XORQ AX, AX           // first column of the pass
+gather_pass:
+	LEAQ (SI)(AX*8), R12  // &rows[c]
+	LEAQ (DI)(AX*8), R13  // &dst[c]
+	MOVQ CX, DX
+	SUBQ AX, DX           // columns left
+	CMPQ DX, $32
+	JE   gather_b32
+	JL   gather_lt32
+	CMPQ DX, $36
+	JGE  gather_b32
+	JMP  gather_b32t
+gather_lt32:
+	CMPQ DX, $16
+	JE   gather_b16
+	JL   gather_lt16
+	CMPQ DX, $20
+	JGE  gather_b16
+	JMP  gather_b16t
+gather_lt16:
+	CMPQ DX, $4
+	JE   gather_b4
+	JL   gather_lt4
+	CMPQ DX, $8
+	JGE  gather_b4
+	JMP  gather_b4t
+gather_lt4:
+	TESTQ DX, DX
+	JNE  gather_t
+	JMP  gather_done
+
+gather_b32:
+	GATHER_LOAD32
+	XORQ BX, BX
+gather_b32_x:
+	GATHER_ROW
+	GATHER_FMA32
+	INCQ BX
+	CMPQ BX, R9
+	JL   gather_b32_x
+	GATHER_STORE32
+	ADDQ $32, AX
+	JMP  gather_pass
+
+gather_b32t:
+	GATHER_MASK(32)
+	GATHER_LOAD32
+	XORQ BX, BX
+gather_b32t_x:
+	GATHER_ROW
+	GATHER_FMA32
+	GATHER_TAIL(256)
+	INCQ BX
+	CMPQ BX, R9
+	JL   gather_b32t_x
+	GATHER_STORE32
+	VMASKMOVPD Y11, Y9, 256(R13)
+	JMP  gather_done
+
+gather_b16:
+	GATHER_LOAD16
+	XORQ BX, BX
+gather_b16_x:
+	GATHER_ROW
+	GATHER_FMA16
+	INCQ BX
+	CMPQ BX, R9
+	JL   gather_b16_x
+	GATHER_STORE16
+	ADDQ $16, AX
+	JMP  gather_pass
+
+gather_b16t:
+	GATHER_MASK(16)
+	GATHER_LOAD16
+	XORQ BX, BX
+gather_b16t_x:
+	GATHER_ROW
+	GATHER_FMA16
+	GATHER_TAIL(128)
+	INCQ BX
+	CMPQ BX, R9
+	JL   gather_b16t_x
+	GATHER_STORE16
+	VMASKMOVPD Y11, Y9, 128(R13)
+	JMP  gather_done
+
+gather_b4:
+	GATHER_LOAD4
+	XORQ BX, BX
+gather_b4_x:
+	GATHER_ROW
+	GATHER_FMA4
+	INCQ BX
+	CMPQ BX, R9
+	JL   gather_b4_x
+	GATHER_STORE4
+	ADDQ $4, AX
+	JMP  gather_pass
+
+gather_b4t:
+	GATHER_MASK(4)
+	GATHER_LOAD4
+	XORQ BX, BX
+gather_b4t_x:
+	GATHER_ROW
+	GATHER_FMA4
+	GATHER_TAIL(32)
+	INCQ BX
+	CMPQ BX, R9
+	JL   gather_b4t_x
+	GATHER_STORE4
+	VMASKMOVPD Y11, Y9, 32(R13)
+	JMP  gather_done
+
+gather_t:
+	GATHER_MASK(0)
+	XORQ BX, BX
+gather_t_x:
+	GATHER_ROW
+	GATHER_TAIL(0)
+	INCQ BX
+	CMPQ BX, R9
+	JL   gather_t_x
+	VMASKMOVPD Y11, Y9, (R13)
+
+gather_done:
+	VZEROUPPER
+	RET

@@ -10,9 +10,16 @@ import (
 // concrete implementations reproduce the three access idioms of the paper's
 // Figures 2-3. Kernels are generic over accessor so each instantiation
 // specializes, but the abstraction itself (like Chapel's array machinery)
-// keeps the port kernels from collapsing into the reference ones.
+// keeps the port kernels from collapsing into the reference ones. A fiber's
+// leaf rows go through gather: the Pointer mode hands the flat matrix to
+// one dense.GatherAxpy call, as the C-analogue kernels do, while 2D Index
+// and Slice keep one row access and one VecAxpy per nonzero, since their
+// indirection and copy are what Figures 2-3 measure.
 type accessor interface {
 	row(i sptensor.Index) []float64
+	// gather adds Σ_x vals[x]·row(idx[x]) to dst in nonzero order: the
+	// leaf rows of one fiber.
+	gather(dst []float64, idx []sptensor.Index, vals []float64)
 }
 
 // ptrAccess is the "Pointer" mode: zero-copy subslice via flat offset
@@ -31,6 +38,13 @@ func (a ptrAccess) row(i sptensor.Index) []float64 {
 	return a.data[off : off+a.cols]
 }
 
+// gather hands the flat matrix to one dense.GatherAxpy call, as the
+// C-analogue kernels do: with c_ptrTo the Chapel fiber loop compiles to
+// the same inline vector code as C's.
+func (a ptrAccess) gather(dst []float64, idx []sptensor.Index, vals []float64) {
+	dense.GatherAxpy(dst, a.data, idx, vals)
+}
+
 // idx2DAccess is the "2D Index" mode: an extra indirection through a
 // per-row slice table.
 type idx2DAccess struct {
@@ -42,6 +56,14 @@ func newIdx2DAccess(m *dense.Matrix) idx2DAccess {
 }
 
 func (a idx2DAccess) row(i sptensor.Index) []float64 { return a.rows[i] }
+
+// gather keeps one VecAxpy per nonzero through the row table: the
+// indirection is the mode's cost in Figures 2-3.
+func (a idx2DAccess) gather(dst []float64, idx []sptensor.Index, vals []float64) {
+	for x, i := range idx {
+		dense.VecAxpy(dst, a.rows[i], vals[x])
+	}
+}
 
 // sliceAccess is the "Initial" mode: every row access materializes a fresh
 // copy, modelling the descriptor/view cost of Chapel array slicing that the
@@ -60,6 +82,13 @@ func (a sliceAccess) row(i sptensor.Index) []float64 {
 	out := make([]float64, a.cols)
 	copy(out, a.data[off:off+a.cols])
 	return out
+}
+
+// gather copies every row it reads, one VecAxpy per nonzero.
+func (a sliceAccess) gather(dst []float64, idx []sptensor.Index, vals []float64) {
+	for x, i := range idx {
+		dense.VecAxpy(dst, a.row(i), vals[x])
+	}
 }
 
 // rowSink abstracts the scattered output update of non-root kernels so one

@@ -145,6 +145,34 @@ func TestAccessModeLabels(t *testing.T) {
 	}
 }
 
+// TestOperatorRejectsShortFactor pins the guard in front of the fiber
+// gathers, which read factor rows with no bounds check: a factor with
+// fewer rows than its mode must panic, not read past its data.
+func TestOperatorRejectsShortFactor(t *testing.T) {
+	tt := sptensor.Random([]int{10, 8, 9}, 200, 83)
+	team := parallel.NewTeam(1)
+	defer team.Close()
+	set := csf.NewSet(tt, csf.AllocTwo, team, tsort.AllOpt)
+	op := NewOperator(set, team, 4, DefaultOptions())
+	for m := range tt.Dims {
+		factors := randomFactors(tt.Dims, 4, 85)
+		factors[m] = dense.NewMatrix(tt.Dims[m]-1, 4)
+		for mode := range tt.Dims {
+			if mode == m {
+				continue
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("mode %d: factor %d with %d of %d rows accepted", mode, m, tt.Dims[m]-1, tt.Dims[m])
+					}
+				}()
+				op.Apply(mode, factors, dense.NewMatrix(tt.Dims[mode], 4))
+			}()
+		}
+	}
+}
+
 func TestOperatorRejectsBadOutputShape(t *testing.T) {
 	tt := sptensor.Random([]int{10, 8, 9}, 200, 83)
 	team := parallel.NewTeam(1)

@@ -31,9 +31,8 @@ func root3Port[A accessor](c *csf.CSF, mid, leaf A, out *dense.Matrix, acc []flo
 		orow := out.Data[int(fidsS[s])*r : int(fidsS[s])*r+r]
 		for f := fptrS[s]; f < fptrS[s+1]; f++ {
 			dense.VecZero(acc)
-			for x := fptrF[f]; x < fptrF[f+1]; x++ {
-				dense.VecAxpy(acc, leaf.row(fidsN[x]), vals[x])
-			}
+			lo, hi := fptrF[f], fptrF[f+1]
+			leaf.gather(acc, fidsN[lo:hi], vals[lo:hi])
 			dense.VecMulAdd(orow, acc, mid.row(fidsF[f]))
 		}
 	}
@@ -49,9 +48,8 @@ func internal3Port[A accessor, S rowSink](c *csf.CSF, root, leaf A, sink S, acc 
 		rrow := root.row(fidsS[s])
 		for f := fptrS[s]; f < fptrS[s+1]; f++ {
 			dense.VecZero(acc)
-			for x := fptrF[f]; x < fptrF[f+1]; x++ {
-				dense.VecAxpy(acc, leaf.row(fidsN[x]), vals[x])
-			}
+			lo, hi := fptrF[f], fptrF[f+1]
+			leaf.gather(acc, fidsN[lo:hi], vals[lo:hi])
 			dense.VecMul(acc, rrow)
 			sink.accum(fidsF[f], acc)
 		}

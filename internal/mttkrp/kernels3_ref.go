@@ -11,9 +11,12 @@ import (
 // analogue the port is measured against. No accessor or sink indirection:
 // every row access is raw offset math, every conflict policy gets its own
 // loop body, exactly as mttkrp.c specializes them. The rank loops go
-// through the dispatched dense.Vec* kernels (AVX2/FMA where the CPU has
-// them, the unrolled Go bodies otherwise), as SPLATT's C compiles its rank
-// loops to vector code; the port kernels call the same table, so the
+// through the dispatched dense kernels (AVX2/FMA where the CPU has them,
+// the unrolled Go bodies otherwise), as SPLATT's C compiles its rank loops
+// to vector code. A fiber's leaf rows are one dense.GatherAxpy call, which
+// keeps the accumulator in registers across the fiber the way C's compiled
+// loop does; the leaf-mode kernels scatter one VecAxpy per nonzero. The
+// Pointer port reaches the same calls through its accessor, so the
 // C-vs-Chapel figures compare the abstraction layer alone.
 
 // root3Ref computes the root-mode MTTKRP over slices [begin, end).
@@ -28,10 +31,8 @@ func root3Ref(c *csf.CSF, mid, leaf, out *dense.Matrix, acc []float64, begin, en
 		orow := odat[orowOff : orowOff+r]
 		for f := fptrS[s]; f < fptrS[s+1]; f++ {
 			dense.VecZero(acc)
-			for x := fptrF[f]; x < fptrF[f+1]; x++ {
-				lrowOff := int(fidsN[x]) * r
-				dense.VecAxpy(acc, ldat[lrowOff:lrowOff+r], vals[x])
-			}
+			lo, hi := fptrF[f], fptrF[f+1]
+			dense.GatherAxpy(acc, ldat, fidsN[lo:hi], vals[lo:hi])
 			mrowOff := int(fidsF[f]) * r
 			dense.VecMulAdd(orow, acc, mdat[mrowOff:mrowOff+r])
 		}
@@ -51,10 +52,8 @@ func internal3RefDirect(c *csf.CSF, root, leaf, out *dense.Matrix, acc []float64
 		rrow := rdat[rrowOff : rrowOff+r]
 		for f := fptrS[s]; f < fptrS[s+1]; f++ {
 			dense.VecZero(acc)
-			for x := fptrF[f]; x < fptrF[f+1]; x++ {
-				lrowOff := int(fidsN[x]) * r
-				dense.VecAxpy(acc, ldat[lrowOff:lrowOff+r], vals[x])
-			}
+			lo, hi := fptrF[f], fptrF[f+1]
+			dense.GatherAxpy(acc, ldat, fidsN[lo:hi], vals[lo:hi])
 			orowOff := int(fidsF[f]) * r
 			dense.VecMulAdd(odat[orowOff:orowOff+r], acc, rrow)
 		}
@@ -74,10 +73,8 @@ func internal3RefLock(c *csf.CSF, root, leaf, out *dense.Matrix, pool locks.Pool
 		rrow := rdat[rrowOff : rrowOff+r]
 		for f := fptrS[s]; f < fptrS[s+1]; f++ {
 			dense.VecZero(acc)
-			for x := fptrF[f]; x < fptrF[f+1]; x++ {
-				lrowOff := int(fidsN[x]) * r
-				dense.VecAxpy(acc, ldat[lrowOff:lrowOff+r], vals[x])
-			}
+			lo, hi := fptrF[f], fptrF[f+1]
+			dense.GatherAxpy(acc, ldat, fidsN[lo:hi], vals[lo:hi])
 			row := int(fidsF[f])
 			orow := odat[row*r : row*r+r]
 			pool.Lock(row)
@@ -100,10 +97,8 @@ func internal3RefPriv(c *csf.CSF, root, leaf *dense.Matrix, buf []float64, rank 
 		rrow := rdat[rrowOff : rrowOff+r]
 		for f := fptrS[s]; f < fptrS[s+1]; f++ {
 			dense.VecZero(acc)
-			for x := fptrF[f]; x < fptrF[f+1]; x++ {
-				lrowOff := int(fidsN[x]) * r
-				dense.VecAxpy(acc, ldat[lrowOff:lrowOff+r], vals[x])
-			}
+			lo, hi := fptrF[f], fptrF[f+1]
+			dense.GatherAxpy(acc, ldat, fidsN[lo:hi], vals[lo:hi])
 			orowOff := int(fidsF[f]) * r
 			dense.VecMulAdd(buf[orowOff:orowOff+r], acc, rrow)
 		}

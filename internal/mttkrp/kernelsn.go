@@ -115,11 +115,8 @@ func (w *nWalker) up(l int, f int64) []float64 {
 		buf[i] = 0
 	}
 	if l == c.Order()-2 {
-		leaf := c.Fids[c.Order()-1]
-		lmat := w.mats[c.Order()-1]
-		for x := c.Fptr[l][f]; x < c.Fptr[l][f+1]; x++ {
-			dense.VecAxpy(buf, lmat.Row(int(leaf[x])), c.Vals[x])
-		}
+		lo, hi := c.Fptr[l][f], c.Fptr[l][f+1]
+		dense.GatherAxpy(buf, w.mats[c.Order()-1].Data, c.Fids[c.Order()-1][lo:hi], c.Vals[lo:hi])
 		return buf
 	}
 	cmat := w.mats[l+1]

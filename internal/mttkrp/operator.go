@@ -133,6 +133,13 @@ func (o *Operator) Apply(mode int, factors []*dense.Matrix, out *dense.Matrix) {
 		panic(fmt.Sprintf("mttkrp: output %dx%d, want %dx%d",
 			out.Rows, out.Cols, c.Dims[mode], o.rank))
 	}
+	// The fiber gathers index the factors' flat data with no bounds check.
+	for m, f := range factors {
+		if m != mode && (f.Rows < c.Dims[m] || f.Cols != o.rank) {
+			panic(fmt.Sprintf("mttkrp: factor %d is %dx%d, want %dx%d",
+				m, f.Rows, f.Cols, c.Dims[m], o.rank))
+		}
+	}
 	strategy := o.StrategyFor(mode)
 	csfIdx := o.set.Assign[mode].CSF
 	o.curCSF, o.curLevel = c, level

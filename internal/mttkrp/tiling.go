@@ -144,9 +144,8 @@ func runInternalTiled(c *csf.CSF, l *tiledLayout, root, leaf, out *dense.Matrix,
 		for _, tf := range l.fiberTiles[tid*l.tasks+b] {
 			rrow := rdat[int(fidsS[tf.slice])*r : int(fidsS[tf.slice])*r+r]
 			dense.VecZero(acc)
-			for x := fptrF[tf.fiber]; x < fptrF[tf.fiber+1]; x++ {
-				dense.VecAxpy(acc, ldat[int(fidsN[x])*r:int(fidsN[x])*r+r], vals[x])
-			}
+			lo, hi := fptrF[tf.fiber], fptrF[tf.fiber+1]
+			dense.GatherAxpy(acc, ldat, fidsN[lo:hi], vals[lo:hi])
 			dense.VecMulAdd(odat[int(fidsF[tf.fiber])*r:int(fidsF[tf.fiber])*r+r], acc, rrow)
 		}
 		barrier()

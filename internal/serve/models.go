@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -43,32 +44,69 @@ type KruskalUpload struct {
 	Factors [][][]float64 `json:"factors"`
 }
 
+// modelUpload is a KruskalUpload as decodeUpload reads it.
+type modelUpload struct {
+	lambda  []float64
+	factors []uploadFactor
+}
+
+// decodeUpload reads a KruskalUpload body. It walks the body as a token
+// stream and decodes one factor row at a time straight into its mode's
+// flat matrix, so the body is never buffered whole and no jagged rows are
+// built: garbage several times the model's size, whose collection timing
+// would set the server's peak memory during an upload. Keys match as
+// encoding/json matches struct fields (case-insensitively, a repeated key
+// replacing the earlier one), and any other key is an error, as under
+// DisallowUnknownFields.
+func decodeUpload(r io.Reader) (*modelUpload, error) {
+	dec := json.NewDecoder(r)
+	if err := expectDelim(dec, '{'); err != nil {
+		return nil, err
+	}
+	u := &modelUpload{}
+	for dec.More() {
+		t, err := dec.Token()
+		if err != nil {
+			return nil, err
+		}
+		switch key := t.(string); {
+		case strings.EqualFold(key, "lambda"):
+			err = dec.Decode(&u.lambda)
+		case strings.EqualFold(key, "factors"):
+			u.factors, err = decodeFactors(dec)
+		default:
+			err = fmt.Errorf("json: unknown field %q", key)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return u, expectDelim(dec, '}')
+}
+
 // toKruskal validates the upload and converts it to the engine form.
-func (u *KruskalUpload) toKruskal() (*core.KruskalTensor, error) {
-	rank := len(u.Lambda)
+func (u *modelUpload) toKruskal() (*core.KruskalTensor, error) {
+	rank := len(u.lambda)
 	if rank == 0 {
 		return nil, errors.New("serve: model upload missing lambda")
 	}
-	if len(u.Factors) == 0 {
+	if len(u.factors) == 0 {
 		return nil, errors.New("serve: model upload missing factors")
 	}
-	k := &core.KruskalTensor{
-		Lambda:  append([]float64(nil), u.Lambda...),
-		Factors: make([]*dense.Matrix, len(u.Factors)),
-	}
-	for m, rows := range u.Factors {
-		if len(rows) == 0 {
+	k := &core.KruskalTensor{Lambda: u.lambda, Factors: make([]*dense.Matrix, len(u.factors))}
+	for m, f := range u.factors {
+		row, n := 0, f.cols
+		if f.cols == rank && f.badRow >= 0 {
+			row, n = f.badRow, f.badLen
+		}
+		switch {
+		case f.rows == 0:
 			return nil, fmt.Errorf("serve: factor %d has no rows", m)
+		case n != rank:
+			return nil, fmt.Errorf("serve: factor %d row %d has %d entries, want rank %d",
+				m, row, n, rank)
 		}
-		f := dense.NewMatrix(len(rows), rank)
-		for i, row := range rows {
-			if len(row) != rank {
-				return nil, fmt.Errorf("serve: factor %d row %d has %d entries, want rank %d",
-					m, i, len(row), rank)
-			}
-			copy(f.Row(i), row)
-		}
-		k.Factors[m] = f
+		k.Factors[m] = dense.NewMatrixFrom(f.rows, rank, f.data)
 	}
 	if err := k.Validate(); err != nil {
 		return nil, err
@@ -76,15 +114,88 @@ func (u *KruskalUpload) toKruskal() (*core.KruskalTensor, error) {
 	return k, nil
 }
 
+// uploadFactor is one mode's factor as decodeUpload reads it: its rows
+// appended to data, the first row's length cols, and the first row of
+// another length (badRow, -1 if none) with that length. The rank is known
+// only once lambda is read, which may come after the factors.
+type uploadFactor struct {
+	data                       []float64
+	rows, cols, badRow, badLen int
+}
+
+// decodeFactors reads the factors array: null, or an array whose items are
+// null (a factor with no rows) or arrays of rows.
+func decodeFactors(dec *json.Decoder) ([]uploadFactor, error) {
+	if null, err := openArray(dec); null || err != nil {
+		return nil, err
+	}
+	var factors []uploadFactor
+	var row []float64
+	for dec.More() {
+		f := uploadFactor{badRow: -1}
+		null, err := openArray(dec)
+		if err != nil {
+			return nil, err
+		}
+		for !null && dec.More() {
+			// A null number leaves its element as it was: zero, as in a
+			// fresh row.
+			clear(row[:cap(row)])
+			if err := dec.Decode(&row); err != nil {
+				return nil, err
+			}
+			if f.rows == 0 {
+				f.cols = len(row)
+			} else if len(row) != f.cols && f.badRow < 0 {
+				f.badRow, f.badLen = f.rows, len(row)
+			}
+			f.data = append(f.data, row...)
+			f.rows++
+		}
+		if !null {
+			if err := expectDelim(dec, ']'); err != nil {
+				return nil, err
+			}
+		}
+		factors = append(factors, f)
+	}
+	return factors, expectDelim(dec, ']')
+}
+
+// openArray reads the next token, which must open an array or be null.
+func openArray(dec *json.Decoder) (null bool, err error) {
+	t, err := dec.Token()
+	switch {
+	case err != nil:
+		return false, err
+	case t == nil:
+		return true, nil
+	case t != json.Delim('['):
+		return false, fmt.Errorf("json: cannot unmarshal %v into an array", t)
+	}
+	return false, nil
+}
+
+// expectDelim reads the next token, which must be the delimiter d.
+func expectDelim(dec *json.Decoder, d json.Delim) error {
+	t, err := dec.Token()
+	if err == nil && t != d {
+		err = fmt.Errorf("json: got %v, want %v", t, d)
+	}
+	return err
+}
+
 func (s *Server) handlePublishModel(w http.ResponseWriter, r *http.Request) {
-	var upload KruskalUpload
-	dec := json.NewDecoder(r.Body) // bounded by the route's body limit
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&upload); err != nil {
+	u, err := decodeUpload(r.Body) // bounded by the route's body limit
+	if err != nil {
+		// An oversized body is 413 even where its content failed first.
+		if _, rerr := io.Copy(io.Discard, r.Body); rerr != nil {
+			err = rerr
+		}
 		writeError(w, uploadStatus(err), fmt.Errorf("serve: decoding model upload: %w", err))
 		return
 	}
-	k, err := upload.toKruskal()
+	k, err := u.toKruskal()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -225,7 +225,9 @@ func CPDDistributed(t *Tensor, opts DistOptions) (*KruskalTensor, *DistReport, e
 // MTTKRP computes one matricized-tensor-times-Khatri-Rao product:
 // out = X(mode) · (⊙_{n≠mode} factors[n]), the kernel at the heart of
 // CP-ALS, using the reference configuration with the given task count.
-// out must be Dims[mode]×R where R is the factors' column count.
+// out must be Dims[mode]×R where R is the factors' column count, and every
+// factor but factors[mode] must have R columns and at least Dims[n] rows;
+// a mis-shaped factor or output is an error.
 func MTTKRP(t *Tensor, factors []*Matrix, mode int, out *Matrix, tasks int) error {
 	if mode < 0 || mode >= t.NModes() {
 		return fmt.Errorf("splatt: mode %d out of range for order-%d tensor", mode, t.NModes())
@@ -234,6 +236,14 @@ func MTTKRP(t *Tensor, factors []*Matrix, mode int, out *Matrix, tasks int) erro
 		return fmt.Errorf("splatt: %d factors for order-%d tensor", len(factors), t.NModes())
 	}
 	rank := factors[0].Cols
+	for m, f := range factors {
+		if m != mode && (f.Rows < t.Dims[m] || f.Cols != rank) {
+			return fmt.Errorf("splatt: factor %d is %dx%d, want %dx%d", m, f.Rows, f.Cols, t.Dims[m], rank)
+		}
+	}
+	if out.Rows != t.Dims[mode] || out.Cols != rank {
+		return fmt.Errorf("splatt: output is %dx%d, want %dx%d", out.Rows, out.Cols, t.Dims[mode], rank)
+	}
 	runner, err := core.NewMTTKRPRunner(t, rank, tasks, core.DefaultOptions())
 	if err != nil {
 		return err

@@ -92,6 +92,20 @@ func TestPublicMTTKRP(t *testing.T) {
 	if err := splatt.MTTKRP(tensor, factors[:2], 0, out1, 1); err == nil {
 		t.Error("wrong factor count accepted")
 	}
+	// The CSF kernels gather factor rows in assembly, so a factor too short
+	// for the tensor, or of another rank, is refused before any kernel runs.
+	short := append([]*splatt.Matrix(nil), factors...)
+	short[2] = dense.NewMatrix(tensor.Dims[2]-1, rank)
+	if err := splatt.MTTKRP(tensor, short, 0, out1, 1); err == nil {
+		t.Error("factor with too few rows accepted")
+	}
+	short[2] = dense.NewMatrix(tensor.Dims[2], rank+1)
+	if err := splatt.MTTKRP(tensor, short, 0, out1, 1); err == nil {
+		t.Error("factor of another rank accepted")
+	}
+	if err := splatt.MTTKRP(tensor, factors, 0, dense.NewMatrix(tensor.Dims[0]-1, rank), 1); err == nil {
+		t.Error("mis-shaped output accepted")
+	}
 }
 
 func TestPublicProfilesAndAxes(t *testing.T) {
