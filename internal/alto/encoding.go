@@ -73,7 +73,7 @@ type Encoding struct {
 	// the parity fuzz); used on the hot path only when native is true.
 	pextMasks []uint64
 	// native selects the BMI2 assembly for ExtractAll/Step/linearizeRange/
-	// DelinearizeRange and the operator's tile walker. Set from
+	// DelinearizeRange/extract3Tile and the operator's walk3Tile. Set from
 	// NativeExtract() at construction, overridable per encoding in tests.
 	native bool
 }
@@ -429,5 +429,42 @@ func (e *Encoding) DelinearizeRange(lo, hi []uint64, begin, end int, out [][]spt
 			out[m][i] = sptensor.Index(cur[m])
 		}
 		prevLo, prevHi = curLo, curHi
+	}
+}
+
+// extract3Tile delinearizes a tile of narrow (single-word) order-3 keys
+// into the columns the order-3 walkers read: outT, outA and outB receive
+// modes t, a and b of every key, and must hold at least len(keys)
+// elements. Native builds run pext3Tile, one pext per mode per key. The
+// portable body extracts the first key through the byte tables and
+// patches the three coordinates from each later key's changed bytes, as
+// stepTables does: chunk contributions are disjoint bit sets, so XOR-ing
+// out a byte's old row and in its new one is exact.
+func (e *Encoding) extract3Tile(keys []uint64, t, a, b int, outT, outA, outB []uint32) {
+	if len(keys) == 0 {
+		return
+	}
+	if e.native {
+		m := e.pextMasks
+		pext3Tile(keys, m[3*t], m[3*a], m[3*b], outT, outA, outB)
+		return
+	}
+	var cur [3]uint64
+	e.extractAllTables(keys[0], 0, cur[:])
+	curT, curA, curB := cur[t], cur[a], cur[b]
+	prev := keys[0]
+	for x, key := range keys {
+		for diff := key ^ prev; diff != 0; {
+			shift := uint(bits.TrailingZeros64(diff)) &^ 7
+			deltas := e.chunkDeltas[shift/8]
+			oldRow := deltas[int(byte(prev>>shift))*3:][:3]
+			newRow := deltas[int(byte(key>>shift))*3:][:3]
+			curT ^= oldRow[t] ^ newRow[t]
+			curA ^= oldRow[a] ^ newRow[a]
+			curB ^= oldRow[b] ^ newRow[b]
+			diff &^= 0xFF << shift
+		}
+		outT[x], outA[x], outB[x] = uint32(curT), uint32(curA), uint32(curB)
+		prev = key
 	}
 }

@@ -2,7 +2,6 @@ package alto
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/dense"
 	"repro/internal/mttkrp"
@@ -28,10 +27,11 @@ import (
 //
 // The walker depends on the tensor and the host. The generic walker
 // (runRange) re-extracts only the modes whose key bytes changed
-// (Encoding.Step). Narrow order-3 tensors inline that over three
-// registers (runRange3), or, with BMI2, extract each 512-key tile with
-// pext (runRange3Native). With AVX2+FMA too, the lock-free strategies walk
-// each tile in one assembly call (walk3Tile) that runs the whole run
+// (Encoding.Step). Narrow order-3 tensors walk 512-key tiles in Go
+// (runRange3), each extracted into three index columns by one
+// Encoding.extract3Tile call: pext on BMI2 hosts, the byte tables
+// elsewhere. On hosts with BMI2, AVX2 and FMA, the lock-free strategies
+// walk each tile in one assembly call (walk3Tile) that runs the whole run
 // state machine; every walker rounds the same operations in the same
 // order, so their outputs are bitwise equal.
 type Operator struct {
@@ -66,19 +66,18 @@ type taskKernel struct {
 	out  []float64
 	base int
 
-	// Tile buffers for the native (BMI2) order-3 Go walker: pext3Tile
-	// batch-delinearizes tileN keys per assembly call, amortizing the call
-	// overhead to a fraction of a nanosecond per nonzero. Allocated only
-	// when that walker is selected.
+	// Tile buffers of the order-3 Go walker: extract3Tile delinearizes
+	// tileN keys per call into them. Allocated only for narrow order-3
+	// tensors.
 	idxT, idxA, idxB []uint32
 
 	walk tileWalk // walk3Tile's state, when Operator.tile
 }
 
-// tileN is the nonzeros per assembly call of the native order-3 walkers:
-// large enough to amortize the call, small enough that pext3Tile's three
-// uint32 buffers (3×4·tileN = 6 KiB) stay L1-resident and that a
-// walk3Tile call, which the scheduler cannot preempt, stays short.
+// tileN is the nonzeros per tile of the order-3 walkers: large enough to
+// amortize a tile's call, small enough that the three uint32 index
+// buffers (3×4·tileN = 6 KiB) stay L1-resident and that a walk3Tile call,
+// which the scheduler cannot preempt, stays short.
 const tileN = 512
 
 // tileWalk is one task's state of the lock-free order-3 tile walk.
@@ -125,8 +124,8 @@ func NewOperator(t *Tensor, team *parallel.Team, rank int, opts mttkrp.Options) 
 	if arena == nil || arena.Tasks() < tasks {
 		arena = parallel.NewArena(tasks)
 	}
-	native3 := order == 3 && t.Hi == nil && t.Enc.native
-	o.tile = native3 && dense.Native()
+	narrow3 := order == 3 && t.Hi == nil
+	o.tile = narrow3 && t.Enc.native && dense.Native()
 	o.kernels = make([]taskKernel, tasks)
 	for tid := range o.kernels {
 		ta := arena.Task(tid)
@@ -134,7 +133,7 @@ func NewOperator(t *Tensor, team *parallel.Team, rank int, opts mttkrp.Options) 
 		k.cur = make([]uint64, order)
 		k.acc = ta.F64(rank)
 		k.hprod = ta.F64(rank)
-		if native3 {
+		if narrow3 {
 			k.idxT = make([]uint32, tileN)
 			k.idxA = make([]uint32, tileN)
 			k.idxB = make([]uint32, tileN)
@@ -150,9 +149,7 @@ func NewOperator(t *Tensor, team *parallel.Team, rank int, opts mttkrp.Options) 
 		switch {
 		case o.tile && o.conf.LastStrategy() != mttkrp.StrategyLock:
 			o.runRange3Tiles(tid, begin, end)
-		case native3:
-			o.runRange3Native(tid, begin, end)
-		case order == 3 && o.t.Hi == nil:
+		case narrow3:
 			o.runRange3(tid, begin, end)
 		default:
 			o.runRange(tid, begin, end)
@@ -268,116 +265,18 @@ func (o *Operator) runRange(tid, begin, end int) {
 }
 
 // runRange3 is the 3rd-order narrow-encoding specialization of runRange:
-// the walker state lives in three registers, the byte-patch loop is
-// inlined (no per-step call, no slice-state indirection), and the
-// non-target Hadamard product is a single two-row VecMulSet — matching the
-// specialization the CSF side gets from its 3rd-order kernels. Wide
-// (two-word) order-3 encodings take the generic path.
+// it delinearizes tileN keys at a time (extract3Tile) into L1-resident
+// index buffers, then drives the lazy-run accumulation off plain value
+// compares. Equal keys sum their values; a run's pending value
+// materializes in the accumulator only when the non-target coordinates
+// change under the same output row, and flushes straight from the factor
+// rows with the fused scaled-Hadamard kernels (dst (+)= v·(ra⊙rb)),
+// through flushRunRows, one dispatched call per nonzero on a tensor whose
+// runs are single nonzeros. It runs StrategyLock, whose flushes take pool
+// locks, and every strategy on hosts without BMI2 or without the AVX2+FMA
+// kernels; the lock-free strategies otherwise walk the same tiles in
+// runRange3Tiles.
 func (o *Operator) runRange3(tid, begin, end int) {
-	enc := o.t.Enc
-	mode := o.curMode
-	factors := o.curFactors
-	lo, vals := o.t.Lo, o.t.Vals
-	k := &o.kernels[tid]
-	acc, hprod := k.acc, k.hprod
-	deltas := enc.chunkDeltas
-
-	ma, mb := otherModes(mode)
-	fa, fb := factors[ma], factors[mb]
-
-	prevLo := lo[begin]
-	cur := k.cur
-	enc.ExtractAll(prevLo, 0, cur)
-	// Register-resident walker state, target-ordered: curT is the output
-	// coordinate, curA/curB the non-target ones. Delta rows are indexed by
-	// the (loop-invariant) mode positions, so no per-nonzero remapping.
-	curT, curA, curB := cur[mode], cur[ma], cur[mb]
-	curRow := sptensor.Index(curT)
-	dense.VecMulSet(hprod, fa.Row(int(curA)), fb.Row(int(curB)))
-
-	// Lazy run accumulation: a value sharing the current (row, hprod) pair
-	// only bumps the scalar vpend; acc materializes only when hprod changes
-	// mid-run. Runs that never materialize (the common short-run case)
-	// flush with a single direct VecAxpy instead of the
-	// accumulate/add/zero triple.
-	vpend := vals[begin]
-	pendValid, accUsed := true, false
-
-	for x := begin + 1; x < end; x++ {
-		curLo := lo[x]
-		// Inlined Step for order 3: patch the registers from the changed
-		// bytes' delta rows. A nonzero XOR delta implies a real coordinate
-		// change (chunk contributions are disjoint bit sets), so the flags
-		// are exact.
-		diff := curLo ^ prevLo
-		rowChanged, otherChanged := false, false
-		for diff != 0 {
-			b := bits.TrailingZeros64(diff) >> 3
-			shift := 8 * uint(b)
-			d := deltas[b]
-			oldOff := int(byte(prevLo>>shift)) * 3
-			newOff := int(byte(curLo>>shift)) * 3
-			oldRow := d[oldOff : oldOff+3]
-			newRow := d[newOff : newOff+3]
-			if dd := oldRow[mode] ^ newRow[mode]; dd != 0 {
-				curT ^= dd
-				rowChanged = true
-			}
-			if dd := oldRow[ma] ^ newRow[ma]; dd != 0 {
-				curA ^= dd
-				otherChanged = true
-			}
-			if dd := oldRow[mb] ^ newRow[mb]; dd != 0 {
-				curB ^= dd
-				otherChanged = true
-			}
-			diff &^= 0xFF << shift
-		}
-		prevLo = curLo
-		if rowChanged {
-			o.flushRun(k, curRow, acc, hprod, vpend, pendValid, accUsed)
-			curRow = sptensor.Index(curT)
-			pendValid, accUsed = false, false
-		}
-		if otherChanged {
-			ra, rb := fa.Row(int(curA)), fb.Row(int(curB))
-			if pendValid { // materialize the pending value under the old hprod
-				if accUsed {
-					vecMaterializeMul(acc, hprod, ra, rb, vpend)
-				} else {
-					vecMaterializeMulSet(acc, hprod, ra, rb, vpend)
-					accUsed = true
-				}
-				pendValid = false
-			} else {
-				dense.VecMulSet(hprod, ra, rb)
-			}
-		}
-		v := vals[x]
-		if pendValid {
-			vpend += v // merged keys share row and hprod
-		} else {
-			vpend = v
-			pendValid = true
-		}
-	}
-	o.flushRun(k, curRow, acc, hprod, vpend, pendValid, accUsed)
-}
-
-// runRange3Native is the BMI2 variant of runRange3, in Go: instead of
-// patching walker registers from per-byte delta tables, it batch-
-// delinearizes tileN keys at a time with pext3Tile (one pext per mode per
-// key, no tables, no branches) into L1-resident index buffers, then drives
-// the lazy-run accumulation off plain value compares (equivalent to the
-// XOR-delta flags of the portable walker, both being exact). Unlike the
-// portable walker it never materializes the Hadamard product: a run's
-// pending value flushes straight from the factor rows with the fused
-// scaled-Hadamard kernels (dst (+)= v·(ra⊙rb)), through flushRunRows, one
-// dispatched call per nonzero on a tensor whose runs are single nonzeros.
-// It runs StrategyLock, whose flushes take pool locks, and every strategy
-// on hosts without the AVX2+FMA kernels; the lock-free strategies
-// otherwise walk the same tiles in runRange3Tiles.
-func (o *Operator) runRange3Native(tid, begin, end int) {
 	enc := o.t.Enc
 	mode := o.curMode
 	factors := o.curFactors
@@ -388,18 +287,13 @@ func (o *Operator) runRange3Native(tid, begin, end int) {
 
 	ma, mb := otherModes(mode)
 	fa, fb := factors[ma], factors[mb]
-	// Narrow encoding: each mode's bits live entirely in the low word, so
-	// the low-word pext mask alone extracts the full index.
-	mT := enc.pextMasks[3*mode]
-	mA := enc.pextMasks[3*ma]
-	mB := enc.pextMasks[3*mb]
 
 	var curT, curA, curB uint32
 	var vpend float64
 	accUsed := false
 	for base := begin; base < end; base += tileN {
 		n := min(end-base, tileN)
-		pext3Tile(lo[base:base+n], mT, mA, mB, idxT, idxA, idxB)
+		enc.extract3Tile(lo[base:base+n], mode, ma, mb, idxT, idxA, idxB)
 		x := 0
 		if base == begin {
 			curT, curA, curB = idxT[0], idxA[0], idxB[0]
@@ -437,10 +331,10 @@ func (o *Operator) runRange3Native(tid, begin, end int) {
 	o.flushRunRows(k, sptensor.Index(curT), acc, fa.Row(int(curA)), fb.Row(int(curB)), vpend, accUsed)
 }
 
-// runRange3Tiles is runRange3Native for the lock-free strategies on hosts
-// with BMI2, AVX2 and FMA: one walk3Tile call per tile of tileN keys runs
-// the whole run state machine in assembly, writing row flushes into one
-// flat array (the task's privatized window, or the output itself under
+// runRange3Tiles is runRange3 for the lock-free strategies on hosts with
+// BMI2, AVX2 and FMA: one walk3Tile call per tile of tileN keys runs the
+// whole run state machine in assembly, writing row flushes into one flat
+// array (the task's privatized window, or the output itself under
 // StrategyNone), so a nonzero costs no Go-side branch and no dispatched
 // kernel call. It extracts no coordinates up front: a key's XOR with the
 // run's key, masked by each mode's pext mask, tells which coordinates
@@ -482,9 +376,11 @@ func otherModes(mode int) (ma, mb int) {
 	return 0, 1
 }
 
-// flushRunRows is flushRun for the hprod-free native walkers: the pending
-// value flushes directly from the factor rows via the fused scaled-Hadamard
-// kernel.
+// flushRunRows commits one output row's run of the order-3 walkers: the
+// materialized accumulator (if any) plus the pending value, flushed
+// directly from the factor rows via the fused scaled-Hadamard kernel. The
+// walkers leave acc as it is: with accUsed false their next
+// materialization overwrites it.
 func (o *Operator) flushRunRows(k *taskKernel, row sptensor.Index, acc, ra, rb []float64,
 	vpend float64, accUsed bool) {
 
@@ -496,85 +392,6 @@ func (o *Operator) flushRunRows(k *taskKernel, row sptensor.Index, acc, ra, rb [
 	}
 	dense.VecMulAxpy(target, ra, rb, vpend)
 	o.conf.Unlock(id)
-}
-
-// flushRun commits one output row's run: the materialized accumulator (if
-// any) plus the pending value under the current Hadamard product. The
-// order-3 walkers leave acc as it is: with accUsed false their next
-// materialization overwrites it.
-func (o *Operator) flushRun(k *taskKernel, row sptensor.Index, acc, hprod []float64,
-	vpend float64, pendValid, accUsed bool) {
-
-	id := int(row)
-	o.conf.Lock(id)
-	target := k.row(id, o.rank)
-	if accUsed {
-		dense.VecAdd(target, acc)
-	}
-	if pendValid {
-		dense.VecAxpy(target, hprod, vpend)
-	}
-	o.conf.Unlock(id)
-}
-
-// vecMaterializeMulSet / vecMaterializeMul materialize a pending run and
-// recompute the Hadamard product. On generic builds the fused single-pass
-// bodies below win (one loop instead of two); when the dense package has
-// native SIMD kernels, two vectorized passes beat one scalar pass and the
-// pointers are repointed at dense-kernel pairs.
-var (
-	vecMaterializeMulSet = vecMaterializeMulSetGeneric
-	vecMaterializeMul    = vecMaterializeMulGeneric
-)
-
-func init() {
-	if dense.Native() {
-		vecMaterializeMulSet = dense.VecScaleMulSet
-		vecMaterializeMul = dense.VecAxpyMulSet
-	}
-}
-
-// vecMaterializeMulSetGeneric fuses a pending-run materialization with the
-// Hadamard recompute in one pass: acc[i] = v·hprod[i], then hprod[i] =
-// a[i]·b[i]. Unrolled by 4 like the dense vector kernels.
-func vecMaterializeMulSetGeneric(acc, hprod, a, b []float64, v float64) {
-	n := len(acc)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		acc[i] = v * hprod[i]
-		acc[i+1] = v * hprod[i+1]
-		acc[i+2] = v * hprod[i+2]
-		acc[i+3] = v * hprod[i+3]
-		hprod[i] = a[i] * b[i]
-		hprod[i+1] = a[i+1] * b[i+1]
-		hprod[i+2] = a[i+2] * b[i+2]
-		hprod[i+3] = a[i+3] * b[i+3]
-	}
-	for ; i < n; i++ {
-		acc[i] = v * hprod[i]
-		hprod[i] = a[i] * b[i]
-	}
-}
-
-// vecMaterializeMulGeneric is vecMaterializeMulSetGeneric with
-// accumulation: acc[i] += v·hprod[i], then hprod[i] = a[i]·b[i].
-func vecMaterializeMulGeneric(acc, hprod, a, b []float64, v float64) {
-	n := len(acc)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		acc[i] += v * hprod[i]
-		acc[i+1] += v * hprod[i+1]
-		acc[i+2] += v * hprod[i+2]
-		acc[i+3] += v * hprod[i+3]
-		hprod[i] = a[i] * b[i]
-		hprod[i+1] = a[i+1] * b[i+1]
-		hprod[i+2] = a[i+2] * b[i+2]
-		hprod[i+3] = a[i+3] * b[i+3]
-	}
-	for ; i < n; i++ {
-		acc[i] += v * hprod[i]
-		hprod[i] = a[i] * b[i]
-	}
 }
 
 // hadamard recomputes the cached Hadamard product of the non-target factor

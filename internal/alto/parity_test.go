@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"os/exec"
+	"slices"
 	"testing"
 
 	"repro/internal/dense"
@@ -186,6 +187,99 @@ func TestPext3TileMatchesExtract(t *testing.T) {
 				if want := e.Extract(key, 0, m); sptensor.Index(out[x]) != want {
 					t.Fatalf("dims %v key %d mode %d: tile %d != Extract %d",
 						dims, x, m, out[x], want)
+				}
+			}
+		}
+	}
+}
+
+// checkExtract3Tile fails unless e.extract3Tile, for every order of the
+// three modes, writes each key's coordinates as Extract reads them.
+func checkExtract3Tile(t *testing.T, e *Encoding, keys []uint64) {
+	t.Helper()
+	n := len(keys)
+	cols := [3][]uint32{make([]uint32, n), make([]uint32, n), make([]uint32, n)}
+	for _, modes := range [][3]int{{0, 1, 2}, {1, 0, 2}, {2, 0, 1}, {2, 1, 0}} {
+		e.extract3Tile(keys, modes[0], modes[1], modes[2], cols[0], cols[1], cols[2])
+		for x, key := range keys {
+			for c, m := range modes {
+				if want := e.Extract(key, 0, m); sptensor.Index(cols[c][x]) != want {
+					t.Fatalf("dims %v native=%v modes %v tile of %d, key %d (%x) mode %d: %d != Extract %d",
+						e.Dims, e.native, modes, n, x, key, m, cols[c][x], want)
+				}
+			}
+		}
+	}
+}
+
+// TestExtract3TileMatchesExtract checks the order-3 walkers' tile
+// extractor against Extract on every key: the byte-table body on every
+// build, and pext3Tile too where BMI2 is compiled in. The encodings are
+// random narrow order-3 ones, with unit-length modes and power-of-two
+// dims among them. The tiles hold sorted keys, runs of repeated keys,
+// keys that share their low byte and differ only in higher ones, and
+// arbitrary bits under the encoding's width, at lengths 1, 2, 511 and
+// 512.
+func TestExtract3TileMatchesExtract(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	layouts := [][]int{{37, 19, 53}, {7, 300, 3}, {1, 1, 1}, {1, 64, 1}, {64, 64, 64}, {1 << 21, 1 << 21, 1 << 21}, {1 << 21, 3, 1 << 20}}
+	for len(layouts) < 40 {
+		dims := make([]int, 3)
+		for m := range dims {
+			switch b := rng.Intn(22); rng.Intn(3) {
+			case 0:
+				dims[m] = 1 << b // power of two; 1 when b = 0
+			case 1:
+				dims[m] = 1
+			default:
+				dims[m] = 1 + rng.Intn(1<<b)
+			}
+		}
+		layouts = append(layouts, dims)
+	}
+	coord := make([]sptensor.Index, 3)
+	for _, dims := range layouts {
+		e, err := NewEncoding(dims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies := []*Encoding{forceTables(e)}
+		if e.native {
+			bodies = append(bodies, e)
+		}
+		width := ^uint64(0) >> (64 - e.TotalBits) // the key's used bits
+		randomKey := func() uint64 {
+			for m, d := range dims {
+				coord[m] = sptensor.Index(rng.Intn(d))
+			}
+			key, _ := e.Linearize(coord)
+			return key
+		}
+		for _, n := range []int{1, 2, 511, 512} {
+			sorted := make([]uint64, n)
+			for x := range sorted {
+				sorted[x] = randomKey()
+			}
+			slices.Sort(sorted)
+			repeated := make([]uint64, n)
+			for x := range repeated {
+				repeated[x] = randomKey()
+				if x > 0 && rng.Intn(4) != 0 {
+					repeated[x] = repeated[x-1]
+				}
+			}
+			highOnly := make([]uint64, n)
+			low := randomKey() & 0xFF
+			for x := range highOnly {
+				highOnly[x] = low | rng.Uint64()&width&^0xFF
+			}
+			arbitrary := make([]uint64, n)
+			for x := range arbitrary {
+				arbitrary[x] = rng.Uint64() & width
+			}
+			for _, enc := range bodies {
+				for _, keys := range [][]uint64{sorted, repeated, highOnly, arbitrary} {
+					checkExtract3Tile(t, enc, keys)
 				}
 			}
 		}
@@ -433,7 +527,8 @@ func FuzzOperatorNativeMatchesPortable(f *testing.F) {
 // agreement on extracted indices and change masks. Both bodies of
 // linearizeRange must give Linearize's keys, and the keys then go through
 // DelinearizeRange's native tiled body and its byte-table body, which
-// must both return the coordinates.
+// must both return the coordinates. Narrow keys also go through both
+// bodies of extract3Tile as one tile.
 func FuzzEncodingParity(f *testing.F) {
 	f.Add(uint16(37), uint16(19), uint16(53), int64(1))
 	f.Add(uint16(1), uint16(1), uint16(1), int64(2))
@@ -496,6 +591,9 @@ func FuzzEncodingParity(f *testing.F) {
 						t.Fatalf("DelinearizeRange (native=%v) key %d mode %d: %d != coordinate %d", enc.native, x, m, c, coords[m][x])
 					}
 				}
+			}
+			if !e.Wide() {
+				checkExtract3Tile(t, enc, los)
 			}
 		}
 	})

@@ -86,8 +86,8 @@ func TestWindowMatchesBruteForce(t *testing.T) {
 }
 
 // differentialTensors returns operator fixtures that between them run
-// every walker: a hub-skewed narrow order-3 tensor (the native pext walker
-// where compiled in, and the byte-table runRange3 through forceTables), an
+// every walker: a hub-skewed narrow order-3 tensor (the pext tiles where
+// compiled in, and the byte-table tiles through forceTables), an
 // order-4 tensor and a wide-encoding tensor (runRange), and a tensor with
 // fewer nonzeros than tasks.
 func differentialTensors(t *testing.T) map[string]*Tensor {

@@ -163,13 +163,15 @@ var nativeExtract = alto.NativeExtract
 //     at 1.1–2.1x CSF's MTTKRP time on the twins (EXPERIMENTS.md
 //     ablformat). The rule was set when the pext tile walker beat the
 //     then-scalar CSF kernels; it trades time for memory until re-decided.
-//  4. Order 3, narrow encoding, pure-Go walkers only: prefer ALTO only
-//     when the longest mode's slice-population skew (max/mean nonzeros per
-//     slice) ≥ AutoSkewThreshold — hub slices are what contend CSF's lock
-//     pool, while the linearized order spreads a hub's nonzeros across
-//     tasks with run-buffered flushes. The byte-table walker loses to CSF
-//     (1.8–2.9x CSF's MTTKRP time on the twins), so skew must buy the
-//     difference.
+//  4. Order 3, narrow encoding, no native bit-extraction: prefer ALTO
+//     only when the longest mode's slice-population skew (max/mean
+//     nonzeros per slice) ≥ AutoSkewThreshold — hub slices are what
+//     contend CSF's lock pool, while the linearized order spreads a hub's
+//     nonzeros across tasks with run-buffered flushes. The rule was set
+//     when these builds walked keys with a byte-patch walker that took
+//     1.8–2.9x CSF's MTTKRP time on the twins; they now walk 512-key
+//     tiles extracted through the byte tables, and the rule stands until
+//     it is re-measured.
 //  5. Otherwise → CSF (the paper's format; its fiber tree wins on regular
 //     3rd-order tensors without native extraction, and a two-word ALTO
 //     pays double index traffic).

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -318,5 +319,44 @@ func TestPrometheusEndpoint(t *testing.T) {
 	m := getMetrics(t, ts.URL)
 	if m.Jobs.Completed != 1 || m.Jobs.ByFormat["csf"] != 1 {
 		t.Fatalf("JSON metrics disagree with exposition: %+v", m.Jobs)
+	}
+}
+
+// TestJobCountedBeforeDone pins that the worker counts a finished job
+// before its Done() closes, so a client that sees the job finished and
+// then reads the metrics finds it in splatt_jobs_completed_total and in
+// its format and solver families. Each job is watched from a goroutine
+// that polls Done() and reads the counters the moment it closes; with
+// the counts taken after the close, some of the 150 jobs read one short.
+func TestJobCountedBeforeDone(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueCapacity: 4})
+	up := uploadTensor(t, ts.URL, tnsBytes(t, sptensor.Random([]int{30, 20, 10}, 600, 13)))
+	completed, byFormat, bySolver := s.met.jobsCompleted, s.met.format("csf"), s.met.solver("als")
+	for n := uint64(1); n <= 150; n++ {
+		st, code := submitJob(t, ts.URL, JobSpec{TensorID: up.ID, Format: "csf", Rank: 4, MaxIters: 3, Seed: int64(n)})
+		if code != http.StatusAccepted {
+			t.Fatalf("job %d: submit status %d", n, code)
+		}
+		j, ok := s.lookupJob(st.ID)
+		if !ok {
+			t.Fatalf("job %d: %s not found", n, st.ID)
+		}
+		deadline := time.Now().Add(30 * time.Second)
+		for done := false; !done; {
+			select {
+			case <-j.Done():
+				done = true
+			default:
+				if time.Now().After(deadline) {
+					t.Fatalf("job %d: not done after 30s", n)
+				}
+				runtime.Gosched()
+			}
+		}
+		c, f, v := completed.Value(), byFormat.Value(), bySolver.Value()
+		if j.State() != StateDone || c != n || f != n || v != n {
+			t.Fatalf("job %d %s: completed_total %d, by_format{csf} %d, by_solver{als} %d",
+				n, j.State(), c, f, v)
+		}
 	}
 }

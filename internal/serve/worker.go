@@ -105,28 +105,31 @@ func (s *Server) execute(j *Job) {
 	// and failed runs burned real phase time too.
 	s.met.recordProfile(j.spans)
 
+	// Every branch counts the outcome before finish closes Done(): a
+	// client that sees the job finished and then scrapes the metrics finds
+	// it counted.
 	switch {
 	case cancelled || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		j.finish(StateCancelled, res, err)
 		s.tally(StateCancelled)
+		j.finish(StateCancelled, res, err)
 	case err != nil:
-		j.finish(StateFailed, nil, err)
 		s.tally(StateFailed)
+		j.finish(StateFailed, nil, err)
 	default:
 		if j.Spec.Publish {
 			// Publish-on-complete: the finished factors become a resident,
 			// queryable model. A build failure fails the job — the client
 			// asked for a servable model and did not get one.
 			if perr := s.publishModel(j, kruskal, res); perr != nil {
-				j.finish(StateFailed, nil, perr)
 				s.tally(StateFailed)
+				j.finish(StateFailed, nil, perr)
 				return
 			}
 		}
-		j.finish(StateDone, res, nil)
 		s.tally(StateDone)
 		s.tallyFormat(res.Format)
 		s.tallySolver(res.Solver)
+		j.finish(StateDone, res, nil)
 	}
 }
 
