@@ -159,10 +159,13 @@ var nativeExtract = alto.NativeExtract
 //     representation replaces the multi-CSF set's per-root copies.
 //  3. Order 3, encoding fits one 64-bit word, and the CPU has native
 //     bit-extraction (BMI2 pdep/pext — see alto.NativeExtract) → ALTO:
-//     the single representation halves memory against the multi-CSF set,
-//     at 1.1–2.1x CSF's MTTKRP time on the twins (EXPERIMENTS.md
-//     ablformat). The rule was set when the pext tile walker beat the
-//     then-scalar CSF kernels; it trades time for memory until re-decided.
+//     the single representation halves memory against the multi-CSF set.
+//     Its MTTKRP time against CSF's depends on the tensor: 2.4–2.9x on
+//     NELL-2 1/64, whose long fibers CSF's per-fiber gather reuses, but
+//     0.70–1.01x on YELP 1/64 and 0.47–0.49x on YELP 1/8 (EXPERIMENTS.md
+//     "Two stale claims re-measured"). The rule was set when the pext
+//     tile walker beat the then-scalar CSF kernels; it stands until
+//     re-decided.
 //  4. Order 3, narrow encoding, no native bit-extraction: prefer ALTO
 //     only when the longest mode's slice-population skew (max/mean
 //     nonzeros per slice) ≥ AutoSkewThreshold — hub slices are what

@@ -13,7 +13,9 @@
 // from a parallel.TaskArena-backed Workspace, making the steady-state query
 // path allocation-free — the same discipline the ALS iteration loop
 // established, now applied to inference (the keep-it-resident argument of
-// Geronimo Anderson & Dunlavy, arXiv:2310.10872).
+// Geronimo Anderson & Dunlavy, arXiv:2310.10872). The service keeps built
+// models resident in its model registry (internal/serve), which lists them
+// by Info.
 package model
 
 import (
@@ -22,6 +24,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dense"
@@ -51,6 +54,19 @@ type Model struct {
 	rowNorms [][]float64
 
 	bytes int64
+}
+
+// Info is the JSON view of one resident model: its shape and size, when
+// it was published, and the tensor and job that produced it (empty for a
+// direct upload).
+type Info struct {
+	ID        string    `json:"id"`
+	Dims      []int     `json:"dims"`
+	Rank      int       `json:"rank"`
+	Bytes     int64     `json:"bytes"`
+	Published time.Time `json:"published"`
+	TensorID  string    `json:"tensor_id,omitempty"`
+	JobID     string    `json:"job_id,omitempty"`
 }
 
 // Item is one scored result of a TopK or Similar query.

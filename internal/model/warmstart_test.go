@@ -3,7 +3,6 @@ package model
 import (
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/sptensor"
 )
@@ -44,33 +43,6 @@ func TestKruskalRoundTrip(t *testing.T) {
 	rt.Factors[0].Data[0] += 100
 	if got := m.Row(0, 0)[0]; got == rt.Factors[0].Data[0] {
 		t.Fatal("Kruskal() shares factor storage with the model")
-	}
-}
-
-// TestLatestForTensors pins the auto warm-start resolution: the newest
-// publish whose provenance tensor is in the ancestor set wins, and models
-// from unrelated tensors are invisible.
-func TestLatestForTensors(t *testing.T) {
-	rg := NewRegistry(8, 0)
-	old, _ := rg.Publish(regModel(t, 1), "rev-0", "job-1")
-	time.Sleep(time.Millisecond) // publish times must order
-	newer, _ := rg.Publish(regModel(t, 2), "rev-1", "job-2")
-	time.Sleep(time.Millisecond)
-	rg.Publish(regModel(t, 3), "other-tensor", "job-3")
-
-	got, ok := rg.LatestForTensors([]string{"rev-2", "rev-1", "rev-0"})
-	if !ok || got.ID != newer.ID {
-		t.Fatalf("LatestForTensors = %+v ok=%v, want %s", got, ok, newer.ID)
-	}
-	got, ok = rg.LatestForTensors([]string{"rev-0"})
-	if !ok || got.ID != old.ID {
-		t.Fatalf("root-only lookup = %+v ok=%v, want %s", got, ok, old.ID)
-	}
-	if _, ok := rg.LatestForTensors([]string{"unknown"}); ok {
-		t.Fatal("lookup for unknown tensors reported a model")
-	}
-	if _, ok := rg.LatestForTensors(nil); ok {
-		t.Fatal("empty ancestor set reported a model")
 	}
 }
 

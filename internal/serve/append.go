@@ -46,14 +46,12 @@ func (rg *Registry) Append(id string, r io.Reader, maxUpload int64, maxModeLen i
 	}
 
 	rg.mu.Lock()
-	e, ok := rg.entries[id]
-	if !ok {
-		rg.mu.Unlock()
-		return AppendResult{}, fmt.Errorf("%w: %s", ErrTensorNotFound, shortID(id))
-	}
-	base := e.tensor // immutable once resident; safe to read outside the lock
-	rg.lru.MoveToFront(e.elem)
+	parent := rg.touchLocked(id)
 	rg.mu.Unlock()
+	if parent == nil {
+		return AppendResult{}, rg.errorf(ErrTensorNotFound, id)
+	}
+	base := parent.val // immutable once resident; safe to read outside the lock
 
 	batch, err := sptensor.LoadTensorReader(&buf)
 	if err != nil {
@@ -88,32 +86,28 @@ func (rg *Registry) Append(id string, r io.Reader, maxUpload int64, maxModeLen i
 	defer rg.mu.Unlock()
 	rg.appends++
 	rg.appendSeconds += time.Since(start).Seconds()
-	if prev, ok := rg.entries[revID]; ok {
+	if prev := rg.touchLocked(revID); prev != nil {
 		res.Cached = true
-		res.Dims = prev.tensor.Dims
-		res.NNZ = prev.tensor.NNZ()
-		rg.lru.MoveToFront(prev.elem)
+		res.Dims = prev.val.Dims
+		res.NNZ = prev.val.NNZ()
 		return res, nil
 	}
-	ne := &tensorEntry{
-		id: revID, tensor: merged, bytes: tensorBytes(merged),
-		uploaded: time.Now(), parent: id,
+	info := TensorInfo{
+		ID: revID, Dims: merged.Dims, NNZ: merged.NNZ(), Bytes: tensorBytes(merged),
+		Uploaded: time.Now(), Parent: id,
 	}
-	ne.elem = rg.lru.PushFront(ne)
-	rg.entries[revID] = ne
-	rg.bytes += ne.bytes
+	rg.addLocked(revID, merged, info, info.Bytes)
 
 	rec := &revRecord{
 		id: revID, parent: id, root: id, seq: 1,
 		dims: append([]int(nil), merged.Dims...), nnz: merged.NNZ(),
-		added: batch.NNZ(), merged: dups, created: ne.uploaded,
+		added: batch.NNZ(), merged: dups, created: info.Uploaded,
 	}
 	if pr, ok := rg.lineage[id]; ok {
 		rec.root = pr.root
 		rec.seq = pr.seq + 1
 	}
 	rg.recordLineageLocked(rec)
-	rg.evictLocked()
 	return res, nil
 }
 
@@ -149,7 +143,7 @@ func (rg *Registry) Revisions(id string) ([]RevisionInfo, bool) {
 		if r.root != rec.root {
 			continue
 		}
-		_, resident := rg.entries[r.id]
+		_, resident := rg.items[r.id]
 		out = append(out, RevisionInfo{
 			ID: r.id, Parent: r.parent, Root: r.root, Seq: r.seq,
 			Dims: r.dims, NNZ: r.nnz, AddedNNZ: r.added,

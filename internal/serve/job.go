@@ -268,9 +268,10 @@ type Job struct {
 	Spec JobSpec
 	seq  uint64 // FIFO tiebreak within a priority class
 
-	// tensor is pinned in the registry at submission and unpinned by the
-	// worker that retires the job, so an accepted job can never lose its
-	// tensor to LRU eviction while waiting in the queue.
+	// tensor is pinned in the registry at submission and released
+	// (Server.release) once the job has run or was cancelled while
+	// queued, so an accepted job can never lose its tensor to LRU
+	// eviction while waiting in the queue.
 	tensor *sptensor.Tensor
 	// retired marks the job as counted into the server's bounded terminal
 	// history; guarded by the server's jobsMu.
@@ -369,13 +370,20 @@ func (j *Job) markRunning() bool {
 	return true
 }
 
-// finish records a terminal state exactly once.
-func (j *Job) finish(state JobState, res *JobResult, err error) {
+// finish records a terminal state exactly once, reporting whether this
+// call recorded it.
+func (j *Job) finish(state JobState, res *JobResult, err error) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state == StateDone || j.state == StateFailed || j.state == StateCancelled {
-		return
+		return false
 	}
+	j.finishLocked(state, res, err)
+	return true
+}
+
+// finishLocked records a terminal state; j.mu is held.
+func (j *Job) finishLocked(state JobState, res *JobResult, err error) {
 	j.state = state
 	j.finished = time.Now()
 	j.result = res
@@ -384,29 +392,6 @@ func (j *Job) finish(state JobState, res *JobResult, err error) {
 	}
 	j.cancel() // release the context resources
 	close(j.done)
-}
-
-// requestCancel cancels the job: queued jobs become cancelled immediately;
-// running jobs get their context cancelled and the worker records the
-// terminal state when the engine unwinds. Returns false when the job is
-// already finished.
-func (j *Job) requestCancel() bool {
-	j.mu.Lock()
-	if j.state == StateQueued {
-		j.state = StateCancelled
-		j.finished = time.Now()
-		j.cancel()
-		close(j.done)
-		j.mu.Unlock()
-		return true
-	}
-	if j.state == StateRunning {
-		j.mu.Unlock()
-		j.cancel()
-		return true
-	}
-	j.mu.Unlock()
-	return false
 }
 
 // State returns the current lifecycle state.

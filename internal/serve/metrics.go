@@ -153,22 +153,14 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Decomposition worker-pool size.", obs.KindGauge,
 		func() float64 { return float64(s.cfg.Workers) })
 
-	registerCacheMetrics(reg, "tensor", func() (entries, bytes, hits, misses, evictions float64) {
-		st := s.registry.Stats()
-		return float64(st.Entries), float64(st.Bytes),
-			float64(st.Hits), float64(st.Misses), float64(st.Evictions)
-	})
+	registerCacheMetrics(reg, "tensor", s.registry.lru.Stats)
 	reg.Func("splatt_tensor_appends_total",
 		"Append batches accepted into new tensor revisions.", obs.KindCounter,
 		func() float64 { return float64(s.registry.Stats().Appends) })
 	reg.Func("splatt_tensor_append_seconds_total",
 		"Cumulative seconds spent parsing, merging, and hashing append batches.", obs.KindCounter,
 		func() float64 { return s.registry.Stats().AppendSeconds })
-	registerCacheMetrics(reg, "model", func() (entries, bytes, hits, misses, evictions float64) {
-		st := s.models.Stats()
-		return float64(st.Entries), float64(st.Bytes),
-			float64(st.Hits), float64(st.Misses), float64(st.Evictions)
-	})
+	registerCacheMetrics(reg, "model", s.models.Stats)
 
 	// Solver phases and comm ops are fixed enums, so the span-profiler
 	// families are visible (at zero) from the first scrape too. Phases
@@ -223,24 +215,22 @@ func newServerMetrics(s *Server) *serverMetrics {
 
 // registerCacheMetrics exposes one content-addressed registry's stats as
 // a five-metric family read at scrape time.
-func registerCacheMetrics(reg *obs.Registry, name string,
-	stats func() (entries, bytes, hits, misses, evictions float64)) {
-
+func registerCacheMetrics(reg *obs.Registry, name string, stats func() CacheStats) {
 	reg.Func(fmt.Sprintf("splatt_%s_cache_resident", name),
 		"Entries resident in the cache.", obs.KindGauge,
-		func() float64 { e, _, _, _, _ := stats(); return e })
+		func() float64 { return float64(stats().Entries) })
 	reg.Func(fmt.Sprintf("splatt_%s_cache_bytes", name),
 		"Bytes resident in the cache.", obs.KindGauge,
-		func() float64 { _, b, _, _, _ := stats(); return b })
+		func() float64 { return float64(stats().Bytes) })
 	reg.Func(fmt.Sprintf("splatt_%s_cache_hits_total", name),
 		"Cache lookups served from a resident entry.", obs.KindCounter,
-		func() float64 { _, _, h, _, _ := stats(); return h })
+		func() float64 { return float64(stats().Hits) })
 	reg.Func(fmt.Sprintf("splatt_%s_cache_misses_total", name),
 		"Cache lookups that required ingest or failed.", obs.KindCounter,
-		func() float64 { _, _, _, mi, _ := stats(); return mi })
+		func() float64 { return float64(stats().Misses) })
 	reg.Func(fmt.Sprintf("splatt_%s_cache_evictions_total", name),
 		"Entries evicted by the LRU policy.", obs.KindCounter,
-		func() float64 { _, _, _, _, ev := stats(); return ev })
+		func() float64 { return float64(stats().Evictions) })
 }
 
 // route returns (creating on first use) the instrument set for one

@@ -213,35 +213,14 @@ func (s *Server) handlePublishModel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, info)
 }
 
-func (s *Server) handleListModels(w http.ResponseWriter, r *http.Request) {
-	infos := s.models.List() // already deterministic: (published, id)
-	lo, hi, ok := listWindow(w, r, len(infos))
-	if !ok {
-		return
-	}
-	writeJSON(w, http.StatusOK, infos[lo:hi])
-}
-
 func (s *Server) handleGetModel(w http.ResponseWriter, r *http.Request) {
 	info, ok := s.models.Lookup(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound,
-			fmt.Errorf("%w: model %s", model.ErrNotFound, r.PathValue("id")))
+			fmt.Errorf("%w: model %s", errModelNotFound, r.PathValue("id")))
 		return
 	}
 	writeJSON(w, http.StatusOK, info)
-}
-
-func (s *Server) handleDeleteModel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	switch err := s.models.Remove(id); {
-	case err == nil:
-		writeJSON(w, http.StatusOK, map[string]any{"id": id, "deleted": true})
-	case errors.Is(err, model.ErrPinned):
-		writeError(w, http.StatusConflict, err)
-	default:
-		writeError(w, http.StatusNotFound, err)
-	}
 }
 
 // parseCoord parses "i,j,k" into an integer coordinate.

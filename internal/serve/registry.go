@@ -2,15 +2,15 @@ package serve
 
 import (
 	"bytes"
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
-	"sync"
+	"slices"
 	"time"
 
+	"repro/internal/model"
 	"repro/internal/sptensor"
 )
 
@@ -25,19 +25,11 @@ var ErrTensorNotFound = errors.New("serve: tensor not resident (evicted or never
 // .tns or binary encoding) skips parsing and preprocessing entirely and
 // the decomposition engines see a resident *sptensor.Tensor. Entries are
 // evicted least-recently-used once the configured entry or byte budget is
-// exceeded; an entry pinned by a running job is never evicted.
+// exceeded; an entry pinned by a queued or running job is never evicted.
+// The cache's lock also guards the counters and the lineage index.
 type Registry struct {
-	mu         sync.Mutex
-	maxEntries int
-	maxBytes   int64
+	*lru[*sptensor.Tensor, TensorInfo]
 
-	entries map[string]*tensorEntry // key = full hex digest = tensor ID
-	lru     *list.List              // front = most recently used
-	bytes   int64
-
-	hits          int64
-	misses        int64
-	evictions     int64
 	ingestSeconds float64 // cumulative cold-ingest (hash+parse) time
 	appends       int64
 	appendSeconds float64 // cumulative append (parse+merge+hash) time
@@ -48,17 +40,6 @@ type Registry struct {
 	// maxLineage; oldest records are pruned first.
 	lineage      map[string]*revRecord
 	lineageOrder []string
-}
-
-// tensorEntry is one resident tensor plus its ingest bookkeeping.
-type tensorEntry struct {
-	id       string
-	tensor   *sptensor.Tensor
-	bytes    int64 // in-memory footprint estimate of the parsed tensor
-	uploaded time.Time
-	elem     *list.Element
-	pins     int    // running/queued jobs holding the tensor
-	parent   string // revision this entry was appended from ("" for uploads)
 }
 
 // maxLineage bounds the provenance index. 4096 records ≈ a few hundred KB;
@@ -86,11 +67,10 @@ func NewRegistry(maxEntries int, maxBytes int64) *Registry {
 		maxEntries = 64
 	}
 	return &Registry{
-		maxEntries: maxEntries,
-		maxBytes:   maxBytes,
-		entries:    make(map[string]*tensorEntry),
-		lru:        list.New(),
-		lineage:    make(map[string]*revRecord),
+		lru: newLRU[*sptensor.Tensor](maxEntries, maxBytes,
+			func(in TensorInfo) time.Time { return in.Uploaded },
+			ErrTensorNotFound, ErrTensorPinned, ""),
+		lineage: make(map[string]*revRecord),
 	}
 }
 
@@ -146,15 +126,11 @@ func (rg *Registry) Ingest(r io.Reader, maxUpload int64, maxModeLen int) (Ingest
 	id := hex.EncodeToString(h.Sum(nil))
 
 	rg.mu.Lock()
-	if e, ok := rg.entries[id]; ok {
-		rg.hits++
-		rg.lru.MoveToFront(e.elem)
-		res := IngestResult{ID: id, Cached: true, Dims: e.tensor.Dims, NNZ: e.tensor.NNZ()}
-		rg.mu.Unlock()
-		return res, nil
-	}
-	rg.misses++
+	hit := rg.useLocked(id)
 	rg.mu.Unlock()
+	if hit != nil {
+		return IngestResult{ID: id, Cached: true, Dims: hit.val.Dims, NNZ: hit.val.NNZ()}, nil
+	}
 
 	t, err := sptensor.LoadTensorReader(&buf)
 	if err != nil {
@@ -171,83 +147,17 @@ func (rg *Registry) Ingest(r io.Reader, maxUpload int64, maxModeLen int) (Ingest
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
 	rg.ingestSeconds += time.Since(start).Seconds()
-	if e, ok := rg.entries[id]; ok {
+	if won := rg.touchLocked(id); won != nil {
 		// A concurrent upload of the same bytes won the race; keep its copy.
-		rg.lru.MoveToFront(e.elem)
-		return IngestResult{ID: id, Cached: true, Dims: e.tensor.Dims, NNZ: e.tensor.NNZ()}, nil
+		return IngestResult{ID: id, Cached: true, Dims: won.val.Dims, NNZ: won.val.NNZ()}, nil
 	}
-	e := &tensorEntry{id: id, tensor: t, bytes: tensorBytes(t), uploaded: time.Now()}
-	e.elem = rg.lru.PushFront(e)
-	rg.entries[id] = e
-	rg.bytes += e.bytes
+	info := TensorInfo{ID: id, Dims: t.Dims, NNZ: t.NNZ(), Bytes: tensorBytes(t), Uploaded: time.Now()}
+	rg.addLocked(id, t, info, info.Bytes)
 	rg.recordLineageLocked(&revRecord{
 		id: id, root: id, dims: append([]int(nil), t.Dims...),
-		nnz: t.NNZ(), created: e.uploaded,
+		nnz: t.NNZ(), created: info.Uploaded,
 	})
-	rg.evictLocked()
 	return IngestResult{ID: id, Cached: false, Dims: t.Dims, NNZ: t.NNZ()}, nil
-}
-
-// evictLocked drops least-recently-used unpinned entries until both
-// budgets are met. The newest entry is never evicted.
-func (rg *Registry) evictLocked() {
-	over := func() bool {
-		return len(rg.entries) > rg.maxEntries || (rg.maxBytes > 0 && rg.bytes > rg.maxBytes)
-	}
-	elem := rg.lru.Back()
-	for over() && elem != nil && elem != rg.lru.Front() {
-		prev := elem.Prev()
-		e := elem.Value.(*tensorEntry)
-		if e.pins == 0 {
-			rg.lru.Remove(elem)
-			delete(rg.entries, e.id)
-			rg.bytes -= e.bytes
-			rg.evictions++
-		}
-		elem = prev
-	}
-}
-
-// Pin looks up a tensor by ID, bumps its recency, and pins it against
-// eviction until the matching Unpin.
-func (rg *Registry) Pin(id string) (*sptensor.Tensor, error) {
-	rg.mu.Lock()
-	defer rg.mu.Unlock()
-	e, ok := rg.entries[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrTensorNotFound, shortID(id))
-	}
-	e.pins++
-	rg.lru.MoveToFront(e.elem)
-	return e.tensor, nil
-}
-
-// Unpin releases one Pin reference.
-func (rg *Registry) Unpin(id string) {
-	rg.mu.Lock()
-	defer rg.mu.Unlock()
-	if e, ok := rg.entries[id]; ok && e.pins > 0 {
-		e.pins--
-	}
-}
-
-// Remove evicts a resident tensor explicitly. It fails with
-// ErrTensorNotFound for unknown IDs and ErrTensorPinned while any queued
-// or running job holds the tensor.
-func (rg *Registry) Remove(id string) error {
-	rg.mu.Lock()
-	defer rg.mu.Unlock()
-	e, ok := rg.entries[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrTensorNotFound, shortID(id))
-	}
-	if e.pins > 0 {
-		return fmt.Errorf("%w: %s", ErrTensorPinned, shortID(id))
-	}
-	rg.lru.Remove(e.elem)
-	delete(rg.entries, id)
-	rg.bytes -= e.bytes
-	return nil
 }
 
 // TensorInfo is the JSON view of one resident tensor.
@@ -260,72 +170,80 @@ type TensorInfo struct {
 	Parent   string    `json:"parent,omitempty"`
 }
 
-func (e *tensorEntry) info() TensorInfo {
-	return TensorInfo{
-		ID: e.id, Dims: e.tensor.Dims, NNZ: e.tensor.NNZ(),
-		Bytes: e.bytes, Uploaded: e.uploaded, Parent: e.parent,
-	}
-}
-
-// Lookup returns metadata for a resident tensor without pinning it.
-func (rg *Registry) Lookup(id string) (TensorInfo, bool) {
-	rg.mu.Lock()
-	defer rg.mu.Unlock()
-	e, ok := rg.entries[id]
-	if !ok {
-		return TensorInfo{}, false
-	}
-	return e.info(), true
-}
-
-// List returns metadata for every resident tensor, most recently used
-// first.
-func (rg *Registry) List() []TensorInfo {
-	rg.mu.Lock()
-	defer rg.mu.Unlock()
-	out := make([]TensorInfo, 0, len(rg.entries))
-	for elem := rg.lru.Front(); elem != nil; elem = elem.Next() {
-		out = append(out, elem.Value.(*tensorEntry).info())
-	}
-	return out
-}
-
-// CacheStats is the /metrics view of the registry.
-type CacheStats struct {
-	Entries       int     `json:"entries"`
-	Bytes         int64   `json:"bytes"`
-	MaxEntries    int     `json:"max_entries"`
-	MaxBytes      int64   `json:"max_bytes"`
-	Hits          int64   `json:"hits"`
-	Misses        int64   `json:"misses"`
-	Evictions     int64   `json:"evictions"`
+// TensorCacheStats is the /v1/metrics view of the tensor registry: its
+// cache counters and what ingest and append cost.
+type TensorCacheStats struct {
+	CacheStats
 	IngestSeconds float64 `json:"ingest_seconds"`
 	Appends       int64   `json:"appends"`
 	AppendSeconds float64 `json:"append_seconds"`
 }
 
 // Stats snapshots the registry counters.
-func (rg *Registry) Stats() CacheStats {
+func (rg *Registry) Stats() TensorCacheStats {
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
-	return CacheStats{
-		Entries:       len(rg.entries),
-		Bytes:         rg.bytes,
-		MaxEntries:    rg.maxEntries,
-		MaxBytes:      rg.maxBytes,
-		Hits:          rg.hits,
-		Misses:        rg.misses,
-		Evictions:     rg.evictions,
+	return TensorCacheStats{
+		CacheStats:    rg.st,
 		IngestSeconds: rg.ingestSeconds,
 		Appends:       rg.appends,
 		AppendSeconds: rg.appendSeconds,
 	}
 }
 
-// shortID abbreviates a content hash for error messages and logs.
-func shortID(id string) string {
-	if len(id) > 12 {
-		return id[:12]
+// errModelPinned is returned by Remove for a model held by an in-flight
+// query.
+var errModelPinned = errors.New("model: pinned by in-flight queries")
+
+// errModelNotFound is returned for models that are not resident.
+var errModelNotFound = errors.New("model: not resident (evicted, deleted, or never published)")
+
+// modelRegistry is the content-addressed model cache, the serving
+// counterpart of the tensor registry: models are keyed by the SHA-256 of
+// their source Kruskal encoding, so publishing the same factors twice
+// dedupes, and every query pins the model it reads.
+type modelRegistry struct {
+	*lru[*model.Model, model.Info]
+}
+
+// newModelRegistry creates a registry bounded by maxEntries resident
+// models and maxBytes of estimated model memory (<= 0 disables that
+// bound).
+func newModelRegistry(maxEntries int, maxBytes int64) *modelRegistry {
+	return &modelRegistry{newLRU[*model.Model](maxEntries, maxBytes,
+		func(in model.Info) time.Time { return in.Published },
+		errModelNotFound, errModelPinned, "model ")}
+}
+
+// Publish makes m resident, or refreshes the resident copy when the same
+// content is already published (the bool reports that dedupe, which keeps
+// the first publish's provenance). tensorID and jobID record provenance
+// for jobs that publish their result.
+func (mr *modelRegistry) Publish(m *model.Model, tensorID, jobID string) (model.Info, bool) {
+	mr.mu.Lock()
+	defer mr.mu.Unlock()
+	if hit := mr.useLocked(m.ID()); hit != nil {
+		return hit.view, true
 	}
-	return id
+	info := model.Info{
+		ID: m.ID(), Dims: m.Dims(), Rank: m.Rank(), Bytes: m.Bytes(),
+		Published: time.Now(), TensorID: tensorID, JobID: jobID,
+	}
+	mr.addLocked(m.ID(), m, info, info.Bytes)
+	return info, false
+}
+
+// LatestForTensors returns the most recently published resident model
+// whose provenance tensor is in ids — the auto warm-start resolution:
+// given an appended revision's ancestor chain, pick the newest model
+// computed from any revision in that lineage. Ties on publish time break
+// toward the larger ID so the choice is deterministic.
+func (mr *modelRegistry) LatestForTensors(ids []string) (model.Info, bool) {
+	infos := mr.List()
+	for i := len(infos) - 1; i >= 0; i-- {
+		if slices.Contains(ids, infos[i].TensorID) {
+			return infos[i], true
+		}
+	}
+	return model.Info{}, false
 }

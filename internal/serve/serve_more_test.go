@@ -116,6 +116,46 @@ func TestCancelQueuedJob(t *testing.T) {
 	deleteJob(t, ts.URL, blocker.ID)
 }
 
+// TestCancelQueuedJobReleasesAtOnce pins that a job cancelled while
+// queued is counted and releases its tensor before it shows cancelled,
+// while the only worker is still busy with a job on another tensor.
+func TestCancelQueuedJobReleasesAtOnce(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueCapacity: 8})
+	a := uploadTensor(t, ts.URL, tnsBytes(t, sptensor.Random([]int{60, 50, 40}, 20000, 9)))
+	b := uploadTensor(t, ts.URL, tnsBytes(t, sptensor.Random([]int{10, 10, 10}, 60, 10)))
+
+	blocker, code := submitJob(t, ts.URL, JobSpec{TensorID: a.ID, Rank: 12, MaxIters: 1000000, Seed: 1})
+	if code != http.StatusAccepted {
+		t.Fatalf("blocker: status %d", code)
+	}
+	defer deleteJob(t, ts.URL, blocker.ID)
+	waitState(t, ts.URL, blocker.ID, 30*time.Second, func(s JobStatus) bool {
+		return s.State == StateRunning
+	})
+	queued, code := submitJob(t, ts.URL, JobSpec{TensorID: b.ID, Rank: 3, MaxIters: 5, Seed: 2})
+	if code != http.StatusAccepted {
+		t.Fatalf("queued: status %d", code)
+	}
+	j, ok := s.lookupJob(queued.ID)
+	if !ok {
+		t.Fatal("queued job missing")
+	}
+	if resp, data := deleteJob(t, ts.URL, queued.ID); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("DELETE queued: status %d: %s", resp.StatusCode, data)
+	}
+	select {
+	case <-j.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("cancelled queued job never finished")
+	}
+	if got := getMetrics(t, ts.URL).Jobs.Cancelled; got != 1 {
+		t.Errorf("cancelled counter = %d once the job's Done() closed, want 1", got)
+	}
+	if resp, data := doJSON(t, "DELETE", ts.URL+"/v1/tensors/"+b.ID, nil); resp.StatusCode != http.StatusOK {
+		t.Errorf("DELETE tensor held only by a cancelled job: status %d: %s", resp.StatusCode, data)
+	}
+}
+
 // TestBackpressure fills the queue behind a blocked worker and verifies
 // the next submission is rejected with 503.
 func TestBackpressure(t *testing.T) {
@@ -193,76 +233,6 @@ func TestQueueFull(t *testing.T) {
 	if err := q.Push(newJob("c", 3, JobSpec{}, nil, 8, 8)); err != ErrQueueClosed {
 		t.Fatalf("push after close: %v, want ErrQueueClosed", err)
 	}
-}
-
-// TestRegistryLRU verifies eviction order, byte accounting, and that a
-// re-upload of an evicted tensor is a cold miss again.
-func TestRegistryLRU(t *testing.T) {
-	rg := NewRegistry(2, 0)
-	up := func(seed int64) (IngestResult, []byte) {
-		tensor := sptensor.Random([]int{10, 10, 10}, 50, seed)
-		var buf bytes.Buffer
-		if err := sptensor.WriteTNS(&buf, tensor); err != nil {
-			t.Fatal(err)
-		}
-		res, err := rg.Ingest(bytes.NewReader(buf.Bytes()), 1<<20, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, buf.Bytes()
-	}
-	a, rawA := up(1)
-	up(2)
-	up(3) // evicts a (least recently used)
-
-	if _, ok := rg.Lookup(a.ID); ok {
-		t.Fatalf("tensor %s not evicted", shortID(a.ID))
-	}
-	st := rg.Stats()
-	if st.Evictions != 1 || st.Entries != 2 {
-		t.Fatalf("stats after eviction: %+v", st)
-	}
-	res, err := rg.Ingest(bytes.NewReader(rawA), 1<<20, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cached {
-		t.Fatalf("evicted tensor reported cached")
-	}
-	if got := rg.Stats(); got.Misses != 4 || got.Hits != 0 {
-		t.Fatalf("counters: %+v", got)
-	}
-}
-
-// TestRegistryPinBlocksEviction verifies a pinned (running-job) tensor
-// survives budget pressure.
-func TestRegistryPinBlocksEviction(t *testing.T) {
-	rg := NewRegistry(1, 0)
-	tensorA := sptensor.Random([]int{10, 10, 10}, 50, 21)
-	var bufA bytes.Buffer
-	if err := sptensor.WriteTNS(&bufA, tensorA); err != nil {
-		t.Fatal(err)
-	}
-	resA, err := rg.Ingest(bytes.NewReader(bufA.Bytes()), 1<<20, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rg.Pin(resA.ID); err != nil {
-		t.Fatal(err)
-	}
-
-	tensorB := sptensor.Random([]int{10, 10, 10}, 50, 22)
-	var bufB bytes.Buffer
-	if err := sptensor.WriteTNS(&bufB, tensorB); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rg.Ingest(bytes.NewReader(bufB.Bytes()), 1<<20, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := rg.Lookup(resA.ID); !ok {
-		t.Fatalf("pinned tensor was evicted")
-	}
-	rg.Unpin(resA.ID)
 }
 
 // TestJobHistoryBounded verifies terminal jobs are pruned beyond
@@ -419,7 +389,7 @@ func TestAPIErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("over-long mode: status %d", resp.StatusCode)
 	}
-	if tensors := s3.Registry().List(); len(tensors) != 0 {
+	if tensors := s3.registry.List(); len(tensors) != 0 {
 		t.Fatalf("rejected tensor left resident: %+v", tensors)
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/model"
 	"repro/internal/obs"
 )
 
@@ -121,7 +120,7 @@ func (c *Config) fill() {
 type Server struct {
 	cfg      Config
 	registry *Registry
-	models   *model.Registry
+	models   *modelRegistry
 	queue    *Queue
 
 	baseCtx context.Context
@@ -149,7 +148,7 @@ func NewServer(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		registry: NewRegistry(cfg.MaxCachedTensors, cfg.MaxCacheBytes),
-		models:   model.NewRegistry(cfg.MaxCachedModels, cfg.MaxModelBytes),
+		models:   newModelRegistry(cfg.MaxCachedModels, cfg.MaxModelBytes),
 		queue:    NewQueue(cfg.QueueCapacity),
 		baseCtx:  ctx,
 		stop:     cancel,
@@ -175,7 +174,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.stop()
 	s.jobsMu.Lock()
 	for _, j := range s.jobs {
-		j.requestCancel()
+		s.cancel(j)
 	}
 	s.jobsMu.Unlock()
 	done := make(chan struct{})
@@ -194,12 +193,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // Close cancels every outstanding job and drains the pool with no
 // deadline; it returns once all workers exit.
 func (s *Server) Close() { _ = s.Shutdown(context.Background()) }
-
-// Registry exposes the tensor cache (used by cmd/splatt-serve logging).
-func (s *Server) Registry() *Registry { return s.registry }
-
-// Models exposes the Kruskal-model cache.
-func (s *Server) Models() *model.Registry { return s.models }
 
 // Handler returns the HTTP API. Every route lives under the versioned /v1
 // prefix:
@@ -243,11 +236,11 @@ func (s *Server) Handler() http.Handler {
 	}
 	reqT, upT := s.cfg.RequestTimeout, s.cfg.UploadTimeout
 	route("POST", "/tensors", upT, s.cfg.MaxUploadBytes, s.handleUpload)
-	route("GET", "/tensors", reqT, 0, s.handleListTensors)
+	route("GET", "/tensors", reqT, 0, listHandler(s.registry.lru))
 	route("GET", "/tensors/{id}", reqT, 0, s.handleGetTensor)
 	route("PATCH", "/tensors/{id}", upT, s.cfg.MaxUploadBytes, s.handleAppendTensor)
 	route("GET", "/tensors/{id}/revisions", reqT, 0, s.handleTensorRevisions)
-	route("DELETE", "/tensors/{id}", reqT, 0, s.handleDeleteTensor)
+	route("DELETE", "/tensors/{id}", reqT, 0, removeHandler(s.registry.lru))
 	route("POST", "/jobs", reqT, 1<<20, s.handleSubmitJob)
 	route("GET", "/jobs", reqT, 0, s.handleListJobs)
 	route("GET", "/jobs/{id}", reqT, 0, s.handleGetJob)
@@ -256,9 +249,9 @@ func (s *Server) Handler() http.Handler {
 	route("GET", "/jobs/{id}/profile", reqT, 0, s.handleJobProfile)
 	route("GET", "/jobs/{id}/timeline", reqT, 0, s.handleJobTimeline)
 	route("POST", "/models", upT, s.cfg.MaxUploadBytes, s.handlePublishModel)
-	route("GET", "/models", reqT, 0, s.handleListModels)
+	route("GET", "/models", reqT, 0, listHandler(s.models.lru))
 	route("GET", "/models/{id}", reqT, 0, s.handleGetModel)
-	route("DELETE", "/models/{id}", reqT, 0, s.handleDeleteModel)
+	route("DELETE", "/models/{id}", reqT, 0, removeHandler(s.models.lru))
 	route("GET", "/models/{id}/entry", reqT, 0, s.handleModelEntry)
 	route("POST", "/models/{id}/topk", reqT, 1<<20, s.handleModelTopK)
 	route("POST", "/models/{id}/similar", reqT, 1<<20, s.handleModelSimilar)
@@ -370,21 +363,17 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, res)
 }
 
-func (s *Server) handleListTensors(w http.ResponseWriter, r *http.Request) {
-	infos := s.registry.List()
-	// Deterministic listing order for stable pagination: upload time, then
-	// ID — independent of LRU recency churn.
-	sort.Slice(infos, func(i, j int) bool {
-		if !infos[i].Uploaded.Equal(infos[j].Uploaded) {
-			return infos[i].Uploaded.Before(infos[j].Uploaded)
+// listHandler answers GET on a registry's collection: the resident
+// entries in the order they became resident, paginated.
+func listHandler[V, I any](c *lru[V, I]) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		infos := c.List()
+		lo, hi, ok := listWindow(w, r, len(infos))
+		if !ok {
+			return
 		}
-		return infos[i].ID < infos[j].ID
-	})
-	lo, hi, ok := listWindow(w, r, len(infos))
-	if !ok {
-		return
+		writeJSON(w, http.StatusOK, infos[lo:hi])
 	}
-	writeJSON(w, http.StatusOK, infos[lo:hi])
 }
 
 func (s *Server) handleGetTensor(w http.ResponseWriter, r *http.Request) {
@@ -396,15 +385,19 @@ func (s *Server) handleGetTensor(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, info)
 }
 
-func (s *Server) handleDeleteTensor(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	switch err := s.registry.Remove(id); {
-	case err == nil:
-		writeJSON(w, http.StatusOK, map[string]any{"id": id, "deleted": true})
-	case errors.Is(err, ErrTensorPinned):
-		writeError(w, http.StatusConflict, err)
-	default:
-		writeError(w, http.StatusNotFound, err)
+// removeHandler answers DELETE on a registry entry: 409 while it is
+// pinned, 404 when it is not resident.
+func removeHandler[V, I any](c *lru[V, I]) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		switch err := c.Remove(id); {
+		case err == nil:
+			writeJSON(w, http.StatusOK, map[string]any{"id": id, "deleted": true})
+		case errors.Is(err, c.pinned):
+			writeError(w, http.StatusConflict, err)
+		default:
+			writeError(w, http.StatusNotFound, err)
+		}
 	}
 }
 
@@ -422,7 +415,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	}
 	// Pin the tensor for the whole job lifetime, so LRU churn between
 	// submission and execution cannot evict it out from under an accepted
-	// job; the retiring worker unpins.
+	// job; Server.release unpins.
 	tensor, err := s.registry.Pin(spec.TensorID)
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
@@ -438,11 +431,12 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	s.jobsMu.Unlock()
 
 	if err := s.queue.Push(j); err != nil {
-		s.registry.Unpin(spec.TensorID)
 		s.jobsMu.Lock()
 		delete(s.jobs, id)
 		s.jobsMu.Unlock()
-		j.finish(StateFailed, nil, err)
+		if j.finish(StateFailed, nil, err) { // else a cancel released it
+			s.release(j)
+		}
 		s.met.rejected.Inc()
 		status := http.StatusServiceUnavailable
 		if errors.Is(err, ErrQueueClosed) {
@@ -523,7 +517,7 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errors.New("serve: no such job"))
 		return
 	}
-	if !j.requestCancel() {
+	if !s.cancel(j) {
 		writeError(w, http.StatusConflict,
 			fmt.Errorf("serve: job %s already %s", j.ID, j.State()))
 		return
@@ -645,10 +639,10 @@ type Metrics struct {
 		BySolver map[string]int64 `json:"by_solver,omitempty"`
 	} `json:"jobs"`
 
-	Cache CacheStats `json:"cache"`
+	Cache TensorCacheStats `json:"cache"`
 
 	// Models is the Kruskal-model registry (the serving cache).
-	Models model.CacheStats `json:"models"`
+	Models CacheStats `json:"models"`
 
 	// ModelQueries holds per-endpoint ("entry"|"topk"|"similar") query
 	// counts and cumulative handler seconds.

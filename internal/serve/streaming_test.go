@@ -243,7 +243,7 @@ func TestStreamingAppendEdgeCases(t *testing.T) {
 	if want := []int{5, 6, 7}; fmt.Sprint(grown.Dims) != fmt.Sprint(want) {
 		t.Errorf("grown dims = %v, want %v", grown.Dims, want)
 	}
-	if info, ok := s.Registry().Lookup(res.ID); !ok || fmt.Sprint(info.Dims) != fmt.Sprint([]int{3, 2, 2}) {
+	if info, ok := s.registry.Lookup(res.ID); !ok || fmt.Sprint(info.Dims) != fmt.Sprint([]int{3, 2, 2}) {
 		t.Errorf("parent revision dims changed: %+v", info)
 	}
 

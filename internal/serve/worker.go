@@ -15,12 +15,11 @@ import (
 )
 
 // worker is one pool goroutine: it drains the priority queue and runs
-// each job to a terminal state, then releases the submission-time tensor
-// pin and retires the job into the bounded history. Jobs cancelled while
-// queued are popped, released, and skipped the same way, so every pin
-// taken at submission is dropped exactly once. Releasing the pin also
-// drops the job's tensor reference, so retired jobs in the history never
-// keep an evicted revision reachable.
+// each job to a terminal state, then releases the job's tensor and
+// retires the job into the bounded history. A job cancelled while queued
+// was counted and released when it was cancelled (Server.cancel), so the
+// worker only retires it: every pin taken at submission is dropped
+// exactly once.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
@@ -32,13 +31,40 @@ func (s *Server) worker() {
 			s.busy.Add(1)
 			s.execute(j)
 			s.busy.Add(-1)
-		} else {
-			s.tally(StateCancelled) // cancelled while queued
+			s.release(j)
 		}
-		s.registry.Unpin(j.Spec.TensorID)
-		j.tensor = nil
 		s.retire(j)
 	}
+}
+
+// cancel cancels j. A queued job becomes cancelled at once: it is
+// counted and releases its tensor before it shows cancelled, all under
+// its lock (the registry never takes a job's lock), so a worker that pops
+// it later only retires it. A running job gets its context cancelled, and
+// its worker records the outcome when the engine unwinds. Returns false
+// when j has already finished.
+func (s *Server) cancel(j *Job) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	switch j.state {
+	case StateQueued:
+		s.tally(StateCancelled)
+		s.release(j)
+		j.finishLocked(StateCancelled, nil, nil)
+		return true
+	case StateRunning:
+		j.cancel()
+		return true
+	}
+	return false
+}
+
+// release drops j's submission-time tensor pin and its tensor reference,
+// so a retired job in the history never keeps an evicted revision
+// reachable.
+func (s *Server) release(j *Job) {
+	s.registry.Unpin(j.Spec.TensorID)
+	j.tensor = nil
 }
 
 // execute dispatches the job's pinned tensor to the selected engine with
